@@ -84,6 +84,15 @@ def _context_flags(sp) -> None:
                          "(rationals like 1/2 accepted)")
 
 
+def _coefficient_flags(sp) -> None:
+    sp.add_argument("--rule-size", dest="rule_size", type=int, default=None,
+                    help="half the Gauss-Jacobi nodes of the ||g||_1 rule "
+                         "(default 256)")
+    sp.add_argument("--precision", type=int, default=None,
+                    help="digits at which the closed-form coefficients are "
+                         "computed and classified (default 50)")
+
+
 def _output_flags(sp) -> None:
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="output format")
@@ -114,9 +123,7 @@ def build_parser() -> tuple:
     sp.add_argument("-N", "--n-max", dest="n_max", type=int, default=20)
     sp.add_argument("--epsilon", dest="eps", type=float, default=DEFAULT_EPS,
                     help="zero tolerance relative to max(1, ||g||_1)")
-    sp.add_argument("--rule-size", dest="rule_size", type=int, default=None)
-    sp.add_argument("--precision", type=int, default=None,
-                    help="force mpmath at this many digits for every entry")
+    _coefficient_flags(sp)
     _output_flags(sp)
     commands["coeffs"] = sp
 
@@ -131,8 +138,7 @@ def build_parser() -> tuple:
                          "p-independent)")
     sp.add_argument("-N", "--n-max", dest="n_max", type=int, default=20)
     sp.add_argument("--epsilon", dest="eps", type=float, default=DEFAULT_EPS)
-    sp.add_argument("--rule-size", dest="rule_size", type=int, default=None)
-    sp.add_argument("--precision", type=int, default=None)
+    _coefficient_flags(sp)
     _output_flags(sp)
     commands["fundamental"] = sp
 

@@ -28,7 +28,6 @@ from .gegenbauer import (
     coefficient_profile,
     lambda_coefficient,
     lp_norm_segment,
-    _structural_flag,
 )
 from .multipoly import EXACT, MultiPoly
 from .operators import (
@@ -415,8 +414,8 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     increasing size.  With b_j = Lambda_m(g) Y_m(x_j) and Gram matrix
     G_ij = <K(x_i, .), K(x_j, .)> the squared residual is
     1 - 2 a.b + a.G.a for the L2-normalized target.  When Lambda_m(g) = 0
-    (detected structurally from degree or parity) the translates are
-    orthogonal to the whole degree-m space and the residual is exactly 1.
+    the translates are orthogonal to the whole degree-m space and the
+    residual is exactly 1.
     """
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
@@ -427,12 +426,8 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     norm = measure.lp_norm(y, 2)
     y = y.scale(1.0 / norm)
 
-    structural = _structural_flag(g, m_degree)
-    if structural == ZERO:
-        lam_val = 0.0
-    else:
-        value, _ = lambda_coefficient(g, m_degree, ctx.lambda_kappa)
-        lam_val = float(np.real(value))
+    value, _ = lambda_coefficient(g, m_degree, ctx.lambda_kappa)
+    lam_val = float(np.real(value))
 
     counts = tuple(int(c) for c in node_counts)
     residuals = []

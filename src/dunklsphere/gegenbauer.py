@@ -7,7 +7,9 @@ expansion coefficients
 
     Lambda_n(g) = c_lambda / C_n(1) * int_{-1}^{1} g(t) C_n(t) (1-t^2)^(lambda-1/2) dt
 
-together with their three-state zero/nonzero/indeterminate flags.
+together with their three-state zero/nonzero/indeterminate flags: in
+closed form for the grammar kinds, by Gauss-Jacobi quadrature for user
+callables.
 """
 
 from __future__ import annotations
@@ -38,62 +40,53 @@ def pochhammer(a, k: int):
     return out
 
 
-def gegenbauer_eval(n: int, lam, t):
-    """C_n^lambda(t) by the stable three-term recurrence.
+def _gegenbauer_rows(n_max: int, lam, t):
+    """Yield C_0(t), ..., C_{n_max}(t) by the three-term recurrence
 
-    t may be a float, a Fraction (with Fraction lam, for exact values), or a
-    numpy array.  Recurrence: C_0 = 1, C_1 = 2 lam t,
-    n C_n = 2 (n + lam - 1) t C_{n-1} - (n + 2 lam - 2) C_{n-2}.
+        C_0 = 1,  C_1 = 2 lam t,
+        n C_n = 2 (n + lam - 1) t C_{n-1} - (n + 2 lam - 2) C_{n-2},
+
+    in the arithmetic of t and lam: float, Fraction, numpy array or mpf.
     """
+    prev, cur = t * 0 + 1, 2 * lam * t
+    yield prev
+    if n_max >= 1:
+        yield cur
+    for k in range(2, n_max + 1):
+        prev, cur = cur, (2 * (k + lam - 1) * t * cur
+                          - (k + 2 * lam - 2) * prev) / k
+        yield cur
+
+
+def gegenbauer_eval(n: int, lam, t):
+    """C_n^lambda(t): exact when t and lam are both int or Fraction, float
+    for any other Python number t, elementwise float for a numpy array t,
+    and in mpmath arithmetic for an mpf t."""
     if n < 0:
         raise ValueError("negative degree")
     if isinstance(t, np.ndarray):
-        lam = float(lam)
-        c_prev = np.ones_like(t, dtype=float)
-        if n == 0:
-            return c_prev
-        c_cur = 2.0 * lam * t
-        for k in range(2, n + 1):
-            c_prev, c_cur = c_cur, (2.0 * (k + lam - 1.0) * t * c_cur
-                                    - (k + 2.0 * lam - 2.0) * c_prev) / k
-        return c_cur
-    exact = isinstance(t, (int, Fraction)) and isinstance(lam, (int, Fraction))
-    one = Fraction(1) if exact else 1.0
-    if exact:
-        t = Fraction(t)
-        lam = Fraction(lam)
-    else:
-        t = float(t)
-        lam = float(lam)
-    c_prev = one
-    if n == 0:
-        return c_prev
-    c_cur = 2 * lam * t
-    for k in range(2, n + 1):
-        c_prev, c_cur = c_cur, (2 * (k + lam - 1) * t * c_cur
-                                - (k + 2 * lam - 2) * c_prev) / k
-    return c_cur
-
-
-def gegenbauer_all(n_max: int, lam: float, t: np.ndarray) -> np.ndarray:
-    """Matrix of C_n(t_j) for n = 0..n_max, shape (n_max+1, len(t))."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty((n_max + 1, t.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = 2.0 * lam * t
-    for k in range(2, n_max + 1):
-        out[k] = (2.0 * (k + lam - 1.0) * t * out[k - 1]
-                  - (k + 2.0 * lam - 2.0) * out[k - 2]) / k
-    return out
+        t, lam = t.astype(float, copy=False), float(lam)
+    elif isinstance(t, (int, Fraction)) and isinstance(lam, (int, Fraction)):
+        t, lam = Fraction(t), Fraction(lam)
+    elif isinstance(t, (int, float, Fraction)):
+        t, lam = float(t), float(lam)
+    for value in _gegenbauer_rows(n, lam, t):
+        pass
+    return value
 
 
 def gegenbauer_at_one(n: int, lam):
-    """C_n(1) = (2 lam)_n / n!; exact for Fraction lam."""
-    num = pochhammer(2 * lam if isinstance(lam, (int, Fraction)) else 2.0 * lam, n)
-    if isinstance(num, Fraction):
-        return num / math.factorial(n)
-    return num / float(math.factorial(n))
+    """C_n(1) = (2 lam)_n / n! as a running product of (2 lam + j) / (j + 1).
+
+    Exact for int or Fraction lam, float otherwise; the product never forms
+    n! on its own, so it stays finite for any n whose value is.
+    """
+    exact = isinstance(lam, (int, Fraction))
+    two_lam = 2 * Fraction(lam) if exact else 2.0 * float(lam)
+    out = Fraction(1) if exact else 1.0
+    for j in range(n):
+        out = out * (two_lam + j) / (j + 1)
+    return out
 
 
 def gegenbauer_coefficients(n: int, lam) -> list:
@@ -221,9 +214,6 @@ def symmetric_jacobi_rule(m: int, abs_exp: float, sym_exp: float):
 # Function1D: the zonal profiles g that get expanded in Gegenbauer series
 # ---------------------------------------------------------------------------
 
-_PRIMITIVE_KINDS = ("poly", "exp", "cosh", "sinh", "cos", "step", "gegenbauer", "user")
-
-
 @dataclass(frozen=True)
 class Function1D:
     """A function on [-1, 1], vectorized over numpy arrays.
@@ -237,8 +227,8 @@ class Function1D:
 
     kind: str
     coeffs: tuple = ()                 # poly: c_0 + c_1 t + ...
-    omega: float = 0.0                 # cos
-    a: float = 0.0                     # step threshold
+    omega: Fraction = Fraction(0)      # cos frequency, exact
+    a: Fraction = Fraction(0)          # step threshold, exact
     n: int = 0                         # gegenbauer degree
     lam: float | None = None           # gegenbauer parameter
     fn: Callable | None = None         # user
@@ -267,14 +257,15 @@ class Function1D:
         return cls("sinh")
 
     @classmethod
-    def cosine(cls, omega: float) -> "Function1D":
-        return cls("cos", omega=float(omega))
+    def cosine(cls, omega) -> "Function1D":
+        return cls("cos", omega=Fraction(omega))
 
     @classmethod
-    def step(cls, a: float) -> "Function1D":
-        if not -1.0 < a < 1.0:
+    def step(cls, a) -> "Function1D":
+        a = Fraction(a)
+        if not -1 < a < 1:
             raise ValueError("step threshold must lie in (-1, 1)")
-        return cls("step", a=float(a))
+        return cls("step", a=a)
 
     @classmethod
     def gegenbauer_poly(cls, n: int, lam) -> "Function1D":
@@ -357,9 +348,9 @@ class Function1D:
         if k == "sinh":
             return np.sinh(t)
         if k == "cos":
-            return np.cos(self.omega * t)
+            return np.cos(float(self.omega) * t)
         if k == "step":
-            return (t >= self.a).astype(float)
+            return (t >= float(self.a)).astype(float)
         if k == "gegenbauer":
             return gegenbauer_eval(self.n, float(self.lam), t + 0.0)
         if k == "user":
@@ -369,61 +360,6 @@ class Function1D:
             for w, g in self.parts:
                 out = out + w * g._eval_array(t)
             return out
-        raise ValueError(f"unknown kind {k!r}")
-
-    def eval_exact(self, t: Fraction):
-        """Exact evaluation for polynomial content (Fraction in, Fraction out)."""
-        if self.kind == "poly":
-            out = Fraction(0)
-            for c in reversed(self.coeffs):
-                out = out * t + Fraction(c)
-            return out
-        if self.kind == "gegenbauer":
-            if not isinstance(self.lam, (int, Fraction)):
-                raise ValueError("exact Gegenbauer evaluation needs rational lambda")
-            return gegenbauer_eval(self.n, Fraction(self.lam), Fraction(t))
-        if self.kind == "sum":
-            return sum((Fraction(str(w)) * g.eval_exact(t) for w, g in self.parts),
-                       Fraction(0))
-        raise ValueError(f"{self.kind} has no exact evaluation")
-
-    def mp_eval(self, t):
-        """Evaluation in mpmath arithmetic (argument is mpf/mpc)."""
-        from mpmath import mp
-
-        k = self.kind
-        if k == "poly":
-            out = mp.mpf(0)
-            for c in reversed(self.coeffs):
-                out = out * t + (mp.mpf(c.numerator) / c.denominator
-                                 if isinstance(c, Fraction) else mp.mpf(c))
-            return out
-        if k == "exp":
-            return mp.exp(t)
-        if k == "cosh":
-            return mp.cosh(t)
-        if k == "sinh":
-            return mp.sinh(t)
-        if k == "cos":
-            return mp.cos(self.omega * t)
-        if k == "step":
-            return mp.mpf(1) if t >= self.a else mp.mpf(0)
-        if k == "gegenbauer":
-            lam = self.lam
-            lam_mp = (mp.mpf(lam.numerator) / lam.denominator
-                      if isinstance(lam, Fraction) else mp.mpf(lam))
-            c_prev = mp.mpf(1)
-            if self.n == 0:
-                return c_prev
-            c_cur = 2 * lam_mp * t
-            for j in range(2, self.n + 1):
-                c_prev, c_cur = c_cur, (2 * (j + lam_mp - 1) * t * c_cur
-                                        - (j + 2 * lam_mp - 2) * c_prev) / j
-            return c_cur
-        if k == "user":
-            return self.fn(t)  # precision limited by the callable itself
-        if k == "sum":
-            return sum(mp.mpf(w) * g.mp_eval(t) for w, g in self.parts)
         raise ValueError(f"unknown kind {k!r}")
 
     # -- description ---------------------------------------------------------
@@ -438,9 +374,9 @@ class Function1D:
         if k in ("exp", "cosh", "sinh"):
             return k
         if k == "cos":
-            return f"cos {self.omega!r}"
+            return f"cos {float(self.omega)!r}"
         if k == "step":
-            return f"step {self.a!r}"
+            return f"step {float(self.a)!r}"
         if k == "gegenbauer":
             return f"gegen {self.n}"
         if k == "user":
@@ -492,11 +428,11 @@ def parse_function(text: str, lam=None) -> Function1D:
     if head == "cos":
         if arg is None:
             raise ValueError("cos needs a frequency")
-        return Function1D.cosine(float(Fraction(arg)))
+        return Function1D.cosine(Fraction(arg))
     if head == "step":
         if arg is None:
             raise ValueError("step needs a threshold")
-        return Function1D.step(float(Fraction(arg)))
+        return Function1D.step(Fraction(arg))
     raise ValueError(f"cannot parse function expression {text!r}")
 
 
@@ -504,37 +440,44 @@ def parse_function(text: str, lam=None) -> Function1D:
 # Expansion coefficients and profiles
 # ---------------------------------------------------------------------------
 
-def default_rule_size(g: Function1D, n_max: int) -> int:
-    """Heuristic rule size: generous exactness margin for polynomial g,
-    a fixed 256 for nonsmooth/transcendental profiles."""
-    deg = g.poly_degree
-    if deg is not None:
-        return max(64, 2 * (n_max + deg) + 16)
-    return 256
+RULE_SIZE = 256       # Gauss-Jacobi nodes for user callables (norm rule: twice)
+PRECISION = 50        # digits of the closed forms when no precision is given
 
 
 def _lambda_values_on_rule(g: Function1D, n_max: int, lam: float,
                            rule: QuadratureRule) -> np.ndarray:
     gv = np.asarray(g(rule.nodes))
-    cmat = gegenbauer_all(n_max, lam, rule.nodes)
+    cmat = np.stack(list(_gegenbauer_rows(n_max, lam, rule.nodes)))
     raw = cmat @ (rule.weights * gv)
-    at_one = np.array([float(gegenbauer_at_one(n, lam)) for n in range(n_max + 1)])
+    at_one = np.array([gegenbauer_at_one(n, lam) for n in range(n_max + 1)])
     return c_lambda(lam) * raw / at_one
 
 
-def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None = None):
-    """(value, error_bound) for Lambda_n(g).
+def _quadrature_pair(g: Function1D, n_max: int, lam: float,
+                     rule: QuadratureRule) -> tuple:
+    """Lambda_0..n_max on the doubled rule, and their spread to rule."""
+    v1 = _lambda_values_on_rule(g, n_max, lam, rule)
+    v2 = _lambda_values_on_rule(g, n_max, lam, gauss_jacobi_rule(2 * rule.size, lam))
+    return v2, np.abs(v1 - v2)
 
-    The error bound is the difference between the rule and its doubled
-    refinement; the refined value is returned.
+
+def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None = None):
+    """(value, error_bound) for Lambda_n(g), by the same routes as
+    coefficient_profile: exactly (0, 0) for a structural zero, the closed
+    form at PRECISION digits for grammar kinds, and for user callables the
+    value on the doubled rule with its spread to rule (RULE_SIZE nodes by
+    default) as the bound.
     """
+    if _structural_flag(g, n, lam):
+        return 0j, 0.0
+    if _has_closed_form(g):
+        value, err, _ = _closed_form(g, lam, [n], PRECISION)[n]
+        return value, err
     lam_f = float(lam)
     if rule is None:
-        rule = gauss_jacobi_rule(default_rule_size(g, n), lam_f)
-    rule2 = gauss_jacobi_rule(2 * rule.size, lam_f)
-    v1 = _lambda_values_on_rule(g, n, lam_f, rule)[n]
-    v2 = _lambda_values_on_rule(g, n, lam_f, rule2)[n]
-    return complex(v2), float(abs(v1 - v2))
+        rule = gauss_jacobi_rule(RULE_SIZE, lam_f)
+    values, errors = _quadrature_pair(g, n, lam_f, rule)
+    return complex(values[n]), float(errors[n])
 
 
 def lp_norm_segment(g: Function1D, p: float, lam,
@@ -544,13 +487,14 @@ def lp_norm_segment(g: Function1D, p: float, lam,
         raise ValueError("p must be >= 1")
     lam_f = float(lam)
     if rule is None:
-        rule = gauss_jacobi_rule(default_rule_size(g, 0), lam_f)
+        rule = gauss_jacobi_rule(RULE_SIZE, lam_f)
     gv = np.abs(np.asarray(g(rule.nodes))) ** p
     return float((c_lambda(lam_f) * (rule.weights @ gv)) ** (1.0 / p))
 
 
-def _structural_flag(g: Function1D, n: int) -> bool:
-    """True when Lambda_n(g) = 0 exactly by degree, parity or orthogonality."""
+def _structural_flag(g: Function1D, n: int, lam) -> bool:
+    """True when Lambda_n(g) = 0 exactly by degree or parity, or by
+    orthogonality when g is a Gegenbauer polynomial at the run's lambda."""
     deg = g.poly_degree
     if deg is not None and n > deg:
         return True
@@ -559,9 +503,14 @@ def _structural_flag(g: Function1D, n: int) -> bool:
         return True
     if par == "odd" and n % 2 == 0:
         return True
-    if g.kind == "gegenbauer" and n != g.n:
+    if g.kind == "gegenbauer" and g.lam == lam and n != g.n:
         return True
     return False
+
+
+def _has_closed_form(g: Function1D) -> bool:
+    """Whether g is a grammar kind or a sum holding no user callable."""
+    return g.kind != "user" and all(p.kind != "user" for _, p in g.parts)
 
 
 @dataclass(frozen=True)
@@ -570,7 +519,7 @@ class ProfileEntry:
     value: complex
     error_bound: float
     flag: str                 # zero | nonzero | indeterminate
-    structural: bool = False  # exact zero by degree/parity
+    structural: bool = False  # exact zero by degree, parity or orthogonality
 
     @property
     def is_zero(self) -> bool:
@@ -630,7 +579,6 @@ class CoefficientProfile:
 
 
 SAFETY = 8.0          # a value must clear SAFETY * (error + floor) to count as resolved
-AUTO_PRECISION = 50   # digits used when the double path cannot resolve an entry
 
 
 def _classify(absval, err, floor, thresh) -> str:
@@ -650,49 +598,93 @@ def _classify(absval, err, floor, thresh) -> str:
     return INDETERMINATE
 
 
-def _supports_mp(g: Function1D) -> bool:
-    """Whether mp_eval genuinely gains precision (user callables do not)."""
-    if g.kind == "user":
-        return False
-    if g.kind == "sum":
-        return all(_supports_mp(p) for _, p in g.parts)
-    return True
+def _polynomial_coefficient(g: Function1D, n: int, lam: Fraction) -> Fraction:
+    """Lambda_n of a poly or gegen g, exact, from the moments
+    c_lam int t^(2k) (1-t^2)^(lam-1/2) dt = (1/2)_k / (lam + 1)_k, which are
+    needed up to k = (deg g + n) / 2 only.  C_m at the run's lambda is the
+    Kronecker delta lam / (m + lam)."""
+    if g.kind == "gegenbauer" and g.lam == lam:
+        return lam / (n + lam) if n == g.n else Fraction(0)
+    coeffs = g.coeffs if g.kind == "poly" else gegenbauer_coefficients(g.n, g.lam)
+    moments = [Fraction(1)]
+    for k in range((len(coeffs) - 1 + n) // 2):
+        moments.append(moments[-1] * (Fraction(1, 2) + k) / (lam + 1 + k))
+    c_n = gegenbauer_coefficients(n, lam)
+    raw = sum((Fraction(c) * q * moments[(i + j) // 2]
+               for i, c in enumerate(coeffs) if c
+               for j, q in enumerate(c_n) if q and (i + j) % 2 == 0),
+              Fraction(0))
+    return raw / gegenbauer_at_one(n, lam)
 
 
-def _mp_profile_data(g: Function1D, lam, degrees, eps: float, dps: int):
-    """(norm_g1, {n: (value, error, flag)}) at dps decimal digits.
+def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
+                 eps: float = DEFAULT_EPS) -> dict:
+    """{n: (value, error_bound, flag)} of Lambda_n(g) for a g with a closed
+    form (DLMF 18.17, 10.25), worked at dps digits:
 
-    Uses adaptive tanh-sinh quadrature per degree; the reported error is the
-    quadrature estimate plus nothing else, so flags reflect dps-level
-    certainty."""
+        poly, gegen   exact Fractions (_polynomial_coefficient)
+        exp           Gamma(lam + 1) 2^lam I_{n+lam}(1); cosh and sinh are
+                      its even and odd degrees
+        cos w         Gamma(lam + 1) 2^lam (-1)^(n/2) |w|^-lam J_{n+lam}(|w|)
+        step a        n = 0: the regularized incomplete beta function
+                      I(lam + 1/2, lam + 1/2) over [(1 + a)/2, 1]; n > 0:
+                      c_lam (1 - a^2)^(lam + 1/2) times the rational
+                      2 lam C_{n-1}^{lam+1}(a) / (n (n + 2 lam) C_n(1))
+
+    The step form integrates d/dt[(1-t^2)^(lam+1/2) C_{n-1}^{lam+1}(t)] =
+    -n (n + 2 lam) / (2 lam) (1-t^2)^(lam-1/2) C_n(t) over [a, 1], so its
+    zeros are decided in Fraction arithmetic.  A sum adds its weighted
+    terms.  The error bound is 10^(5-dps) times the sum of |terms|, far above
+    the few ulps each special function loses at dps digits, and the flag is
+    classified at dps digits against the floor 10^(5-dps) * scale before
+    anything is rounded to a double.
+    """
     from mpmath import mp
 
+    lam = Fraction(lam)
+    parts = g.parts if g.kind == "sum" else ((1.0, g),)
     out = {}
     with mp.workdps(dps):
-        lam_mp = (mp.mpf(lam.numerator) / lam.denominator
-                  if isinstance(lam, Fraction) else mp.mpf(lam))
-        half = mp.mpf(1) / 2
-        c_lam = mp.gamma(lam_mp + 1) / (mp.sqrt(mp.pi) * mp.gamma(lam_mp + half))
+        def mpq(q: Fraction):
+            return mp.mpf(q.numerator) / q.denominator
 
-        def wfun(t):
-            return (1 - t * t) ** (lam_mp - half)
+        lam_mp = mpq(lam)
+        half = lam_mp + mp.mpf(1) / 2
+        front = mp.gamma(lam_mp + 1) * mp.power(2, lam_mp)
+        c_lam = mp.gamma(lam_mp + 1) / (mp.sqrt(mp.pi) * mp.gamma(half))
 
-        norm_mp, _ = mp.quad(lambda t: abs(g.mp_eval(t)) * wfun(t), [-1, 1],
-                             error=True)
-        norm_mp = c_lam * norm_mp
-        scale = norm_mp if norm_mp > 1 else mp.mpf(1)
-        thresh = mp.mpf(eps) * scale
-        floor = mp.mpf(10) ** (5 - dps) * scale
+        def term(f: Function1D, n: int):
+            k = f.kind
+            if _structural_flag(f, n, lam):
+                return mp.zero
+            if k in ("poly", "gegenbauer"):
+                return mpq(_polynomial_coefficient(f, n, lam))
+            if k in ("exp", "cosh", "sinh"):
+                return front * mp.besseli(n + lam_mp, 1)
+            if k == "cos":
+                w = mpq(abs(f.omega))
+                if w == 0:                                    # g = 1
+                    return mp.mpf(1 if n == 0 else 0)
+                return (front * (-1) ** (n // 2) * mp.power(w, -lam_mp)
+                        * mp.besselj(n + lam_mp, w))
+            if k == "step":
+                if n == 0:
+                    return mp.betainc(half, half, mpq((1 + f.a) / 2), 1,
+                                      regularized=True)
+                ratio = (2 * lam * gegenbauer_eval(n - 1, lam + 1, f.a)
+                         / (n * (n + 2 * lam) * gegenbauer_at_one(n, lam)))
+                return c_lam * mpq(ratio) * mp.power(mpq(1 - f.a * f.a), half)
+            raise ValueError(f"{k} has no closed form")
+
+        tol = mp.mpf(10) ** (5 - dps)
+        floor, thresh = tol * scale, mp.mpf(eps) * scale
         for n in degrees:
-            cn = Function1D.gegenbauer_poly(n, lam_mp)
-            raw, qerr = mp.quad(lambda t: g.mp_eval(t) * cn.mp_eval(t) * wfun(t),
-                                [-1, 1], error=True)
-            at_one = pochhammer(2 * lam_mp, n) / math.factorial(n)
-            val_mp = c_lam * raw / at_one
-            err_mp = abs(c_lam * qerr) / at_one
-            flag = _classify(abs(val_mp), err_mp, floor, thresh)
-            out[n] = (complex(val_mp), float(err_mp), flag)
-        return float(norm_mp), out
+            terms = [mp.mpf(w) * term(f, n) for w, f in parts]
+            value = mp.fsum(terms)
+            err = tol * mp.fsum(abs(x) for x in terms)
+            out[n] = (complex(value), float(err),
+                      _classify(abs(value), err, floor, thresh))
+    return out
 
 
 def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS,
@@ -700,60 +692,34 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
                         precision: int | None = None) -> CoefficientProfile:
     """Profile of Lambda_n(g), n = 0..n_max.
 
-    Degree/parity zeros are exact and flagged before any quadrature.  The
-    remaining entries run on a doubled Gauss-Jacobi pair first; every entry
-    the double path cannot certify as nonzero is then re-evaluated with
-    mpmath at AUTO_PRECISION digits, because smooth generators have true
-    coefficients far below double cancellation noise (exp at n = 20 sits
-    near 1e-26) and a tolerance flag must not confuse those with zeros.
-    Passing precision forces the mpmath path for every entry at that many
-    digits; eps caps what may be called zero in either mode.  Escalation is
-    skipped for user callables, whose own accuracy bounds the game.
+    Degree, parity and orthogonality zeros are exact and flagged first.
+    Every other entry of a grammar kind, or of a sum of grammar kinds, comes
+    from its closed form at precision digits (PRECISION when None).  A user
+    callable, or a sum holding one, runs on the Gauss-Jacobi pair of m and
+    2m nodes (m = RULE_SIZE by default), whose own accuracy bounds what can
+    be certified.  eps caps what may be called zero, relative to
+    max(1, ||g||_1), with the norm taken on the 2m-node rule.
     """
     lam_f = float(lam)
     if m is None:
-        m = default_rule_size(g, n_max)
-    structural = [_structural_flag(g, n) for n in range(n_max + 1)]
-
-    def entry_for(n, data):
-        val, err, flag = data
-        return ProfileEntry(n, val, err, flag)
-
-    if precision is not None:
-        degrees = [n for n in range(n_max + 1) if not structural[n]]
-        norm_g1, data = _mp_profile_data(g, lam, degrees, eps, precision)
-        entries = [
-            ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if structural[n]
-            else entry_for(n, data[n])
-            for n in range(n_max + 1)
-        ]
-        return CoefficientProfile(lam_f, eps, g.describe(), tuple(entries),
-                                  norm_g1, m, precision)
-
-    rule = gauss_jacobi_rule(m, lam_f)
-    rule2 = gauss_jacobi_rule(2 * m, lam_f)
-    v1 = _lambda_values_on_rule(g, n_max, lam_f, rule)
-    v2 = _lambda_values_on_rule(g, n_max, lam_f, rule2)
-    norm_g1 = lp_norm_segment(g, 1.0, lam_f, rule2)
+        m = RULE_SIZE
+    norm_g1 = lp_norm_segment(g, 1.0, lam_f, gauss_jacobi_rule(2 * m, lam_f))
     scale = max(1.0, norm_g1)
-    thresh = eps * scale
-    floor = 1e-15 * scale
-    entries = {}
-    unresolved = []
-    for n in range(n_max + 1):
-        if structural[n]:
-            entries[n] = ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True)
-            continue
-        val = complex(v2[n])
-        err = float(abs(v1[n] - v2[n]))
-        flag = _classify(abs(val), err, floor, thresh)
-        entries[n] = ProfileEntry(n, val, err, flag)
-        if flag != NONZERO:
-            unresolved.append(n)
-    if unresolved and _supports_mp(g):
-        _, data = _mp_profile_data(g, lam, unresolved, eps, AUTO_PRECISION)
-        for n in unresolved:
-            entries[n] = entry_for(n, data[n])
-    return CoefficientProfile(lam_f, eps, g.describe(),
-                              tuple(entries[n] for n in range(n_max + 1)),
-                              norm_g1, m, None)
+    structural = [_structural_flag(g, n, lam) for n in range(n_max + 1)]
+    if _has_closed_form(g):
+        degrees = [n for n in range(n_max + 1) if not structural[n]]
+        data = _closed_form(g, lam, degrees,
+                            PRECISION if precision is None else precision,
+                            scale, eps)
+    else:
+        values, errors = _quadrature_pair(g, n_max, lam_f, gauss_jacobi_rule(m, lam_f))
+        data = {}
+        for n in range(n_max + 1):
+            val, err = complex(values[n]), float(errors[n])
+            data[n] = (val, err, _classify(abs(val), err, 1e-15 * scale, eps * scale))
+    entries = tuple(
+        ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if structural[n]
+        else ProfileEntry(n, *data[n])
+        for n in range(n_max + 1))
+    return CoefficientProfile(lam_f, eps, g.describe(), entries, norm_g1, m,
+                              precision)

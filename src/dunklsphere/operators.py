@@ -358,7 +358,10 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
         wgrid = np.outer(wgrid, w).ravel()
     coeff = ys[:, active] * xf[active]                          # (N, n_active)
     out = np.empty(ys.shape[0], dtype=float)
-    chunk = max(1, int(4_000_000 // max(tmat.shape[0], 1)))
+    # row chunks of at most 16k grid values keep each temporary under the
+    # 128 KiB at which glibc malloc maps fresh pages, so repeated calls reuse
+    # heap memory instead of page-faulting new arrays in every call
+    chunk = max(1, int(16_000 // max(tmat.shape[0], 1)))
     for lo in range(0, ys.shape[0], chunk):
         hi = min(lo + chunk, ys.shape[0])
         args = base[lo:hi, None] + coeff[lo:hi] @ tmat.T        # (chunk, G)

@@ -53,6 +53,15 @@ def test_coeffs_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_coeffs_past_degree_170(capsys):
+    # C_n(1) must not go through n! as a double
+    code, out, _ = run_cli(
+        ["coeffs", "--g", "poly 1,1", "-d", "3", "--kappa", "0", "-N", "200"],
+        capsys)
+    assert code == EXIT_OK
+    assert len(json.loads(out)["entries"]) == 201
+
+
 def test_coeffs_missing_g_is_config_error(capsys):
     code, _, err = run_cli(["coeffs", "--kappa", "1,1"], capsys)
     assert code == EXIT_CONFIG
@@ -101,6 +110,22 @@ def test_fundamental_constant_exits_ten(capsys):
     assert doc["zero_witnesses"] == list(range(1, 7))
 
 
+@pytest.mark.parametrize("g, kappa, n_max, witnesses", [
+    # g - 1/2 is odd, so every even degree n >= 2 vanishes (lambda = 1/2)
+    ("step 0", "0", "8", [2, 4, 6, 8]),
+    # Lambda_3 is proportional to C_2^{7/2}(1/3) = 0 (lambda = 5/2)
+    ("step 1/3", "1,0,1", "20", [3]),
+])
+def test_fundamental_step_exact_zeros(capsys, g, kappa, n_max, witnesses):
+    code, out, _ = run_cli(
+        ["fundamental", "--g", g, "-d", "3", "--kappa", kappa, "-N", n_max],
+        capsys)
+    assert code == EXIT_NOT_FUNDAMENTAL
+    doc = json.loads(out)
+    assert doc["zero_witnesses"] == witnesses
+    assert doc["indeterminate_degrees"] == []
+
+
 def test_fundamental_union(capsys):
     code, out, _ = run_cli(
         ["fundamental", "--g", "cosh", "--g", "sinh",
@@ -112,11 +137,8 @@ def test_fundamental_union(capsys):
 
 
 def test_fundamental_indeterminate_exit(capsys):
-    # eps far below what the double path can certify for a blackbox-free run
-    # is still resolvable by auto escalation, so force indeterminacy with a
-    # noisy profile through a tiny eps and no precision escalation headroom:
-    # use a user-style function via grammar "cos 1e6" whose high-degree
-    # coefficients sit below tolerance but cannot be pinned at 1e-60
+    # a tiny eps on a wildly oscillating "cos 1e6" still yields one of the
+    # three verdicts and its exit code
     code, out, _ = run_cli(
         ["fundamental", "--g", "cos 1000000", "--kappa", "1,1",
          "-N", "6", "--epsilon", "1e-300"], capsys)

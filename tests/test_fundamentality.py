@@ -77,8 +77,8 @@ def test_report_serialization():
 
 
 def test_blackbox_gives_honest_indeterminate_or_zero():
-    # a function the high-precision path cannot reach: tolerance decisions
-    # only; the tiny high-degree coefficients must not be declared NONZERO
+    # a callable has no closed form: tolerance decisions only; the tiny
+    # high-degree coefficients must not be declared NONZERO
     g = Function1D.from_callable(lambda t: np.exp(t) + 1e-5 * np.sin(1e6 * t))
     rep = is_fundamental(CTX, g, n_max=12)
     assert rep.verdict in (INDETERMINATE_VERDICT, NOT_FUNDAMENTAL)
@@ -164,6 +164,7 @@ def test_density_structural_zero_residual_is_one():
     # even g, odd target degree: the coefficient vanishes identically and no
     # span of translates can approximate the harmonic at all
     rep = density_demo(CTX, parse_function("cosh"), 1, [6, 10])
+    assert rep.coefficient == 0.0
     assert list(rep.residuals) == [1.0, 1.0]
 
 

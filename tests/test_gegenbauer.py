@@ -52,6 +52,8 @@ def test_value_at_one():
             v = gegenbauer_eval(n, lam, Fraction(1))
             assert v == gegenbauer_at_one(n, lam)
             assert gegenbauer_at_one(n, lam) == pochhammer(2 * lam, n) / math.factorial(n)
+    # 200! overflows a double; C_200^{1/2}(1) = P_200(1) = 1 does not
+    assert gegenbauer_at_one(200, 0.5) == 1.0
 
 
 @given(st.integers(0, 12),
@@ -73,6 +75,23 @@ def test_coefficients_match_eval():
         for c in reversed(coeffs):
             horner = horner * t + c
         assert horner == gegenbauer_eval(n, lam, t)
+
+
+def test_eval_agrees_across_number_types():
+    from mpmath import mp
+
+    lam, t = Fraction(5, 2), Fraction(2, 7)
+    for n in range(8):
+        exact = gegenbauer_eval(n, lam, t)
+        assert isinstance(exact, Fraction)
+        want = float(exact)
+        assert abs(gegenbauer_eval(n, lam, float(t)) - want) <= 1e-13 * max(1.0, abs(want))
+        arr = gegenbauer_eval(n, lam, np.array([float(t), -float(t)]))
+        assert np.allclose(arr, [want, (-1) ** n * want], rtol=1e-13, atol=0)
+        with mp.workdps(40):
+            got = gegenbauer_eval(n, mp.mpf(lam.numerator) / lam.denominator,
+                                  mp.mpf(2) / 7)
+            assert abs(got - mp.mpf(exact.numerator) / exact.denominator) <= mp.mpf(10) ** -35
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +194,77 @@ def test_lambda_orthogonality_cross_degrees():
     lam = Fraction(3, 2)
     g = Function1D.gegenbauer_poly(4, lam)
     for n in (0, 2, 6):
-        val, _ = lambda_coefficient(g, n, lam)
-        assert abs(val) < 1e-14
+        assert lambda_coefficient(g, n, lam) == (0, 0)
+
+
+def test_gegenbauer_at_another_lambda_is_not_orthogonal():
+    # C_3^1 = 8t^3 - 4t against C_1^2 = 4t with the lambda = 2 moments
+    # c int t^2 w = 1/6, c int t^4 w = 1/16: (32/16 - 16/6) / C_1^2(1) = -1/6
+    g = Function1D.gegenbauer_poly(3, 1)
+    prof = coefficient_profile(g, 2, 4)
+    assert not prof.entry(1).structural
+    assert prof.entry(1).flag == NONZERO
+    assert prof.entry(1).value == -1 / 6
+    assert lambda_coefficient(g, 1, 2)[0] == -1 / 6
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(7, 3)])
+def test_bessel_kinds_match_scipy(lam):
+    # exp = Gamma(lam+1) 2^lam I_{n+lam}(1), cosh/sinh its even/odd degrees;
+    # cos w = Gamma(lam+1) 2^lam (-1)^(n/2) |w|^-lam J_{n+lam}(|w|) on even
+    # degrees, and cos 0 is the constant 1
+    lf = float(lam)
+    front = special.gamma(lf + 1.0) * 2.0 ** lf
+
+    def cos_truth(w):
+        return lambda n: (front * (-1) ** (n // 2) * w ** -lf
+                          * special.jv(n + lf, w) if n % 2 == 0 else 0.0)
+
+    truths = {
+        "exp": lambda n: front * special.iv(n + lf, 1.0),
+        "cosh": lambda n: front * special.iv(n + lf, 1.0) if n % 2 == 0 else 0.0,
+        "sinh": lambda n: front * special.iv(n + lf, 1.0) if n % 2 == 1 else 0.0,
+        "cos 3": cos_truth(3.0),
+        "cos -2": cos_truth(2.0),
+        "cos 0": lambda n: float(n == 0),
+    }
+    for text, truth in truths.items():
+        g = parse_function(text, lam)
+        prof = coefficient_profile(g, lam, 14)
+        for e in prof.entries:
+            want = truth(e.n)
+            assert abs(e.value - want) <= 1e-13 * abs(want), (text, e.n)
+            assert e.flag == (NONZERO if want else ZERO), (text, e.n)
+            assert lambda_coefficient(g, e.n, lam)[0] == e.value
+
+
+def test_step_values_against_quadrature_truth():
+    # truth: 60-digit tanh-sinh over [-1, a] and [a, 1] against the weight
+    # (1-t^2)^(3/2), with C_n from its explicit sum; 1e-50 allows for the
+    # truth's own quadrature error
+    from mpmath import mp
+
+    lam = 2
+    with mp.workdps(60):
+        half = mp.mpf(1) / 2
+        c_lam = mp.gamma(lam + 1) / (mp.sqrt(mp.pi) * mp.gamma(lam + half))
+        gegen = []
+        for n in range(13):
+            cf = [mp.zero] * (n + 1)
+            for k in range(n // 2 + 1):
+                cf[2 * k] = ((-1) ** k * mp.rf(lam, n - k) * 2 ** (n - 2 * k)
+                             / (mp.factorial(k) * mp.factorial(n - 2 * k)))
+            gegen.append(cf)                    # highest power first
+        for k in range(-9, 10):
+            a = mp.mpf(k) / 10
+            prof = coefficient_profile(Function1D.step(Fraction(k, 10)), lam, 12)
+            for e, cf in zip(prof.entries, gegen):
+                raw = mp.quad(lambda t: (t >= a) * mp.polyval(cf, t)
+                              * (1 - t * t) * mp.sqrt(1 - t * t), [-1, a, 1])
+                truth = c_lam * raw / mp.polyval(cf, 1)
+                err = abs(mp.mpf(e.value.real) - truth)
+                assert err <= (e.error_bound + math.ulp(e.value.real) / 2
+                               + mp.mpf(10) ** -50), (k, e.n)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +293,6 @@ def test_eval_kinds():
     s = Function1D.weighted_sum([(0.5, Function1D.exponential()),
                                  (2.0, p)])
     assert np.allclose(s(t), 0.5 * np.exp(t) + 2.0 * p(t))
-
-
-def test_mp_eval_matches_float():
-    from mpmath import mp
-    for g in [Function1D.exponential(), Function1D.cosh_fn(),
-              Function1D.polynomial([Fraction(1, 3), Fraction(2)]),
-              Function1D.gegenbauer_poly(4, Fraction(3, 2))]:
-        with mp.workdps(30):
-            for t in (-0.7, 0.0, 0.4):
-                assert abs(float(g.mp_eval(mp.mpf(t))) - g(t)) <= 1e-13
 
 
 def test_parse_round_trip():
@@ -254,7 +332,7 @@ def test_profile_pure_gegenbauer():
 
 def test_profile_resolves_tiny_smooth_coefficients():
     # exp has no vanishing coefficients; n = 20 sits near 1e-27 and must
-    # still come out nonzero via the escalated path
+    # still come out nonzero from its 50-digit closed form
     prof = coefficient_profile(Function1D.exponential(), Fraction(2), 20)
     assert prof.indeterminate_degrees() == []
     assert prof.zero_degrees() == []
@@ -268,9 +346,9 @@ def test_profile_explicit_precision():
 
 
 def test_profile_user_function_double_only():
-    # a user callable cannot be escalated, so coefficients below the double
+    # a user callable has no closed form, so coefficients below the double
     # noise floor are certified only at the eps tolerance: they flag zero
-    # (value and error both under eps), unlike the structured exp generator
+    # (value and error both under eps), unlike the grammar exp generator
     g = Function1D.from_callable(np.exp, label="exp-blackbox")
     prof = coefficient_profile(g, Fraction(2), 20)
     assert 20 in prof.zero_degrees()
