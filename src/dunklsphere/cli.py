@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from numpy.linalg import LinAlgError as _LinAlgError
@@ -299,6 +300,10 @@ def _cmd_fundamental(args) -> int:
         report = union_fundamental(ctx, gs, p=args.p, n_max=args.n_max,
                                    eps=args.eps, rule_size=args.rule_size,
                                    precision=args.precision)
+    # the typed text, not g.describe(), which prints step and cos parameters
+    # as floats: fed back through --config it must give the same g
+    report = replace(report, config={**report.config,
+                                     "g": specs[0] if len(specs) == 1 else specs})
     text = (report.to_csv_text() if args.format == "csv"
             else _json_text(report.to_json_dict()))
     _emit(args, text)
@@ -363,6 +368,7 @@ def _cmd_density(args) -> int:
     report = density_demo(ctx, g, args.m_degree, counts, orders=args.orders,
                           ridge=args.ridge, scheme=args.scheme,
                           kernel_order=args.kernel_order, seed=args.seed)
+    report = replace(report, config={**report.config, "g": args.g})
     text = (report.to_csv_text() if args.format == "csv"
             else _json_text(report.to_json_dict()))
     _emit(args, text)

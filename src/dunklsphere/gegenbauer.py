@@ -636,8 +636,10 @@ def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
     zeros are decided in Fraction arithmetic.  A sum adds its weighted
     terms.  The error bound is 10^(5-dps) times the sum of |terms|, far above
     the few ulps each special function loses at dps digits, and the flag is
-    classified at dps digits against the floor 10^(5-dps) * scale before
-    anything is rounded to a double.
+    classified at dps digits before anything is rounded to a double.  That
+    bound is relative, so no absolute noise floor is added: a value far below
+    10^-dps (exp has Lambda_40 ~ 1e-63 at lambda 2) that clears its bound is
+    nonzero.  scale only scales eps.
     """
     from mpmath import mp
 
@@ -677,13 +679,13 @@ def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
             raise ValueError(f"{k} has no closed form")
 
         tol = mp.mpf(10) ** (5 - dps)
-        floor, thresh = tol * scale, mp.mpf(eps) * scale
+        thresh = mp.mpf(eps) * scale
         for n in degrees:
             terms = [mp.mpf(w) * term(f, n) for w, f in parts]
             value = mp.fsum(terms)
             err = tol * mp.fsum(abs(x) for x in terms)
             out[n] = (complex(value), float(err),
-                      _classify(abs(value), err, floor, thresh))
+                      _classify(abs(value), err, 0, thresh))
     return out
 
 

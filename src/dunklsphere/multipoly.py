@@ -322,8 +322,10 @@ class MultiPoly:
     def divide_by_linear_form(self, v: Sequence, tol: float = 1e-9) -> "MultiPoly":
         """Exact quotient p / <v, x>, raising NonDivisibleError otherwise.
 
-        Synthetic division with the first nonzero coordinate of v as pivot
-        variable.  For a linear divisor the quotient is unique and the
+        Synthetic division with the coordinate of largest |v_i| as pivot
+        variable (the first one on ties), so a float root whose other
+        coordinate is round-off, such as (cos(pi/2), 1), is never divided by
+        that round-off.  For a linear divisor the quotient is unique and the
         remainder is free of the pivot variable, so exact divisibility shows
         up as a literally empty remainder in exact mode; in float mode the
         remainder is compared against tol * max(1, max |coeff of p|).
@@ -331,8 +333,8 @@ class MultiPoly:
         if len(v) != self.dim:
             raise ValueError(f"form has length {len(v)}, expected {self.dim}")
         vv = [_coerce_scalar(x, self.mode) for x in v]
-        pivot = next((i for i, x in enumerate(vv) if x != 0), None)
-        if pivot is None:
+        pivot = max(range(self.dim), key=lambda i: abs(vv[i]))
+        if vv[pivot] == 0:
             raise ZeroDivisionError("division by the zero form")
         if self.is_zero():
             return self

@@ -14,10 +14,10 @@ exercised by the test suite rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .gegenbauer import Function1D, jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly, monomials_of_degree
 from .reflection import (DunklConstants, MultiplicityFunction, ReflectionGroup,
                          RootSystem, UnsupportedGroupError, builtin_root_system,
-                         constants, generate_group, validate_multiplicity)
+                         constants, generate_group, reflection_matrix,
+                         validate_multiplicity)
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class DunklContext:
     group: ReflectionGroup
     kappa: MultiplicityFunction
     const: DunklConstants
+    _roots_by_mode: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     @classmethod
     def create(cls, family: str, dimension: int | None = None, kappa=0,
@@ -98,33 +101,40 @@ class DunklContext:
             "group_order": self.group.order,
         }
 
-    def _positive_data(self, mode: str):
-        """(root, kappa(root), reflection matrix) triples in the poly's mode."""
-        from .reflection import reflection_matrix
+    def _positive_data(self, mode: str) -> tuple:
+        """(root, kappa(root), reflection matrix, <root, root>) in the poly's
+        mode for every positive root with kappa != 0; built once per mode."""
+        got = self._roots_by_mode.get(mode)
+        if got is None:
+            got = []
+            for v in self.root_system.positive:
+                kv = self.kappa.value(v)
+                if kv == 0:
+                    continue
+                if mode == FLOAT:
+                    v, kv = tuple(float(c) for c in v), float(kv)
+                got.append((v, kv, reflection_matrix(v), sum(c * c for c in v)))
+            got = tuple(got)
+            self._roots_by_mode[mode] = got
+        return got
 
-        out = []
-        for v in self.root_system.positive:
-            kv = self.kappa.value(v)
-            if mode == EXACT:
-                out.append((v, kv, reflection_matrix(v)))
-            else:
-                vf = tuple(float(c) for c in v)
-                out.append((vf, float(kv), reflection_matrix(vf)))
-        return out
 
-
-def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
-    """Apply the i-th Dunkl operator (0-based coordinate) to f."""
+def _check_poly(ctx: DunklContext, f: MultiPoly) -> None:
     if f.dim != ctx.dim:
         raise ValueError(f"polynomial has dim {f.dim}, context has {ctx.dim}")
     if f.mode == EXACT and not ctx.exact:
         raise ValueError("exact polynomials need a rational root system; "
                          "convert with to_float() first")
+
+
+def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
+    """Apply the i-th Dunkl operator (0-based coordinate) to f."""
+    _check_poly(ctx, f)
     result = f.partial_derivative(i)
-    if ctx.kappa_is_zero or f.is_zero():
+    if f.is_zero():
         return result
-    for v, kv, s_v in ctx._positive_data(f.mode):
-        if kv == 0 or v[i] == 0:
+    for v, kv, s_v, _ in ctx._positive_data(f.mode):
+        if v[i] == 0:
             continue
         diff = f - f.substitute_linear(s_v)
         if diff.is_zero():
@@ -135,10 +145,34 @@ def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
 
 
 def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
-    """Sum of squared Dunkl operators; degree drops by exactly two."""
+    """Sum of squared Dunkl operators; degree drops by exactly two.
+
+    Evaluated as the h-Laplacian of Dunkl and Xu (*Orthogonal Polynomials of
+    Several Variables*, Thm 4.4.9), which needs one reflection per root
+    instead of the 2d that sum_i D_i D_i f costs:
+
+        Delta_kappa f = Delta f + sum over positive roots v of kappa(v) *
+            [2 <grad f, v> <v, x> - |v|^2 (f - f o s_v)] / <v, x>^2 .
+
+    Each root's bracket is divisible by <v, x>^2, so it is taken as
+    2 (<grad f, v> - |v|^2 / 2 * q) / <v, x> with q = (f - f o s_v) / <v, x>:
+    two exact divisions.
+    """
+    _check_poly(ctx, f)
+    grad = [f.partial_derivative(i) for i in range(f.dim)]
     out = MultiPoly.zero(f.dim, f.mode)
-    for i in range(ctx.dim):
-        out = out + dunkl_apply(ctx, i, dunkl_apply(ctx, i, f))
+    for i, gi in enumerate(grad):
+        out = out + gi.partial_derivative(i)
+    for v, kv, s_v, vv in ctx._positive_data(f.mode):
+        num = MultiPoly.zero(f.dim, f.mode)
+        for gi, vi in zip(grad, v):
+            if vi != 0:
+                num = num + gi.scale(vi)
+        diff = f - f.substitute_linear(s_v)
+        if not diff.is_zero():
+            num = num - diff.divide_by_linear_form(v).scale(vv / 2)
+        if not num.is_zero():
+            out = out + num.divide_by_linear_form(v).scale(2 * kv)
     return out
 
 
@@ -178,32 +212,69 @@ class HarmonicBasis:
         return "\n".join(lines) + "\n"
 
 
-def _nullspace_exact(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
+def _primitive(row: dict) -> dict:
+    """An integer row divided by its content (the gcd of its entries)."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> dict:
+    """row with column c cleared by an integer combination with the pivot
+    row prow, divided by its content."""
+    a = row.get(c)
+    if a is None:
+        return row
+    p = prow[c]
+    g = gcd(p, a)
+    mp, ma = p // g, a // g
+    out = {j: mp * x for j, x in row.items()}
+    for j, y in prow.items():
+        s = out.get(j, 0) - ma * y
+        if s:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return _primitive(out) if out else out
+
+
+def _nullspace_exact(rows: list[dict], ncols: int) -> list[list[Fraction]]:
+    """Nullspace of a rational matrix given as sparse rows {column: value}.
+
+    One vector per free column of the reduced row echelon form: 1 there, 0 at
+    the other free columns and minus the RREF entry at each pivot column.
+    Elimination is fraction-free: rows are scaled to integers, combined with
+    integer multipliers and divided by their content, and the pivots are
+    divided out only at the end.  The RREF is unique, so the result is the
+    one rational Gauss-Jordan elimination gives.
+    """
+    work = []
+    for row in rows:
+        row = {c: Fraction(x) for c, x in row.items() if x != 0}
+        if row:
+            den = lcm(*(x.denominator for x in row.values()))
+            work.append(_primitive({c: x.numerator * (den // x.denominator)
+                                    for c, x in row.items()}))
+    pivots: list[tuple[int, dict]] = []
     for c in range(ncols):
-        pr = next((k for k in range(r, len(m)) if m[k][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for k in range(len(m)):
-            if k != r and m[k][c] != 0:
-                fk = m[k][c]
-                m[k] = [a - fk * b for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+        if not work:
             break
-    free = [c for c in range(ncols) if c not in pivots]
+        cands = [k for k, row in enumerate(work) if c in row]
+        if not cands:
+            continue
+        prow = work.pop(min(cands, key=lambda k: (len(work[k]), abs(work[k][c]))))
+        work = [r for r in (_eliminate(r, prow, c) for r in work) if r]
+        pivots = [(pc, _eliminate(r, prow, c)) for pc, r in pivots]
+        pivots.append((c, prow))
+    pivot_cols = {pc for pc, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for pi, pc in enumerate(pivots):
-            vec[pc] = -m[pi][fc]
+        for pc, prow in pivots:
+            if fc in prow:
+                vec[pc] = Fraction(-prow[fc], prow[pc])
         basis.append(vec)
     return basis
 
@@ -219,9 +290,9 @@ def _nullspace_float(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
 def harmonic_basis(ctx: DunklContext, n: int, mode: str | None = None) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
-    Exact mode (default where the context allows it) runs rational Gaussian
-    elimination; float mode finds the numerical nullspace with a rank
-    tolerance of 1e-10.
+    Exact mode (default where the context allows it) takes the exact
+    nullspace by fraction-free elimination; float mode finds the numerical
+    nullspace with a rank tolerance of 1e-10.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
@@ -232,23 +303,22 @@ def harmonic_basis(ctx: DunklContext, n: int, mode: str | None = None) -> Harmon
     if n < 2:
         elems = tuple(MultiPoly.monomial(d, e, 1, mode) for e in source)
         return HarmonicBasis(n, elems)
-    target = monomials_of_degree(d, n - 2)
-    tindex = {e: k for k, e in enumerate(target)}
-    columns = []
-    for exps in source:
+    tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
+    rows: list[dict] = [{} for _ in tindex]
+    for col, exps in enumerate(source):
         lap = dunkl_laplacian(ctx, MultiPoly.monomial(d, exps, 1, mode))
-        col = [lap.terms.get(te, 0) for te in target]
-        columns.append(col)
+        for e, c in lap.terms.items():
+            rows[tindex[e]][col] = c
     if mode == EXACT:
-        rows = [[Fraction(columns[c][r]) for c in range(len(source))]
-                for r in range(len(target))]
         vecs = _nullspace_exact(rows, len(source))
         elems = tuple(
             MultiPoly(d, {source[c]: vec[c] for c in range(len(source))}, EXACT)
             for vec in vecs)
     else:
-        a = np.array([[float(columns[c][r]) for c in range(len(source))]
-                      for r in range(len(target))], dtype=float)
+        a = np.zeros((len(rows), len(source)))
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                a[r, c] = x
         vecs = _nullspace_float(a)
         elems = tuple(
             MultiPoly(d, {source[c]: float(vec[c]) for c in range(len(source))

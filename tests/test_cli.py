@@ -126,6 +126,29 @@ def test_fundamental_step_exact_zeros(capsys, g, kappa, n_max, witnesses):
     assert doc["indeterminate_degrees"] == []
 
 
+@pytest.mark.parametrize("command, extra, exit_code", [
+    # Lambda_3 is exactly 0 for the threshold 1/3, not for its float
+    ("fundamental", ["-N", "6"], EXIT_NOT_FUNDAMENTAL),
+    ("density", ["-m", "3", "--nodes", "8,16", "--orders", "24",
+                 "--kernel-order", "12"], EXIT_OK),
+])
+def test_step_report_config_round_trip(tmp_path, capsys, command, extra,
+                                       exit_code):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    code = main([command, "--g", "step 1/3", "-d", "3", "--kappa", "1,0,1",
+                 *extra, "--output", str(out1)])
+    assert code == exit_code
+    doc = json.loads(out1.read_text())
+    assert doc["config"]["g"] == "step 1/3"
+    code = main([command, "--config", str(out1), "--output", str(out2)])
+    capsys.readouterr()
+    assert code == exit_code
+    assert out1.read_bytes() == out2.read_bytes()
+    if command == "fundamental":
+        assert doc["verdict"] == "NOT_FUNDAMENTAL"
+        assert doc["zero_witnesses"] == [3]
+
+
 def test_fundamental_union(capsys):
     code, out, _ = run_cli(
         ["fundamental", "--g", "cosh", "--g", "sinh",

@@ -338,6 +338,15 @@ def test_profile_resolves_tiny_smooth_coefficients():
     assert prof.zero_degrees() == []
 
 
+@pytest.mark.parametrize("text", ["exp", "step 1/5", "sum 1*exp + 1/2*step 1/5"])
+def test_profile_closed_form_has_no_absolute_floor(text):
+    # exp's Lambda_40 at lambda 2 is ~1e-63, far below 10^-dps, yet known to
+    # ~45 relative digits: every I_{n+lambda}(1) > 0, so nothing is zero
+    prof = coefficient_profile(parse_function(text), Fraction(2), 40)
+    assert prof.zero_degrees() == []
+    assert prof.indeterminate_degrees() == []
+
+
 def test_profile_explicit_precision():
     prof = coefficient_profile(Function1D.exponential(), Fraction(2), 12,
                                eps=1e-40, precision=40)

@@ -20,7 +20,7 @@ def frac(a, b=1):
 
 def test_zero_and_constant():
     z = MultiPoly.zero(3, EXACT)
-    assert z.is_zero and z.degree() == -1
+    assert z.is_zero() and z.degree() == -1
     c = MultiPoly.constant(3, frac(5, 2), EXACT)
     assert c.degree() == 0
     assert c.coefficient((0, 0, 0)) == frac(5, 2)
@@ -69,7 +69,7 @@ def test_ring_identities():
     p = (x + y) * (x - y)
     q = x * x - y * y
     assert p == q
-    assert (p - q).is_zero
+    assert (p - q).is_zero()
 
 
 def test_scale_and_neg():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from dunklsphere import (
     monomials_of_degree,
     translate_as_polynomial,
 )
+from dunklsphere.operators import _nullspace_exact
 
 
 def xvar(d, i, mode=EXACT):
@@ -50,7 +52,7 @@ def test_dunkl_on_cube():
 def test_dunkl_cross_variable_is_plain_derivative():
     ctx = DunklContext.create("zd2", 2, (1, 2))
     out = dunkl_apply(ctx, 0, xvar(2, 1).power(4))
-    assert out.is_zero
+    assert out.is_zero()
 
 
 def test_kappa_zero_reduces_to_derivative():
@@ -146,6 +148,49 @@ def test_sympy_oracle(family, kappa):
 
 
 # ---------------------------------------------------------------------------
+# the h-Laplacian against sum_i D_i D_i
+# ---------------------------------------------------------------------------
+
+def _random_poly(rng, d, mode=EXACT, terms=5, max_deg=5):
+    p = MultiPoly.zero(d, mode)
+    for _ in range(terms):
+        exps = [0] * d
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(d)] += 1
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        p = p + MultiPoly.monomial(d, exps, c, mode)
+    return p
+
+
+def _laplacian_by_definition(ctx, f):
+    out = MultiPoly.zero(f.dim, f.mode)
+    for i in range(ctx.dim):
+        out = out + dunkl_apply(ctx, i, dunkl_apply(ctx, i, f))
+    return out
+
+
+@pytest.mark.parametrize("family,d,kappa", [
+    ("a", 4, 1), ("d", 4, 1), ("b", 3, (1, 2)), ("zd2", 3, ("1/2", 1, 2))])
+def test_laplacian_matches_squared_dunkl_operators(family, d, kappa):
+    ctx = DunklContext.create(family, d, kappa)
+    rng = random.Random(f"{family}{d}")
+    for _ in range(6):
+        f = _random_poly(rng, d)
+        assert dunkl_laplacian(ctx, f) == _laplacian_by_definition(ctx, f)
+
+
+def test_laplacian_matches_squared_dunkl_operators_float_i2():
+    ctx = DunklContext.create("i2", kappa=1, order=5)
+    rng = random.Random("i2")
+    pts = np.random.default_rng(11).standard_normal((12, 2))
+    for _ in range(6):
+        f = _random_poly(rng, 2, FLOAT)
+        got = dunkl_laplacian(ctx, f).eval_many(pts)
+        want = _laplacian_by_definition(ctx, f).eval_many(pts)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # harmonic spaces
 # ---------------------------------------------------------------------------
 
@@ -163,7 +208,7 @@ def test_harmonic_basis_counts_and_annihilation(d, kappa):
         basis = harmonic_basis(ctx, n)
         assert len(basis.elements) == harmonic_space_dimension(d, n)
         for el in basis.elements:
-            assert dunkl_laplacian(ctx, el).is_zero
+            assert dunkl_laplacian(ctx, el).is_zero()
 
 
 def test_harmonic_basis_float_mode():
@@ -174,6 +219,49 @@ def test_harmonic_basis_float_mode():
         residual = dunkl_laplacian(ctx, el)
         pts = np.random.default_rng(4).uniform(-1, 1, (10, 2))
         assert np.max(np.abs(residual.eval_many(pts))) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_harmonic_basis_dihedral_even_order(m):
+    # the float root at angle pi/2 is (6e-17, 1): divisions must pivot on
+    # its large coordinate
+    ctx = DunklContext.create("i2", kappa=1, order=m)
+    pts = np.random.default_rng(m).standard_normal((10, 2))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for n in range(2, 7):
+        basis = harmonic_basis(ctx, n)
+        assert len(basis.elements) == harmonic_space_dimension(2, n)
+        for el in basis.elements:
+            residual = _laplacian_by_definition(ctx, el)
+            assert np.max(np.abs(residual.eval_many(pts))) <= 1e-9
+
+
+def _random_sparse_rows(rng, nrows, ncols):
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for row in rows:
+        for c in rng.sample(range(ncols), rng.randint(0, min(3, ncols))):
+            row[c] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if nrows >= 3:   # rank deficient: a row combining two others
+        rows[-1] = [a - Fraction(2, 3) * b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_nullspace_exact_matches_sympy(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+    rows = _random_sparse_rows(rng, nrows, ncols)
+    got = _nullspace_exact([dict(enumerate(r)) for r in rows], ncols)
+    want = sympy.Matrix(rows).nullspace()
+    assert len(got) == len(want)
+    for vec, ref in zip(got, want):
+        assert vec == [Fraction(int(x.p), int(x.q)) for x in ref]
+
+
+def test_nullspace_exact_zero_and_empty_rows():
+    assert _nullspace_exact([], 2) == [[1, 0], [0, 1]]
+    assert _nullspace_exact([{}, {0: Fraction(0)}], 2) == [[1, 0], [0, 1]]
+    assert _nullspace_exact([{1: Fraction(3, 2)}], 3) == [[1, 0, 0], [0, 0, 1]]
 
 
 def test_harmonic_basis_degree_one_and_zero():
