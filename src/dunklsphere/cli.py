@@ -15,10 +15,12 @@ Exit codes encode outcomes so shell pipelines can branch on them:
     11  INDETERMINATE
     12  funk-hecke residual above threshold
 
-A JSON config file (``--config``) is merged under explicit flags; passing a
-previously emitted report works too, its embedded ``config`` object is used.
-Reports are byte-deterministic for identical configs.  ``--output`` writes to
-a file, resolved against $DUNKLSPHERE_OUTPUT_DIR when relative.
+Every JSON report carries one top-level ``config``: the command's own
+arguments, built by ``_config``.  A JSON config file (``--config``) is merged
+under explicit flags; passing a previously emitted report works too, its
+``config`` object is used and reproduces the report byte for byte.
+``--output`` writes to a file, resolved against $DUNKLSPHERE_OUTPUT_DIR when
+relative.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from numpy.linalg import LinAlgError as _LinAlgError
@@ -41,7 +42,12 @@ from .fundamentality import (
     is_fundamental,
     union_fundamental,
 )
-from .gegenbauer import DEFAULT_EPS, coefficient_profile, parse_function
+from .gegenbauer import (
+    DEFAULT_EPS,
+    SCHEMA_VERSION,
+    coefficient_profile,
+    parse_function,
+)
 from .operators import DunklContext
 from .reflection import (
     FAMILIES,
@@ -61,9 +67,9 @@ _CONTEXT_DESTS = {"family", "dimension", "order", "kappa"}
 _OUTPUT_DESTS = {"format", "output"}
 _COMMAND_DESTS = {
     "coeffs": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "n_max", "eps", "rule_size", "precision"},
+    | {"g", "n_max", "eps", "precision"},
     "fundamental": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "p", "n_max", "eps", "rule_size", "precision"},
+    | {"g", "p", "n_max", "eps", "precision"},
     "funk-hecke": _CONTEXT_DESTS | _OUTPUT_DESTS
     | {"g", "degrees", "threshold", "orders", "kernel_order", "x_count",
        "seed"},
@@ -86,9 +92,10 @@ def _context_flags(sp) -> None:
 
 
 def _coefficient_flags(sp) -> None:
-    sp.add_argument("--rule-size", dest="rule_size", type=int, default=None,
-                    help="half the Gauss-Jacobi nodes of the ||g||_1 rule "
-                         "(default 256)")
+    sp.add_argument("-N", "--n-max", dest="n_max", type=int, default=20)
+    sp.add_argument("--epsilon", dest="eps", type=float, default=DEFAULT_EPS,
+                    help="a coefficient whose |value| + error bound stays "
+                         "below this is zero")
     sp.add_argument("--precision", type=int, default=None,
                     help="digits at which the closed-form coefficients are "
                          "computed and classified (default 50)")
@@ -121,9 +128,6 @@ def build_parser() -> tuple:
                     help="generator: 'poly c0,c1,...', 'gegen n', 'exp', "
                          "'cosh', 'sinh', 'cos w', 'step a', or "
                          "'sum w1*expr1 + w2*expr2'")
-    sp.add_argument("-N", "--n-max", dest="n_max", type=int, default=20)
-    sp.add_argument("--epsilon", dest="eps", type=float, default=DEFAULT_EPS,
-                    help="zero tolerance relative to max(1, ||g||_1)")
     _coefficient_flags(sp)
     _output_flags(sp)
     commands["coeffs"] = sp
@@ -137,8 +141,6 @@ def build_parser() -> tuple:
     sp.add_argument("-p", type=float, default=2.0,
                     help="Lebesgue exponent (recorded; the verdict is "
                          "p-independent)")
-    sp.add_argument("-N", "--n-max", dest="n_max", type=int, default=20)
-    sp.add_argument("--epsilon", dest="eps", type=float, default=DEFAULT_EPS)
     _coefficient_flags(sp)
     _output_flags(sp)
     commands["fundamental"] = sp
@@ -237,8 +239,33 @@ def _g_list(val) -> list:
 # Output
 # ---------------------------------------------------------------------------
 
+def _config(args, ctx: DunklContext) -> dict:
+    """The report's "config": the command's own arguments, so that a report
+    fed back through --config reproduces itself.  kappa becomes the orbit
+    values as text, list options become int lists, and --g stays the text as
+    typed: a string for one generator, a list for a union."""
+    cfg = {k: getattr(args, k)
+           for k in _COMMAND_DESTS[args.command] - _OUTPUT_DESTS}
+    cfg["kappa"] = [str(v) for v in ctx.kappa.orbit_values]
+    for key in ("degrees", "node_counts"):
+        if key in cfg:
+            cfg[key] = _int_list(cfg[key])
+    specs = _g_list(cfg["g"])
+    cfg["g"] = specs[0] if len(specs) == 1 else specs
+    return cfg
+
+
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _emit_report(args, ctx: DunklContext, report) -> None:
+    """A result object's CSV, or its JSON with the config added."""
+    if args.format == "csv":
+        _emit(args, report.to_csv_text())
+    else:
+        _emit(args, _json_text({**report.to_json_dict(),
+                                "config": _config(args, ctx)}))
 
 
 def _emit(args, text: str) -> None:
@@ -270,43 +297,23 @@ def _cmd_coeffs(args) -> int:
     if args.n_max < 0:
         raise ValueError("N must be >= 0")
     profile = coefficient_profile(g, ctx.lambda_kappa, args.n_max,
-                                  eps=args.eps, m=args.rule_size,
-                                  precision=args.precision)
-    if args.format == "csv":
-        _emit(args, profile.to_csv_text())
-        return EXIT_OK
-    doc = profile.to_json_dict()
-    doc["config"] = {
-        "family": args.family, "dimension": args.dimension,
-        "order": args.order, "kappa": [str(v) for v in ctx.kappa.orbit_values],
-        "g": args.g, "n_max": args.n_max, "eps": args.eps,
-        "rule_size": args.rule_size, "precision": args.precision,
-    }
-    _emit(args, _json_text(doc))
+                                  eps=args.eps, precision=args.precision)
+    _emit_report(args, ctx, profile)
     return EXIT_OK
 
 
 def _cmd_fundamental(args) -> int:
     ctx = _make_context(args)
-    specs = _g_list(args.g)
-    gs = [parse_function(s, ctx.lambda_kappa) for s in specs]
+    gs = [parse_function(s, ctx.lambda_kappa) for s in _g_list(args.g)]
     if args.n_max < 0:
         raise ValueError("N must be >= 0")
     if len(gs) == 1:
         report = is_fundamental(ctx, gs[0], p=args.p, n_max=args.n_max,
-                                eps=args.eps, rule_size=args.rule_size,
-                                precision=args.precision)
+                                eps=args.eps, precision=args.precision)
     else:
         report = union_fundamental(ctx, gs, p=args.p, n_max=args.n_max,
-                                   eps=args.eps, rule_size=args.rule_size,
-                                   precision=args.precision)
-    # the typed text, not g.describe(), which prints step and cos parameters
-    # as floats: fed back through --config it must give the same g
-    report = replace(report, config={**report.config,
-                                     "g": specs[0] if len(specs) == 1 else specs})
-    text = (report.to_csv_text() if args.format == "csv"
-            else _json_text(report.to_json_dict()))
-    _emit(args, text)
+                                   eps=args.eps, precision=args.precision)
+    _emit_report(args, ctx, report)
     print(f"verdict: {report.verdict}", file=sys.stderr)
     if report.verdict == FUNDAMENTAL:
         return EXIT_OK
@@ -338,20 +345,12 @@ def _cmd_funk_hecke(args) -> int:
         _emit(args, "\n".join(lines) + "\n")
     else:
         doc = {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "funk_hecke_table",
             "threshold": args.threshold,
             "max_residual": max_res,
             "rows": [r.to_json_dict() for r in rows],
-            "config": {
-                "family": args.family, "dimension": args.dimension,
-                "order": args.order,
-                "kappa": [str(v) for v in ctx.kappa.orbit_values],
-                "g": args.g, "degrees": degrees,
-                "threshold": args.threshold, "orders": args.orders,
-                "kernel_order": args.kernel_order, "x_count": args.x_count,
-                "seed": args.seed,
-            },
+            "config": _config(args, ctx),
         }
         _emit(args, _json_text(doc))
     return EXIT_OK if max_res <= args.threshold else EXIT_THRESHOLD
@@ -368,10 +367,7 @@ def _cmd_density(args) -> int:
     report = density_demo(ctx, g, args.m_degree, counts, orders=args.orders,
                           ridge=args.ridge, scheme=args.scheme,
                           kernel_order=args.kernel_order, seed=args.seed)
-    report = replace(report, config={**report.config, "g": args.g})
-    text = (report.to_csv_text() if args.format == "csv"
-            else _json_text(report.to_json_dict()))
-    _emit(args, text)
+    _emit_report(args, ctx, report)
     return EXIT_OK
 
 

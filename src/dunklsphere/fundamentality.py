@@ -22,6 +22,7 @@ from .gegenbauer import (
     DEFAULT_EPS,
     INDETERMINATE,
     NONZERO,
+    SCHEMA_VERSION,
     ZERO,
     CoefficientProfile,
     Function1D,
@@ -41,18 +42,6 @@ from .sphere import SphereMeasure, node_set
 FUNDAMENTAL = "FUNDAMENTAL_UP_TO_N"
 NOT_FUNDAMENTAL = "NOT_FUNDAMENTAL"
 INDETERMINATE_VERDICT = "INDETERMINATE"
-
-
-def _context_config(ctx: DunklContext) -> dict:
-    rs = ctx.root_system
-    cfg = {
-        "family": rs.family or "custom",
-        "dimension": ctx.dim,
-        "kappa": [str(v) for v in ctx.kappa.orbit_values],
-    }
-    if rs.family == "i2":
-        cfg["order"] = len(rs.positive)
-    return cfg
 
 
 def _default_x_points(d: int, count: int, seed: int = 3) -> np.ndarray:
@@ -86,11 +75,10 @@ class FundamentalityReport:
     zero_witnesses: tuple
     indeterminate_degrees: tuple
     profile: CoefficientProfile
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "fundamentality",
             "verdict": self.verdict,
             "n_max": self.n_max,
@@ -100,7 +88,6 @@ class FundamentalityReport:
             "zero_witnesses": list(self.zero_witnesses),
             "indeterminate_degrees": list(self.indeterminate_degrees),
             "profile": self.profile.to_json_dict(),
-            "config": self.config,
         }
 
     def to_csv_text(self) -> str:
@@ -109,7 +96,6 @@ class FundamentalityReport:
 
 def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
                    n_max: int = 20, eps: float = DEFAULT_EPS,
-                   rule_size: int | None = None,
                    precision: int | None = None) -> FundamentalityReport:
     """Decide fundamentality of {K(x, .)} in L_p(sigma_kappa) up to degree n_max.
 
@@ -122,18 +108,9 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
     if p < 1:
         raise ValueError("p must be >= 1")
     profile = coefficient_profile(g, ctx.lambda_kappa, n_max, eps=eps,
-                                  m=rule_size, precision=precision)
+                                  precision=precision)
     flags = [e.flag for e in profile.entries]
     verdict, zeros, indet = _verdict_from_flags(flags)
-    config = _context_config(ctx)
-    config.update({
-        "g": g.describe(),
-        "p": float(p),
-        "n_max": n_max,
-        "eps": eps,
-        "rule_size": profile.rule_size,
-        "precision": profile.precision,
-    })
     return FundamentalityReport(
         verdict=verdict,
         n_max=n_max,
@@ -143,7 +120,6 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
         zero_witnesses=zeros,
         indeterminate_degrees=indet,
         profile=profile,
-        config=config,
     )
 
 
@@ -163,11 +139,10 @@ class UnionReport:
     aggregate_abs: tuple
     aggregate_error: tuple
     member_reports: tuple
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "union_fundamentality",
             "verdict": self.verdict,
             "n_max": self.n_max,
@@ -179,7 +154,6 @@ class UnionReport:
             "aggregate_abs": list(self.aggregate_abs),
             "aggregate_error": list(self.aggregate_error),
             "members": [r.to_json_dict() for r in self.member_reports],
-            "config": self.config,
         }
 
     def to_csv_text(self) -> str:
@@ -212,7 +186,7 @@ def _union_flags(member_reports) -> list:
 
 
 def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
-                      eps: float = DEFAULT_EPS, rule_size: int | None = None,
+                      eps: float = DEFAULT_EPS,
                       precision: int | None = None) -> UnionReport:
     """Fundamentality of the union of translate families of several generators.
 
@@ -223,8 +197,7 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
     if not gs:
         raise ValueError("need at least one generator")
     members = tuple(
-        is_fundamental(ctx, g, p=p, n_max=n_max, eps=eps,
-                       rule_size=rule_size, precision=precision)
+        is_fundamental(ctx, g, p=p, n_max=n_max, eps=eps, precision=precision)
         for g in gs
     )
     flags = _union_flags(members)
@@ -234,15 +207,6 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
     for n in range(n_max + 1):
         agg_abs.append(float(sum(abs(r.profile.entry(n).value) for r in members)))
         agg_err.append(float(sum(r.profile.entry(n).error_bound for r in members)))
-    config = _context_config(ctx)
-    config.update({
-        "g": [g.describe() for g in gs],
-        "p": float(p),
-        "n_max": n_max,
-        "eps": eps,
-        "rule_size": members[0].profile.rule_size,
-        "precision": members[0].profile.precision,
-    })
     return UnionReport(
         verdict=verdict,
         n_max=n_max,
@@ -254,7 +218,6 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
         aggregate_abs=tuple(agg_abs),
         aggregate_error=tuple(agg_err),
         member_reports=members,
-        config=config,
     )
 
 
@@ -272,11 +235,10 @@ class FunkHeckeReport:
     residual_by_route: dict
     x_count: int
     basis_size: int
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "funk_hecke",
             "n": self.n,
             "lambda": self.lambda_value,
@@ -287,7 +249,6 @@ class FunkHeckeReport:
             "residual_by_route": dict(sorted(self.residual_by_route.items())),
             "x_count": self.x_count,
             "basis_size": self.basis_size,
-            "config": self.config,
         }
 
     def to_csv_text(self) -> str:
@@ -346,15 +307,6 @@ def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
     except (ValueError, TypeError):
         pass
 
-    config = _context_config(ctx)
-    config.update({
-        "g": g.describe(),
-        "n": n,
-        "orders": orders,
-        "x_count": int(xs.shape[0]),
-        "quad_order": quad_order,
-        "seed": seed,
-    })
     return FunkHeckeReport(
         n=n,
         lambda_value=float(ctx.lambda_kappa),
@@ -364,7 +316,6 @@ def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
         residual_by_route=routes,
         x_count=int(xs.shape[0]),
         basis_size=len(elements),
-        config=config,
     )
 
 
@@ -381,11 +332,10 @@ class DensityReport:
     residuals: tuple
     ridges: tuple
     scheme: str
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "density_demo",
             "m_degree": self.m_degree,
             "lambda": self.lambda_value,
@@ -394,7 +344,6 @@ class DensityReport:
             "residuals": list(self.residuals),
             "ridges": list(self.ridges),
             "scheme": self.scheme,
-            "config": self.config,
         }
 
     def to_csv_text(self) -> str:
@@ -448,17 +397,6 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
         residuals.append(math.sqrt(max(0.0, sq)))
         ridges.append(float(rid))
 
-    config = _context_config(ctx)
-    config.update({
-        "g": g.describe(),
-        "m_degree": m_degree,
-        "node_counts": list(counts),
-        "orders": orders,
-        "kernel_order": kernel_order,
-        "scheme": scheme,
-        "ridge": ridge,
-        "seed": seed,
-    })
     return DensityReport(
         m_degree=m_degree,
         lambda_value=float(ctx.lambda_kappa),
@@ -467,7 +405,6 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
         residuals=tuple(residuals),
         ridges=tuple(ridges),
         scheme=scheme,
-        config=config,
     )
 
 
@@ -496,17 +433,15 @@ class OperatorNormReport:
     max_ratio: float
     ratios: tuple
     segment_norm: float
-    config: dict
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "operator_norm",
             "p": self.p,
             "max_ratio": self.max_ratio,
             "ratios": list(self.ratios),
             "segment_norm": self.segment_norm,
-            "config": self.config,
         }
 
 
@@ -531,19 +466,9 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
         vals = kernel_translate_batch(ctx, g, x, pts, kernel_order)
         norm = float(wts @ np.abs(vals) ** float(p)) ** (1.0 / float(p))
         ratios.append(norm / seg)
-    config = _context_config(ctx)
-    config.update({
-        "g": g.describe(),
-        "p": float(p),
-        "x_count": x_count,
-        "orders": orders,
-        "kernel_order": kernel_order,
-        "seed": seed,
-    })
     return OperatorNormReport(
         p=float(p),
         max_ratio=float(max(ratios)),
         ratios=tuple(float(r) for r in ratios),
         segment_norm=float(seg),
-        config=config,
     )

@@ -26,8 +26,11 @@ ZERO = "zero"
 NONZERO = "nonzero"
 INDETERMINATE = "indeterminate"
 
-#: Default relative threshold for declaring a coefficient zero.
+#: Default threshold for declaring a coefficient zero.
 DEFAULT_EPS = 1e-9
+
+#: "schema_version" of every JSON report.
+SCHEMA_VERSION = "2"
 
 
 def pochhammer(a, k: int):
@@ -374,9 +377,9 @@ class Function1D:
         if k in ("exp", "cosh", "sinh"):
             return k
         if k == "cos":
-            return f"cos {float(self.omega)!r}"
+            return f"cos {self.omega}"
         if k == "step":
-            return f"step {float(self.a)!r}"
+            return f"step {self.a}"
         if k == "gegenbauer":
             return f"gegen {self.n}"
         if k == "user":
@@ -534,8 +537,8 @@ class CoefficientProfile:
     eps: float
     g_description: str
     entries: tuple
-    norm_g1: float
-    rule_size: int
+    norm_g1: float | None         # quadrature route only, like rule_size
+    rule_size: int | None
     precision: int | None = None
 
     def entry(self, n: int) -> ProfileEntry:
@@ -555,7 +558,7 @@ class CoefficientProfile:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "coefficient_profile",
             "g": self.g_description,
             "lambda": self.lam,
@@ -617,7 +620,7 @@ def _polynomial_coefficient(g: Function1D, n: int, lam: Fraction) -> Fraction:
     return raw / gegenbauer_at_one(n, lam)
 
 
-def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
+def _closed_form(g: Function1D, lam, degrees, dps: int,
                  eps: float = DEFAULT_EPS) -> dict:
     """{n: (value, error_bound, flag)} of Lambda_n(g) for a g with a closed
     form (DLMF 18.17, 10.25), worked at dps digits:
@@ -639,7 +642,7 @@ def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
     classified at dps digits before anything is rounded to a double.  That
     bound is relative, so no absolute noise floor is added: a value far below
     10^-dps (exp has Lambda_40 ~ 1e-63 at lambda 2) that clears its bound is
-    nonzero.  scale only scales eps.
+    nonzero, and eps is compared unscaled.
     """
     from mpmath import mp
 
@@ -679,7 +682,7 @@ def _closed_form(g: Function1D, lam, degrees, dps: int, scale: float = 1.0,
             raise ValueError(f"{k} has no closed form")
 
         tol = mp.mpf(10) ** (5 - dps)
-        thresh = mp.mpf(eps) * scale
+        thresh = mp.mpf(eps)
         for n in degrees:
             terms = [mp.mpf(w) * term(f, n) for w, f in parts]
             value = mp.fsum(terms)
@@ -696,25 +699,26 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
 
     Degree, parity and orthogonality zeros are exact and flagged first.
     Every other entry of a grammar kind, or of a sum of grammar kinds, comes
-    from its closed form at precision digits (PRECISION when None).  A user
-    callable, or a sum holding one, runs on the Gauss-Jacobi pair of m and
-    2m nodes (m = RULE_SIZE by default), whose own accuracy bounds what can
-    be certified.  eps caps what may be called zero, relative to
-    max(1, ||g||_1), with the norm taken on the 2m-node rule.
+    from its closed form at precision digits (PRECISION when None), is
+    classified against eps itself, and builds no quadrature rule: norm_g1
+    and rule_size are None.  A user callable, or a sum holding one, runs on
+    the Gauss-Jacobi pair of m and 2m nodes (m = RULE_SIZE by default),
+    whose own accuracy bounds what can be certified; there eps is relative
+    to max(1, ||g||_1), with the norm taken on the 2m-node rule.
     """
     lam_f = float(lam)
-    if m is None:
-        m = RULE_SIZE
-    norm_g1 = lp_norm_segment(g, 1.0, lam_f, gauss_jacobi_rule(2 * m, lam_f))
-    scale = max(1.0, norm_g1)
     structural = [_structural_flag(g, n, lam) for n in range(n_max + 1)]
     if _has_closed_form(g):
         degrees = [n for n in range(n_max + 1) if not structural[n]]
         data = _closed_form(g, lam, degrees,
-                            PRECISION if precision is None else precision,
-                            scale, eps)
+                            PRECISION if precision is None else precision, eps)
+        norm_g1 = m = None
     else:
+        if m is None:
+            m = RULE_SIZE
         values, errors = _quadrature_pair(g, n_max, lam_f, gauss_jacobi_rule(m, lam_f))
+        norm_g1 = lp_norm_segment(g, 1.0, lam_f, gauss_jacobi_rule(2 * m, lam_f))
+        scale = max(1.0, norm_g1)
         data = {}
         for n in range(n_max + 1):
             val, err = complex(values[n]), float(errors[n])

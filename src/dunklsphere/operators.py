@@ -94,7 +94,7 @@ class DunklContext:
         return {
             "family": rs.family,
             "dimension": rs.dim,
-            "order": len(rs.positive) // rs.dim if rs.family == "i2" else None,
+            "order": len(rs.positive) if rs.family == "i2" else None,
             "kappa": [str(v) for v in self.kappa.orbit_values],
             "gamma": str(self.const.gamma),
             "lambda": str(self.const.lam),

@@ -361,10 +361,6 @@ class DunklConstants:
     gamma: Fraction      # sum of kappa over the positive subsystem
     lam: Fraction        # gamma + (d - 2) / 2
 
-    @property
-    def lam_float(self) -> float:
-        return float(self.lam)
-
 
 def constants(rs: RootSystem, kappa: MultiplicityFunction) -> DunklConstants:
     """gamma_kappa and lambda_kappa; lambda_kappa must be positive."""

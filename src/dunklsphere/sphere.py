@@ -38,6 +38,10 @@ from .reflection import weight_as_polynomial, weight_values
 
 BACKENDS = ("exact", "tensor", "monte_carlo")
 
+#: Most tensor-grid points built at once: 2^24 points take 640 MiB with their
+#: weights in d = 4, and d = 4 at order 80 (1,024,000 points) stays far below.
+MAX_GRID_POINTS = 2 ** 24
+
 
 def _gamma_half(j: int):
     """Gamma(j/2) as (Fraction, sqrt_pi_power) with power in {0, 1}."""
@@ -277,9 +281,24 @@ def _tensor_grid_general(ctx: DunklContext, order: int):
 
 
 def _tensor_grid(ctx: DunklContext, order: int):
-    """(points, weights) with sum(weights) ~ int w_kappa d omega (unnormalized)."""
-    if ctx.dim < 2:
+    """(points, weights) with sum(weights) ~ int w_kappa d omega (unnormalized).
+
+    The size is counted before anything is allocated; a grid above
+    MAX_GRID_POINTS raises ValueError with its size.
+    """
+    d = ctx.dim
+    if d < 2:
         raise ValueError("sphere quadrature needs d >= 2")
+    if ctx.is_zd2 or ctx.kappa_is_zero:
+        size = 2 * (2 * max(2, order // 2)) ** (d - 1)
+    else:
+        size = order ** (d - 1)
+    if size > MAX_GRID_POINTS:
+        mib = size * (d + 1) * 8 / 2 ** 20
+        raise ValueError(
+            f"a d = {d} tensor grid of order {order} has {size} points "
+            f"({mib:.0f} MiB with weights), above the limit of "
+            f"{MAX_GRID_POINTS}; lower the order")
     if ctx.is_zd2:
         return _tensor_grid_zd2(ctx.kappa_by_axis(), ctx.dim, order)
     if ctx.kappa_is_zero:
@@ -303,17 +322,6 @@ class SphereFunction:
     @classmethod
     def from_poly(cls, p: MultiPoly, description: str = "") -> "SphereFunction":
         return cls(p.eval_many, "polynomial", p, description or p.to_text())
-
-    @classmethod
-    def from_kernel(cls, ctx: DunklContext, g, x, quad_order: int = 48) -> "SphereFunction":
-        from .operators import kernel_translate_batch
-
-        xf = np.asarray(x, dtype=float)
-
-        def fn(points):
-            return kernel_translate_batch(ctx, g, xf, points, quad_order)
-
-        return cls(fn, "kernel", None, f"K({np.array2string(xf, precision=6)}, .)")
 
     def __call__(self, points):
         return self.fn(points)

@@ -12,6 +12,9 @@ from dunklsphere.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_UNSUPPORTED,
+    _COMMAND_DESTS,
+    _OUTPUT_DESTS,
+    build_parser,
     main,
 )
 
@@ -196,6 +199,15 @@ def test_funk_hecke_threshold_exceeded(capsys):
     assert code == EXIT_THRESHOLD
 
 
+def test_funk_hecke_grid_too_large_exits_at_once(capsys):
+    # 2 * 80^4 points in d = 5 would need ~3.7 GiB; counted, not allocated
+    code, _, err = run_cli(
+        ["funk-hecke", "--g", "exp", "-d", "5", "--kappa", "0",
+         "--orders", "80"], capsys)
+    assert code == EXIT_CONFIG
+    assert "81920000" in err
+
+
 def test_funk_hecke_unsupported_group(capsys):
     code, _, err = run_cli(
         ["funk-hecke", "--g", "exp", "--family", "b", "-d", "2",
@@ -245,6 +257,39 @@ def test_output_file_and_config_round_trip(tmp_path, capsys):
     assert code == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
     assert doc["config"]["kappa"] == ["1", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--g", "step 1/3", "--kappa", "1,2", "-N", "6",
+     "--precision", "30"],
+    ["fundamental", "--g", "cos 2/3", "-d", "3", "--kappa", "1,0,1", "-N", "5"],
+    ["fundamental", "--g", "cosh", "--g", "sinh", "--kappa", "1,1", "-N", "6"],
+    ["fundamental", "--family", "i2", "--order", "5", "--kappa", "1",
+     "--g", "exp", "-N", "4", "--epsilon", "1e-12"],
+    ["funk-hecke", "--g", "poly 1,1", "--kappa", "1,1", "--degrees", "0,2",
+     "--orders", "24", "--kernel-order", "12", "--x-samples", "3"],
+    ["density", "--g", "exp", "--kappa", "1,1", "-m", "1", "--nodes", "6,8",
+     "--orders", "24", "--kernel-order", "12"],
+], ids=["coeffs", "fundamental", "union", "i2", "funk-hecke", "density"])
+def test_report_config_round_trip(tmp_path, capsys, argv):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    code = main([*argv, "--output", str(out1)])
+    again = main([argv[0], "--config", str(out1), "--output", str(out2)])
+    capsys.readouterr()
+    assert again == code
+    assert out1.read_bytes() == out2.read_bytes()
+    doc = json.loads(out1.read_text())
+    assert set(doc["config"]) == _COMMAND_DESTS[argv[0]] - _OUTPUT_DESTS
+    nested = doc.get("members", []) + doc.get("rows", []) + [doc.get("profile", {})]
+    assert not any("config" in part for part in nested)
+
+
+def test_command_dests_match_parser():
+    _, commands = build_parser()
+    assert set(commands) == set(_COMMAND_DESTS)
+    for name, sp in commands.items():
+        dests = {a.dest for a in sp._actions} - {"help", "config"}
+        assert dests == _COMMAND_DESTS[name]
 
 
 def test_config_overridden_by_flags(tmp_path, capsys):

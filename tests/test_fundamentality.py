@@ -66,10 +66,10 @@ def test_verdict_independent_of_p(p):
 def test_report_serialization():
     rep = is_fundamental(CTX, parse_function("exp"), n_max=5)
     doc = rep.to_json_dict()
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["kind"] == "fundamentality"
     assert doc["verdict"] == FUNDAMENTAL
-    assert doc["config"]["n_max"] == 5
+    assert doc["n_max"] == 5
     json.dumps(doc)  # must be serializable as-is
     csv_text = rep.to_csv_text()
     assert csv_text.splitlines()[0] == "n,re,im,error_bound,flag"

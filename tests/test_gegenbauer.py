@@ -298,11 +298,14 @@ def test_eval_kinds():
 def test_parse_round_trip():
     lam = Fraction(2)
     for text in ["poly 1,0,-2", "exp", "cosh", "sinh", "cos 2.5",
-                 "step 0.1", "gegen 4", "sum 1.0*cosh + -1.0*sinh"]:
+                 "step 0.1", "gegen 4", "sum 1.0*cosh + -1.0*sinh",
+                 "step 1/3", "cos 2/3"]:
         g = parse_function(text, lam)
         again = parse_function(g.describe(), lam)
+        assert again == g
         t = np.linspace(-0.9, 0.9, 7)
         assert np.allclose(g(t), again(t), rtol=1e-14)
+    assert parse_function("step 1/3").describe() == "step 1/3"
 
 
 def test_parse_rejects_garbage():
@@ -381,11 +384,25 @@ def test_profile_serialization_shapes():
     prof = coefficient_profile(Function1D.polynomial([0, 1]), Fraction(1), 4)
     doc = prof.to_json_dict()
     json.dumps(doc)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert len(doc["entries"]) == 5
     csv = prof.to_csv_text()
     assert csv.splitlines()[0] == "n,re,im,error_bound,flag"
     assert len(csv.splitlines()) == 6
+
+
+def test_grammar_profile_builds_no_rule():
+    # closed forms need no quadrature, not even for ||g||_1
+    jacobi_rule.cache_clear()
+    prof = coefficient_profile(parse_function("step 1/3"), Fraction(2), 12)
+    assert jacobi_rule.cache_info().misses == 0
+    assert prof.norm_g1 is None and prof.rule_size is None
+    doc = prof.to_json_dict()
+    assert doc["norm_g1"] is None and doc["rule_size"] is None
+    user = coefficient_profile(Function1D.from_callable(np.exp), Fraction(2), 4)
+    assert user.rule_size == 256
+    assert abs(user.norm_g1 - lp_norm_segment(Function1D.exponential(), 1.0,
+                                              Fraction(2))) <= 1e-14
 
 
 def test_profile_deterministic():

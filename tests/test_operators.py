@@ -400,3 +400,10 @@ def test_context_describe_and_properties():
     assert list(ctx.kappa_by_axis()) == [Fraction(1), Fraction(2)]
     info = ctx.describe()
     assert info["family"] == "zd2"
+
+
+@pytest.mark.parametrize("m, kappa", [(4, (1, 2)), (5, 1)])
+def test_context_describe_dihedral_order(m, kappa):
+    info = DunklContext.create("i2", kappa=kappa, order=m).describe()
+    assert info["family"] == "i2"
+    assert info["order"] == m
