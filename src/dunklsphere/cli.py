@@ -38,7 +38,7 @@ from .fundamentality import (
     INDETERMINATE_VERDICT,
     NOT_FUNDAMENTAL,
     density_demo,
-    funk_hecke_residual,
+    funk_hecke_table,
     is_fundamental,
     union_fundamental,
 )
@@ -232,7 +232,20 @@ def _kappa_values(val):
 
 
 def _g_list(val) -> list:
-    return [val] if isinstance(val, str) else list(val)
+    specs = [val] if isinstance(val, str) else val
+    if not isinstance(specs, list) or not all(isinstance(s, str) for s in specs):
+        raise ValueError(f"g must be an expression or a list of them: {val!r}")
+    return specs
+
+
+def _one_g(args) -> str:
+    """The generator of coeffs, funk-hecke and density: a config's list of
+    one is its text, a union's list is refused."""
+    specs = _g_list(args.g)
+    if len(specs) != 1:
+        raise ValueError(f"{args.command} takes one generator, not {specs}; "
+                         "only fundamental takes a union")
+    return specs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +306,7 @@ def _make_context(args) -> DunklContext:
 
 def _cmd_coeffs(args) -> int:
     ctx = _make_context(args)
-    g = parse_function(args.g, ctx.lambda_kappa)
+    g = parse_function(_one_g(args), ctx.lambda_kappa)
     if args.n_max < 0:
         raise ValueError("N must be >= 0")
     profile = coefficient_profile(g, ctx.lambda_kappa, args.n_max,
@@ -328,16 +341,13 @@ def _cmd_funk_hecke(args) -> int:
         raise UnsupportedGroupError(
             "the funk-hecke command needs an explicit kernel and is "
             "implemented for kappa = 0 or Zd2 groups only")
-    g = parse_function(args.g, ctx.lambda_kappa)
+    g = parse_function(_one_g(args), ctx.lambda_kappa)
     degrees = _int_list(args.degrees)
     if not degrees or any(n < 0 for n in degrees):
         raise ValueError("degrees must be a nonempty list of n >= 0")
-    rows = [
-        funk_hecke_residual(ctx, g, n, orders=args.orders,
+    rows = funk_hecke_table(ctx, g, degrees, orders=args.orders,
                             x_count=args.x_count,
                             quad_order=args.kernel_order, seed=args.seed)
-        for n in degrees
-    ]
     max_res = max(r.residual for r in rows)
     if args.format == "csv":
         lines = ["n,residual"]
@@ -358,7 +368,7 @@ def _cmd_funk_hecke(args) -> int:
 
 def _cmd_density(args) -> int:
     ctx = _make_context(args)
-    g = parse_function(args.g, ctx.lambda_kappa)
+    g = parse_function(_one_g(args), ctx.lambda_kappa)
     counts = _int_list(args.node_counts)
     if not counts or any(c < 1 for c in counts):
         raise ValueError("node counts must be positive")

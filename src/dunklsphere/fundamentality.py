@@ -6,8 +6,9 @@ translates is fundamental in L_p(sigma_kappa) exactly when every Gegenbauer
 coefficient Lambda_n(g) at index lambda_kappa is nonzero.  The criterion does
 not involve p, so one coefficient profile settles all 1 <= p < infinity at
 once.  This module turns profiles into explicit verdicts, verifies the
-underlying reproducing identity numerically, and runs small least-squares
-density demonstrations.
+underlying reproducing identity numerically (``funk_hecke_table``, which
+builds the degree-independent kernel rows once for a list of degrees), and
+runs small least-squares density demonstrations.
 """
 
 from __future__ import annotations
@@ -258,65 +259,73 @@ class FunkHeckeReport:
         return "\n".join(lines) + "\n"
 
 
-def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
-                        orders: int = 80, x_count: int = 6,
-                        quad_order: int = 48,
-                        basis_limit: int | None = None,
-                        seed: int = 3) -> FunkHeckeReport:
-    """Residual of int K(x, y) Y_n(y) d sigma(y) = Lambda_n(g) Y_n(x).
+def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
+                     orders: int = 80, x_count: int = 6, quad_order: int = 48,
+                     basis_limit: int | None = None,
+                     seed: int = 3) -> tuple:
+    """Residuals of int K(x, y) Y_n(y) d sigma(y) = Lambda_n(g) Y_n(x), one
+    FunkHeckeReport per degree n in degrees.
 
     Runs over every degree-n harmonic basis element and a small set of x
     points.  The left side is computed by sphere quadrature against the
     kernel; for polynomial-type g a second, independent route expands
     K(x, .) as an explicit polynomial first.  Residuals are normalized per
-    basis element by max(1, sup |Y| on the grid).
+    basis element by max(1, sup |Y| on the grid).  The kernel does not
+    depend on n, so the grid, the x points and the weighted kernel rows
+    wts * K(x, .) of both routes are built once for all degrees.
     """
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
-    basis = harmonic_basis(ctx, n, mode="exact" if ctx.exact else "float")
-    elements = [e.to_float() if e.mode == EXACT else e for e in basis.elements]
-    if basis_limit is not None:
-        elements = elements[:basis_limit]
     xs = _default_x_points(ctx.dim, x_count, seed)
-    lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
-
-    y_vals = np.stack([e.eval_many(pts) for e in elements])       # (B, Q)
-    y_at_x = np.stack([e.eval_many(xs) for e in elements])        # (B, X)
-    scales = np.maximum(1.0, np.abs(y_vals).max(axis=1))          # (B,)
-
-    routes = {}
-    # quadrature route: kernel values on the grid, one batch per x
-    worst = 0.0
-    for j, x in enumerate(xs):
-        k_vals = kernel_translate_batch(ctx, g, x, pts, quad_order)
-        lhs = y_vals @ (wts * k_vals)                             # (B,)
-        err = np.abs(lhs - lam_val * y_at_x[:, j]) / scales
-        worst = max(worst, float(err.max()))
-    routes["quadrature"] = worst
-
-    # polynomial route, available when K(x, .) has an exact expansion
+    rows = {"quadrature": [wts * kernel_translate_batch(ctx, g, x, pts, quad_order)
+                           for x in xs]}
+    # the translate route exists when K(x, .) has an exact expansion
     try:
-        worst_p = 0.0
-        for j, x in enumerate(xs):
-            tx = translate_as_polynomial(ctx, g, x)
-            k_vals = tx.eval_many(pts)
-            lhs = y_vals @ (wts * k_vals)
-            err = np.abs(lhs - lam_val * y_at_x[:, j]) / scales
-            worst_p = max(worst_p, float(err.max()))
-        routes["translate"] = worst_p
+        rows["translate"] = [wts * translate_as_polynomial(ctx, g, x).eval_many(pts)
+                             for x in xs]
     except (ValueError, TypeError):
         pass
 
-    return FunkHeckeReport(
-        n=n,
-        lambda_value=float(ctx.lambda_kappa),
-        coefficient=complex(lam_val),
-        coefficient_error=float(lam_err),
-        residual=max(routes.values()),
-        residual_by_route=routes,
-        x_count=int(xs.shape[0]),
-        basis_size=len(elements),
-    )
+    reports = []
+    for n in degrees:
+        basis = harmonic_basis(ctx, n, mode="exact" if ctx.exact else "float")
+        elements = [e.to_float() if e.mode == EXACT else e for e in basis.elements]
+        if basis_limit is not None:
+            elements = elements[:basis_limit]
+        lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
+        y_vals = np.stack([e.eval_many(pts) for e in elements])   # (B, Q)
+        y_at_x = np.stack([e.eval_many(xs) for e in elements])    # (B, X)
+        scales = np.maximum(1.0, np.abs(y_vals).max(axis=1))      # (B,)
+        routes = {}
+        for route, weighted in rows.items():
+            worst = 0.0
+            # one matrix-vector product per x: a single product over all x
+            # could sum in another order and move the last digits
+            for j, wk in enumerate(weighted):
+                err = np.abs(y_vals @ wk - lam_val * y_at_x[:, j]) / scales
+                worst = max(worst, float(err.max()))
+            routes[route] = worst
+        reports.append(FunkHeckeReport(
+            n=n,
+            lambda_value=float(ctx.lambda_kappa),
+            coefficient=complex(lam_val),
+            coefficient_error=float(lam_err),
+            residual=max(routes.values()),
+            residual_by_route=routes,
+            x_count=int(xs.shape[0]),
+            basis_size=len(elements),
+        ))
+    return tuple(reports)
+
+
+def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
+                        orders: int = 80, x_count: int = 6,
+                        quad_order: int = 48,
+                        basis_limit: int | None = None,
+                        seed: int = 3) -> FunkHeckeReport:
+    """funk_hecke_table for the single degree n."""
+    return funk_hecke_table(ctx, g, (n,), orders, x_count, quad_order,
+                            basis_limit, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -385,7 +385,9 @@ class Function1D:
         if k == "user":
             return f"user:{self.label}"
         if k == "sum":
-            return "sum " + " + ".join(f"{w!r}*{g.describe()}" for w, g in self.parts)
+            # exact rationals parse back to the same float; repr can hold "e+"
+            return "sum " + " + ".join(f"{Fraction(repr(w))}*{g.describe()}"
+                                       for w, g in self.parts)
         raise ValueError(f"unknown kind {k!r}")
 
 

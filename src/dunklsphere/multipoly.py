@@ -27,6 +27,10 @@ FLOAT = "float"
 #: against runaway symbolic growth; pass max_degree to mul() to override.
 DEGREE_CAP = 64
 
+#: Rows per chunk in eval_many: a float temporary of 16k rows stays under the
+#: 128 KiB at which glibc malloc maps fresh pages for every allocation.
+EVAL_CHUNK_ROWS = 16_000
+
 
 class DegreeCapError(ArithmeticError):
     """Raised when a product would exceed the degree cap."""
@@ -254,20 +258,29 @@ class MultiPoly:
         return total
 
     def eval_many(self, points):
-        """Vectorized evaluation on an (N, d) float array; returns length-N array."""
+        """Vectorized evaluation on an (N, d) float array; returns length-N array.
+
+        Points are taken in row chunks of at most EVAL_CHUNK_ROWS, and within
+        a chunk each power x_i^e is computed once and shared by every term.
+        """
         import numpy as np
 
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected points of shape (N, {self.dim})")
         out = np.zeros(pts.shape[0], dtype=complex if self._is_complex() else float)
-        for exps, c in self.terms.items():
-            coeff = c if isinstance(c, complex) else float(c)
-            v = np.full(pts.shape[0], coeff, dtype=out.dtype)
-            for i, e in enumerate(exps):
-                if e:
-                    v = v * pts[:, i] ** e
-            out += v
+        for lo in range(0, pts.shape[0], EVAL_CHUNK_ROWS):
+            chunk = pts[lo:lo + EVAL_CHUNK_ROWS]
+            powers = {}
+            for exps, c in self.terms.items():
+                coeff = c if isinstance(c, complex) else float(c)
+                v = np.full(chunk.shape[0], coeff, dtype=out.dtype)
+                for i, e in enumerate(exps):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = chunk[:, i] ** e
+                        v *= powers[i, e]
+                out[lo:lo + EVAL_CHUNK_ROWS] += v
         return out
 
     def _is_complex(self):

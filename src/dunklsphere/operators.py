@@ -375,6 +375,12 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 # Kernel translates V_kappa[g(<x, .>)](y)
 # ---------------------------------------------------------------------------
 
+#: Most points of a sphere tensor grid or a kernel quadrature grid built at
+#: once: 2^24 points take 640 MiB with their weights in d = 4, and d = 4 at
+#: order 80 (1,024,000 points) stays far below.
+MAX_GRID_POINTS = 2 ** 24
+
+
 @lru_cache(maxsize=256)
 def _nu_rule(kappa: float, m: int):
     """Quadrature for the probability measure d nu_kappa on [-1, 1]:
@@ -405,7 +411,8 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
 
     kappa = 0 collapses to g(<x, y>); for Zd2 the translate is a tensor
     integral of g(sum_i x_i y_i t_i) against nu_{kappa_1} x ... x nu_{kappa_d},
-    with kappa_i = 0 axes pinned at t_i = 1.
+    with kappa_i = 0 axes pinned at t_i = 1.  Its quad_order^active grid is
+    counted before it is built; above MAX_GRID_POINTS it raises ValueError.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     xf = np.asarray(x, dtype=float)
@@ -420,6 +427,13 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     base = ys @ (xf * pinned)                                   # t_i = 1 axes
     if not active:
         return np.asarray(g(base))
+    size = quad_order ** len(active)
+    if size > MAX_GRID_POINTS:
+        mib = size * (len(active) + 1) * 8 / 2 ** 20
+        raise ValueError(
+            f"a kernel grid of order {quad_order} on {len(active)} axes has "
+            f"{size} points ({mib:.0f} MiB with weights), above the limit of "
+            f"{MAX_GRID_POINTS}; lower the kernel order")
     rules = [_nu_rule(kappas[i], quad_order) for i in active]
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     tmat = np.stack([gr.ravel() for gr in grids], axis=1)       # (G, n_active)

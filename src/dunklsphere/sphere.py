@@ -33,14 +33,10 @@ import numpy as np
 
 from .gegenbauer import pochhammer, symmetric_jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly
-from .operators import DunklContext, HarmonicBasis
+from .operators import MAX_GRID_POINTS, DunklContext, HarmonicBasis
 from .reflection import weight_as_polynomial, weight_values
 
 BACKENDS = ("exact", "tensor", "monte_carlo")
-
-#: Most tensor-grid points built at once: 2^24 points take 640 MiB with their
-#: weights in d = 4, and d = 4 at order 80 (1,024,000 points) stays far below.
-MAX_GRID_POINTS = 2 ** 24
 
 
 def _gamma_half(j: int):

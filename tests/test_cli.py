@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from dunklsphere import DunklContext, funk_hecke_residual, parse_function
 from dunklsphere.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -17,6 +19,7 @@ from dunklsphere.cli import (
     build_parser,
     main,
 )
+from dunklsphere.gegenbauer import SCHEMA_VERSION
 
 
 def run_cli(args, capsys):
@@ -208,6 +211,45 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
     assert "81920000" in err
 
 
+def test_funk_hecke_kernel_grid_too_large_exits_at_once():
+    # 48^5 kernel nodes on five kappa > 0 axes (1.9 GiB per array) are
+    # counted, not allocated: the run fits under a 1.5 GiB address cap
+    cap = 3 * 2 ** 29
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys\n"
+         f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+         "from dunklsphere.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))",
+         "funk-hecke", "--g", "exp", "-d", "5", "--kappa", "1",
+         "--orders", "4", "--degrees", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "254803968" in proc.stderr and "MiB" in proc.stderr
+
+
+def test_funk_hecke_json_matches_per_degree_reports(capsys):
+    code, out, _ = run_cli(
+        ["funk-hecke", "--g", "poly 1,0,2", "-d", "3", "--kappa", "1/2,0,1",
+         "--degrees", "2,0,1", "--orders", "24", "--kernel-order", "16",
+         "--x-samples", "3"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    ctx = DunklContext.create("zd2", 3, (Fraction(1, 2), 0, 1))
+    g = parse_function("poly 1,0,2", ctx.lambda_kappa)
+    reports = [funk_hecke_residual(ctx, g, n, orders=24, x_count=3,
+                                   quad_order=16) for n in (2, 0, 1)]
+    expected = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "funk_hecke_table",
+        "threshold": 1e-6,
+        "max_residual": max(r.residual for r in reports),
+        "rows": [r.to_json_dict() for r in reports],
+        "config": doc["config"],
+    }
+    assert doc == json.loads(json.dumps(expected))
+
+
 def test_funk_hecke_unsupported_group(capsys):
     code, _, err = run_cli(
         ["funk-hecke", "--g", "exp", "--family", "b", "-d", "2",
@@ -309,6 +351,24 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run_cli(["coeffs", "--config", str(cfg)], capsys)
     assert code == EXIT_CONFIG
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "-N", "3"],
+    ["funk-hecke", "--degrees", "0", "--orders", "8", "--kernel-order", "4"],
+    ["density", "--nodes", "4", "--orders", "8", "--kernel-order", "4"],
+])
+def test_single_generator_commands_refuse_a_union_config(tmp_path, capsys, argv):
+    # a union report's config holds a list of generators
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": ["exp", "cosh"], "kappa": "1,1"}))
+    code, _, err = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert code == EXIT_CONFIG
+    assert "one generator" in err and "'exp', 'cosh'" in err
+    cfg.write_text(json.dumps({"g": ["exp"], "kappa": "1,1"}))
+    code, out, _ = run_cli([*argv, "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["config"]["g"] == "exp"
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

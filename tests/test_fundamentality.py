@@ -12,6 +12,7 @@ from dunklsphere import (
     Function1D,
     density_demo,
     funk_hecke_residual,
+    funk_hecke_table,
     is_fundamental,
     kernel_symmetry_check,
     operator_norm_check,
@@ -146,6 +147,23 @@ def test_funk_hecke_kappa_zero_d3():
                               orders=40, x_count=4, quad_order=40)
     for val in rep.residual_by_route.values():
         assert val <= 1e-9
+
+
+@pytest.mark.parametrize("family,dim,kappa,g,routes", [
+    ("zd2", 3, ("1/2", 0, 2), "exp", {"quadrature"}),
+    ("zd2", 3, 0, "poly 1,1,1,1", {"quadrature", "translate"}),
+    ("b", 3, 0, "exp", {"quadrature"}),
+])
+def test_funk_hecke_table_matches_per_degree_calls(family, dim, kappa, g, routes):
+    # kernel rows shared by all degrees give the reports of one call per degree
+    ctx = DunklContext.create(family, dim, kappa)
+    fn = parse_function(g, ctx.lambda_kappa)
+    opts = dict(orders=24, x_count=3, quad_order=16)
+    table = funk_hecke_table(ctx, fn, range(5), **opts)
+    assert [r.n for r in table] == [0, 1, 2, 3, 4]
+    for n, rep in enumerate(table):
+        assert rep == funk_hecke_residual(ctx, fn, n, **opts)
+        assert set(rep.residual_by_route) == routes
 
 
 def test_funk_hecke_csv():

@@ -299,13 +299,16 @@ def test_parse_round_trip():
     lam = Fraction(2)
     for text in ["poly 1,0,-2", "exp", "cosh", "sinh", "cos 2.5",
                  "step 0.1", "gegen 4", "sum 1.0*cosh + -1.0*sinh",
-                 "step 1/3", "cos 2/3"]:
+                 "step 1/3", "cos 2/3",
+                 "sum 100000000000000000000*exp + 1*cosh"]:
         g = parse_function(text, lam)
         again = parse_function(g.describe(), lam)
         assert again == g
         t = np.linspace(-0.9, 0.9, 7)
         assert np.allclose(g(t), again(t), rtol=1e-14)
     assert parse_function("step 1/3").describe() == "step 1/3"
+    assert (parse_function("sum 1e20*exp + 0.1*cosh").describe()
+            == "sum 100000000000000000000*exp + 1/10*cosh")
 
 
 def test_parse_rejects_garbage():

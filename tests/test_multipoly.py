@@ -196,6 +196,31 @@ def test_reflection_difference_divisible(p):
     assert q * form == diff
 
 
+@pytest.mark.parametrize("mode,coeff", [
+    (FLOAT, lambda k: (-1.5) ** k / (k + 1)),
+    (EXACT, lambda k: Fraction((-3) ** k, 7 * k + 2)),
+    (FLOAT, lambda k: complex(1.0 / (k + 1), (-1) ** k * 0.25 * k) if k % 3 else 0.5 * k),
+])
+def test_eval_many_chunks_match_per_term_reference(mode, coeff):
+    # 40,003 points span two chunk boundaries; shared powers and chunking
+    # must not move a single bit against evaluating term by term
+    terms = {exps: coeff(k) for k, exps in enumerate(
+        e for deg in range(7) for e in monomials_of_degree(3, deg))}
+    p = MultiPoly(3, terms, mode)
+    pts = np.random.default_rng(3).uniform(-1.2, 1.2, size=(40_003, 3))
+    dtype = complex if any(isinstance(c, complex) for c in terms.values()) else float
+    ref = np.zeros(pts.shape[0], dtype=dtype)
+    for exps, c in p.terms.items():
+        v = np.full(pts.shape[0], c if isinstance(c, complex) else float(c), dtype=dtype)
+        for i, e in enumerate(exps):
+            if e:
+                v = v * pts[:, i] ** e
+        ref += v
+    got = p.eval_many(pts)
+    assert got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # exact vs float agreement
 # ---------------------------------------------------------------------------
