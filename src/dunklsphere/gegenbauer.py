@@ -412,6 +412,8 @@ def parse_function(text: str, lam=None) -> Function1D:
             parts.append((float(Fraction(ws.strip())), parse_function(expr, lam)))
         return Function1D.weighted_sum(parts)
     tokens = text.split(None, 1)
+    if not tokens:
+        raise ValueError("empty function expression")
     head = tokens[0]
     arg = tokens[1].strip() if len(tokens) > 1 else None
     if head == "poly":
@@ -460,10 +462,13 @@ def _lambda_values_on_rule(g: Function1D, n_max: int, lam: float,
 
 def _quadrature_pair(g: Function1D, n_max: int, lam: float,
                      rule: QuadratureRule) -> tuple:
-    """Lambda_0..n_max on the doubled rule, and their spread to rule."""
+    """Lambda_0..n_max on the doubled rule, their bounds (spread to rule plus
+    the round-off floor 1e-15 * max(1, ||g||_1)), and ||g||_1 on that rule."""
+    doubled = gauss_jacobi_rule(2 * rule.size, lam)
     v1 = _lambda_values_on_rule(g, n_max, lam, rule)
-    v2 = _lambda_values_on_rule(g, n_max, lam, gauss_jacobi_rule(2 * rule.size, lam))
-    return v2, np.abs(v1 - v2)
+    v2 = _lambda_values_on_rule(g, n_max, lam, doubled)
+    norm_g1 = lp_norm_segment(g, 1.0, lam, doubled)
+    return v2, np.abs(v1 - v2) + 1e-15 * max(1.0, norm_g1), norm_g1
 
 
 def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None = None):
@@ -471,7 +476,7 @@ def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None =
     coefficient_profile: exactly (0, 0) for a structural zero, the closed
     form at PRECISION digits for grammar kinds, and for user callables the
     value on the doubled rule with its spread to rule (RULE_SIZE nodes by
-    default) as the bound.
+    default) plus a round-off floor as the bound.
     """
     if _structural_flag(g, n, lam):
         return 0j, 0.0
@@ -481,7 +486,7 @@ def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None =
     lam_f = float(lam)
     if rule is None:
         rule = gauss_jacobi_rule(RULE_SIZE, lam_f)
-    values, errors = _quadrature_pair(g, n, lam_f, rule)
+    values, errors, _ = _quadrature_pair(g, n, lam_f, rule)
     return complex(values[n]), float(errors[n])
 
 
@@ -583,20 +588,20 @@ class CoefficientProfile:
         return "\n".join(lines) + "\n"
 
 
-SAFETY = 8.0          # a value must clear SAFETY * (error + floor) to count as resolved
+SAFETY = 8.0          # a value must clear SAFETY * error to count as resolved
 
 
-def _classify(absval, err, floor, thresh) -> str:
+def _classify(absval, err, thresh) -> str:
     """Three-state test, resolved values first.
 
-    A coefficient that clears SAFETY times its error estimate (plus the
-    noise floor of the arithmetic in use) is nonzero no matter how small it
-    is in absolute terms.  The eps threshold only rules on values the
+    A coefficient that clears SAFETY times its error bound (which includes
+    the noise floor of the arithmetic in use) is nonzero no matter how small
+    it is in absolute terms.  The eps threshold only rules on values the
     computation cannot separate from zero: those are confident zeros when
     value and error together stay below it, indeterminate otherwise.
     Works for floats and mpmath numbers alike.
     """
-    if absval > SAFETY * (err + floor):
+    if absval > SAFETY * err:
         return NONZERO
     if absval + err <= thresh:
         return ZERO
@@ -690,7 +695,7 @@ def _closed_form(g: Function1D, lam, degrees, dps: int,
             value = mp.fsum(terms)
             err = tol * mp.fsum(abs(x) for x in terms)
             out[n] = (complex(value), float(err),
-                      _classify(abs(value), err, 0, thresh))
+                      _classify(abs(value), err, thresh))
     return out
 
 
@@ -718,13 +723,12 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
     else:
         if m is None:
             m = RULE_SIZE
-        values, errors = _quadrature_pair(g, n_max, lam_f, gauss_jacobi_rule(m, lam_f))
-        norm_g1 = lp_norm_segment(g, 1.0, lam_f, gauss_jacobi_rule(2 * m, lam_f))
-        scale = max(1.0, norm_g1)
+        values, errors, norm_g1 = _quadrature_pair(g, n_max, lam_f,
+                                                   gauss_jacobi_rule(m, lam_f))
         data = {}
         for n in range(n_max + 1):
             val, err = complex(values[n]), float(errors[n])
-            data[n] = (val, err, _classify(abs(val), err, 1e-15 * scale, eps * scale))
+            data[n] = (val, err, _classify(abs(val), err, eps * max(1.0, norm_g1)))
     entries = tuple(
         ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if structural[n]
         else ProfileEntry(n, *data[n])

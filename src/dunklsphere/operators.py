@@ -23,18 +23,16 @@ import numpy as np
 
 from .gegenbauer import Function1D, jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly, monomials_of_degree
-from .reflection import (DunklConstants, MultiplicityFunction, ReflectionGroup,
-                         RootSystem, UnsupportedGroupError, builtin_root_system,
-                         constants, generate_group, reflection_matrix,
-                         validate_multiplicity)
+from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
+                         UnsupportedGroupError, builtin_root_system, constants,
+                         reflection_matrix, validate_multiplicity)
 
 
 @dataclass(frozen=True)
 class DunklContext:
-    """A reflection group with a validated multiplicity and its constants."""
+    """A root system with a validated multiplicity and its constants."""
 
     root_system: RootSystem
-    group: ReflectionGroup
     kappa: MultiplicityFunction
     const: DunklConstants
     _roots_by_mode: dict = field(default_factory=dict, init=False, repr=False,
@@ -43,16 +41,13 @@ class DunklContext:
     @classmethod
     def create(cls, family: str, dimension: int | None = None, kappa=0,
                order: int | None = None) -> "DunklContext":
-        rs = builtin_root_system(family, dimension, order)
-        group = generate_group(rs)
-        mult = validate_multiplicity(rs, group, kappa)
-        return cls(rs, group, mult, constants(rs, mult))
+        return cls.from_root_system(
+            builtin_root_system(family, dimension, order), kappa)
 
     @classmethod
     def from_root_system(cls, rs: RootSystem, kappa) -> "DunklContext":
-        group = generate_group(rs)
-        mult = validate_multiplicity(rs, group, kappa)
-        return cls(rs, group, mult, constants(rs, mult))
+        mult = validate_multiplicity(rs, kappa)
+        return cls(rs, mult, constants(rs, mult))
 
     @property
     def dim(self) -> int:
@@ -98,7 +93,6 @@ class DunklContext:
             "kappa": [str(v) for v in self.kappa.orbit_values],
             "gamma": str(self.const.gamma),
             "lambda": str(self.const.lam),
-            "group_order": self.group.order,
         }
 
     def _positive_data(self, mode: str) -> tuple:

@@ -3,8 +3,8 @@
 Vectors and matrices are plain tuples of scalars so that the rational families
 (Zd2, A, B, D) stay in exact Fraction arithmetic end to end.  The dihedral
 family I2(m) uses unit roots cos/sin(k*pi/m), which are irrational for every
-m >= 3, so it always lives in float coordinates; group deduplication then falls
-back to an entrywise 1e-10 quantization instead of exact comparison.
+m >= 3, so it always lives in float coordinates; roots and matrices are then
+deduplicated by an entrywise 1e-10 quantization instead of exact comparison.
 """
 
 from __future__ import annotations
@@ -252,30 +252,33 @@ def generate_group(rs: RootSystem, cap: int = GROUP_ORDER_CAP) -> ReflectionGrou
     return ReflectionGroup(tuple(seen.values()), gens, rs.exact)
 
 
-def root_orbits(rs: RootSystem, group: ReflectionGroup) -> list[list]:
-    """Orbits of the full root set under the group action.
+def root_orbits(rs: RootSystem) -> list[list]:
+    """Orbits of the full root set under the reflection group.
 
-    Orbits are ordered by the first positive root (in the family's canonical
-    enumeration order) that they contain, which fixes the meaning of
+    Each orbit is the closure of a root under the positive-root reflections,
+    which generate G, so the group itself is never built.  Orbits are
+    ordered by, and start with, the first positive root (in the family's
+    canonical enumeration order) they contain, which fixes the meaning of
     per-orbit multiplicity sequences.
     """
+    gens = tuple(reflection_matrix(v) for v in rs.positive)
     key_to_root = {_vec_key(v): v for v in rs.roots}
-    assigned: dict = {}
+    assigned: set = set()
     orbits: list[list] = []
     for v in rs.positive:
-        k = _vec_key(v)
-        if k in assigned:
+        if _vec_key(v) in assigned:
             continue
-        members = {}
-        for g in group.elements:
-            w = _matvec(g, v)
-            wk = _vec_key(w)
-            if wk not in key_to_root:
-                raise ValueError(f"group element maps root {v} outside the root set")
-            members[wk] = key_to_root[wk]
-        for wk in members:
-            assigned[wk] = len(orbits)
-        orbits.append(list(members.values()))
+        orbit = [v]
+        assigned.add(_vec_key(v))
+        for w in orbit:              # grows while it is walked: a BFS
+            for s in gens:
+                wk = _vec_key(_matvec(s, w))
+                if wk not in key_to_root:
+                    raise ValueError(f"reflection maps root {w} outside the root set")
+                if wk not in assigned:
+                    assigned.add(wk)
+                    orbit.append(key_to_root[wk])
+        orbits.append(orbit)
     return orbits
 
 
@@ -297,7 +300,6 @@ def _as_kappa_scalar(x):
 class MultiplicityFunction:
     """G-invariant nonnegative multiplicity, stored per root orbit."""
 
-    orbit_representatives: tuple   # first positive root of each orbit
     orbit_values: tuple            # Fractions, one per orbit
     _lookup: dict                  # vec key -> value, covers all roots
 
@@ -315,8 +317,7 @@ class MultiplicityFunction:
         return iter(self.orbit_values)
 
 
-def validate_multiplicity(rs: RootSystem, group: ReflectionGroup,
-                          kappa) -> MultiplicityFunction:
+def validate_multiplicity(rs: RootSystem, kappa) -> MultiplicityFunction:
     """Build a MultiplicityFunction from per-orbit values or a root->value map.
 
     kappa may be: a single scalar (applied to every orbit), a sequence with
@@ -324,7 +325,7 @@ def validate_multiplicity(rs: RootSystem, group: ReflectionGroup,
     root tuples to values defined on all positive roots.  Values must be
     nonnegative and constant on orbits.
     """
-    orbits = root_orbits(rs, group)
+    orbits = root_orbits(rs)
     if isinstance(kappa, Mapping):
         given = {_vec_key(root): _as_kappa_scalar(v) for root, v in kappa.items()}
         values = []
@@ -352,8 +353,7 @@ def validate_multiplicity(rs: RootSystem, group: ReflectionGroup,
     for orb, val in zip(orbits, values):
         for root in orb:
             lookup[_vec_key(root)] = val
-    reps = tuple(orb[0] for orb in orbits)
-    return MultiplicityFunction(reps, tuple(values), lookup)
+    return MultiplicityFunction(tuple(values), lookup)
 
 
 @dataclass(frozen=True)

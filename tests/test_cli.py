@@ -80,6 +80,13 @@ def test_coeffs_bad_grammar(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("g", ["", "   ", "sum 1*"])
+def test_coeffs_empty_expression_is_config_error(capsys, g):
+    code, _, err = run_cli(["coeffs", "--g", g, "--kappa", "1,1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "empty function expression" in err
+
+
 def test_lambda_not_positive_rejected(capsys):
     # d = 2 with kappa = 0 gives lambda = 0
     code, _, err = run_cli(

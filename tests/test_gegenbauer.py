@@ -370,6 +370,20 @@ def test_profile_user_function_double_only():
     assert prof.entry(20).error_bound <= 1e-9
 
 
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(5)])
+def test_user_callable_error_bound_covers_closed_form(lam):
+    # the spread of the two Gauss rules alone sits below the round-off of
+    # the doubles summed; the bound must cover the 60-digit truth anyway
+    user = Function1D.from_callable(np.exp)
+    truth = coefficient_profile(Function1D.exponential(), lam, 40, precision=60)
+    prof = coefficient_profile(user, lam, 40)
+    for e, t in zip(prof.entries, truth.entries):
+        assert abs(e.value - t.value) <= e.error_bound, (lam, e.n)
+    for n in (0, 7, 40):
+        value, err = lambda_coefficient(user, n, lam)
+        assert abs(value - truth.entry(n).value) <= err, (lam, n)
+
+
 def test_profile_noisy_function_indeterminate():
     # oscillatory contamination keeps the two quadrature rules apart, so the
     # error bound exceeds eps and the small coefficients cannot be classified

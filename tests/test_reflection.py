@@ -4,14 +4,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dunklsphere
+import dunklsphere.cli
 from dunklsphere import (
     EXACT,
+    DunklContext,
     InvalidMultiplicityError,
     MultiPoly,
     UnsupportedGroupError,
     builtin_root_system,
     constants,
     generate_group,
+    harmonic_basis,
+    harmonic_space_dimension,
     reflection_matrix,
     root_orbits,
     validate_multiplicity,
@@ -23,7 +28,7 @@ from dunklsphere import (
 
 
 def _mult(rs, kappa):
-    return validate_multiplicity(rs, generate_group(rs), kappa)
+    return validate_multiplicity(rs, kappa)
 
 
 def _matmul(a, b):
@@ -110,18 +115,83 @@ def test_missing_negatives_rejected_at_construction():
 
 def test_zd2_orbits_are_axes():
     rs = builtin_root_system("zd2", 3)
-    orbits = root_orbits(rs, generate_group(rs))
+    orbits = root_orbits(rs)
     assert len(orbits) == 3
 
 
 def test_b2_has_two_orbits():
     rs = builtin_root_system("b", 2)
-    assert len(root_orbits(rs, generate_group(rs))) == 2
+    assert len(root_orbits(rs)) == 2
 
 
 def test_a3_single_orbit():
     rs = builtin_root_system("a", 3)
-    assert len(root_orbits(rs, generate_group(rs))) == 1
+    assert len(root_orbits(rs)) == 1
+
+
+def _orbits_from_group(rs):
+    """The orbit partition read off the group's elements: the oracle."""
+    elements = generate_group(rs).elements
+    key_to_root = {_key(v): v for v in rs.roots}
+    seen, orbits = set(), []
+    for v in rs.positive:
+        if _key(v) in seen:
+            continue
+        members = {}
+        for g in elements:
+            w = tuple(sum(a * b for a, b in zip(row, v)) for row in g)
+            members.setdefault(_key(w), key_to_root[_key(w)])
+        seen.update(members)
+        orbits.append(list(members.values()))
+    return orbits
+
+
+def _key(v):
+    return tuple(x if isinstance(x, Fraction) else round(x / 1e-10) for x in v)
+
+
+@pytest.mark.parametrize("family,dim,order", [
+    ("zd2", 2, None), ("zd2", 3, None), ("zd2", 4, None),
+    ("a", 3, None), ("a", 4, None),
+    ("b", 2, None), ("b", 3, None), ("b", 4, None),
+    ("d", 3, None), ("d", 4, None),
+    ("i2", 2, 4), ("i2", 2, 5), ("i2", 2, 6), ("i2", 2, 8),
+])
+def test_root_orbits_match_group_orbits(family, dim, order):
+    rs = builtin_root_system(family, dim, order=order)
+    got, want = root_orbits(rs), _orbits_from_group(rs)
+    assert [orb[0] for orb in got] == [orb[0] for orb in want]
+    assert [sorted(map(_key, orb)) for orb in got] == \
+        [sorted(map(_key, orb)) for orb in want]
+
+
+@pytest.mark.parametrize("family,kappa,sizes,lam", [
+    ("d", 1, [40], Fraction(43, 2)),
+    ("b", (1, 2), [10, 40], Fraction(93, 2)),
+])
+def test_rank_five_contexts(family, kappa, sizes, lam):
+    ctx = DunklContext.create(family, 5, kappa)
+    assert [len(orb) for orb in root_orbits(ctx.root_system)] == sizes
+    assert ctx.lambda_kappa == lam
+    assert len(harmonic_basis(ctx, 2).elements) == harmonic_space_dimension(5, 2)
+
+
+def test_contexts_never_build_the_group(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("a context built the reflection group")
+
+    for mod in (dunklsphere, dunklsphere.reflection, dunklsphere.operators,
+                dunklsphere.sphere, dunklsphere.fundamentality, dunklsphere.cli):
+        if hasattr(mod, "generate_group"):
+            monkeypatch.setattr(mod, "generate_group", boom)
+    for family, dim, kappa, order in [("zd2", 3, (1, 0, 2), None),
+                                      ("a", 4, 1, None), ("b", 3, (1, 2), None),
+                                      ("d", 4, 1, None), ("i2", 2, (1, 2), 6)]:
+        DunklContext.create(family, dim, kappa, order=order)
+    code = dunklsphere.cli.main(["fundamental", "--family", "b", "-d", "3",
+                                 "--kappa", "1/2,1/2", "--g", "exp", "-N", "4"])
+    assert code == 0
+    assert "FUNDAMENTAL_UP_TO_N" in capsys.readouterr().out
 
 
 def test_multiplicity_forms():
