@@ -8,7 +8,7 @@ degrees), and ``density`` (least-squares density demonstration).
 Exit codes encode outcomes so shell pipelines can branch on them:
 
     0   success; for ``fundamental``: FUNDAMENTAL_UP_TO_N
-    2   invalid configuration (flags, kappa, grammar, lambda <= 0)
+    2   invalid configuration (flags, ranges, kappa, grammar, lambda <= 0)
     3   backend failure during computation
     4   unsupported group for the requested operation
     10  NOT_FUNDAMENTAL
@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from fractions import Fraction
 
 from numpy.linalg import LinAlgError as _LinAlgError
 
@@ -37,6 +37,7 @@ from .fundamentality import (
     FUNDAMENTAL,
     INDETERMINATE_VERDICT,
     NOT_FUNDAMENTAL,
+    FunkHeckeTable,
     density_demo,
     funk_hecke_table,
     is_fundamental,
@@ -44,7 +45,6 @@ from .fundamentality import (
 )
 from .gegenbauer import (
     DEFAULT_EPS,
-    SCHEMA_VERSION,
     coefficient_profile,
     parse_function,
 )
@@ -76,6 +76,22 @@ _COMMAND_DESTS = {
     "density": _CONTEXT_DESTS | _OUTPUT_DESTS
     | {"g", "m_degree", "node_counts", "orders", "kernel_order", "ridge",
        "scheme", "seed"},
+}
+
+# dest: (flag, least value, integer-valued); precision and ridge may also be
+# None, which lets the library choose
+_NUMBER_BOUNDS = {
+    "n_max": ("-N", 0, True),
+    "m_degree": ("-m", 0, True),
+    "orders": ("--orders", 1, True),
+    "kernel_order": ("--kernel-order", 1, True),
+    "x_count": ("--x-samples", 1, True),
+    # at 5 digits or fewer no closed form clears its bound 10^(5-dps) sum|terms|
+    "precision": ("--precision", 6, True),
+    "p": ("-p", 1, False),
+    "eps": ("--epsilon", 0, False),
+    "threshold": ("--threshold", 0, False),
+    "ridge": ("--ridge", 0, False),
 }
 
 
@@ -212,23 +228,45 @@ def _apply_config_defaults(commands: dict, cfg: dict) -> None:
         sp.set_defaults(**{k: v for k, v in cfg.items() if k in allowed})
 
 
-def _int_list(val) -> list:
+def _comma_list(val):
+    """A flag's comma separated text as its parts; a config's list as is."""
     if isinstance(val, str):
-        parts = [p for p in val.replace(" ", "").split(",") if p]
-        return [int(p) for p in parts]
-    return [int(v) for v in val]
+        return [p for p in val.replace(" ", "").split(",") if p]
+    return val
+
+
+def _check_numbers(args) -> None:
+    """Range checks of the numeric options after the --config merge, whose
+    non-text values bypass argparse's type=; the lists become int lists."""
+    for dest, (flag, least, integral) in _NUMBER_BOUNDS.items():
+        val = getattr(args, dest, None)
+        if val is None and (dest in ("precision", "ridge")
+                            or not hasattr(args, dest)):
+            continue
+        kinds = (int,) if integral else (int, float)
+        if (type(val) not in kinds or val < least
+                or not (type(val) is int or math.isfinite(val))):
+            what = "an integer" if integral else "a finite number"
+            raise ValueError(f"{flag} must be {what} >= {least}, not {val!r}")
+    for dest, flag, least in (("degrees", "--degrees", 0),
+                              ("node_counts", "--nodes", 1)):
+        if not hasattr(args, dest):
+            continue
+        val = getattr(args, dest)
+        try:
+            vals = [int(v) if isinstance(v, str) else v for v in _comma_list(val)]
+        except (TypeError, ValueError):
+            vals = []
+        if not vals or any(type(v) is not int or v < least for v in vals):
+            raise ValueError(f"{flag} must be a nonempty list of integers "
+                             f">= {least}, not {val!r}")
+        setattr(args, dest, vals)
 
 
 def _kappa_values(val):
-    if isinstance(val, str):
-        parts = [p for p in val.replace(" ", "").split(",") if p]
-        vals = [Fraction(p) for p in parts]
-    elif isinstance(val, (list, tuple)):
-        vals = [Fraction(str(v)) if not isinstance(v, (int, Fraction)) else v
-                for v in val]
-    else:
-        vals = [val]
-    return vals[0] if len(vals) == 1 else vals
+    """One value applies to every orbit, a list gives one per orbit."""
+    vals = _comma_list(val)
+    return vals[0] if isinstance(vals, list) and len(vals) == 1 else vals
 
 
 def _g_list(val) -> list:
@@ -260,16 +298,9 @@ def _config(args, ctx: DunklContext) -> dict:
     cfg = {k: getattr(args, k)
            for k in _COMMAND_DESTS[args.command] - _OUTPUT_DESTS}
     cfg["kappa"] = [str(v) for v in ctx.kappa.orbit_values]
-    for key in ("degrees", "node_counts"):
-        if key in cfg:
-            cfg[key] = _int_list(cfg[key])
     specs = _g_list(cfg["g"])
     cfg["g"] = specs[0] if len(specs) == 1 else specs
     return cfg
-
-
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _emit_report(args, ctx: DunklContext, report) -> None:
@@ -277,8 +308,8 @@ def _emit_report(args, ctx: DunklContext, report) -> None:
     if args.format == "csv":
         _emit(args, report.to_csv_text())
     else:
-        _emit(args, _json_text({**report.to_json_dict(),
-                                "config": _config(args, ctx)}))
+        doc = {**report.to_json_dict(), "config": _config(args, ctx)}
+        _emit(args, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _emit(args, text: str) -> None:
@@ -307,8 +338,6 @@ def _make_context(args) -> DunklContext:
 def _cmd_coeffs(args) -> int:
     ctx = _make_context(args)
     g = parse_function(_one_g(args), ctx.lambda_kappa)
-    if args.n_max < 0:
-        raise ValueError("N must be >= 0")
     profile = coefficient_profile(g, ctx.lambda_kappa, args.n_max,
                                   eps=args.eps, precision=args.precision)
     _emit_report(args, ctx, profile)
@@ -318,8 +347,6 @@ def _cmd_coeffs(args) -> int:
 def _cmd_fundamental(args) -> int:
     ctx = _make_context(args)
     gs = [parse_function(s, ctx.lambda_kappa) for s in _g_list(args.g)]
-    if args.n_max < 0:
-        raise ValueError("N must be >= 0")
     if len(gs) == 1:
         report = is_fundamental(ctx, gs[0], p=args.p, n_max=args.n_max,
                                 eps=args.eps, precision=args.precision)
@@ -342,40 +369,20 @@ def _cmd_funk_hecke(args) -> int:
             "the funk-hecke command needs an explicit kernel and is "
             "implemented for kappa = 0 or Zd2 groups only")
     g = parse_function(_one_g(args), ctx.lambda_kappa)
-    degrees = _int_list(args.degrees)
-    if not degrees or any(n < 0 for n in degrees):
-        raise ValueError("degrees must be a nonempty list of n >= 0")
-    rows = funk_hecke_table(ctx, g, degrees, orders=args.orders,
+    rows = funk_hecke_table(ctx, g, args.degrees, orders=args.orders,
                             x_count=args.x_count,
                             quad_order=args.kernel_order, seed=args.seed)
-    max_res = max(r.residual for r in rows)
-    if args.format == "csv":
-        lines = ["n,residual"]
-        lines += [f"{r.n},{r.residual!r}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "funk_hecke_table",
-            "threshold": args.threshold,
-            "max_residual": max_res,
-            "rows": [r.to_json_dict() for r in rows],
-            "config": _config(args, ctx),
-        }
-        _emit(args, _json_text(doc))
-    return EXIT_OK if max_res <= args.threshold else EXIT_THRESHOLD
+    table = FunkHeckeTable(args.threshold, max(r.residual for r in rows), rows)
+    _emit_report(args, ctx, table)
+    return EXIT_OK if table.max_residual <= args.threshold else EXIT_THRESHOLD
 
 
 def _cmd_density(args) -> int:
     ctx = _make_context(args)
     g = parse_function(_one_g(args), ctx.lambda_kappa)
-    counts = _int_list(args.node_counts)
-    if not counts or any(c < 1 for c in counts):
-        raise ValueError("node counts must be positive")
-    if args.m_degree < 0:
-        raise ValueError("target degree must be >= 0")
-    report = density_demo(ctx, g, args.m_degree, counts, orders=args.orders,
-                          ridge=args.ridge, scheme=args.scheme,
+    report = density_demo(ctx, g, args.m_degree, args.node_counts,
+                          orders=args.orders, ridge=args.ridge,
+                          scheme=args.scheme,
                           kernel_order=args.kernel_order, seed=args.seed)
     _emit_report(args, ctx, report)
     return EXIT_OK
@@ -425,6 +432,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
 
     try:
+        _check_numbers(args)
         return _DISPATCH[args.command](args)
     except UnsupportedGroupError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ runs small least-squares density demonstrations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +23,10 @@ from .gegenbauer import (
     DEFAULT_EPS,
     INDETERMINATE,
     NONZERO,
-    SCHEMA_VERSION,
     ZERO,
     CoefficientProfile,
     Function1D,
+    Report,
     coefficient_profile,
     lambda_coefficient,
     lp_norm_segment,
@@ -67,29 +67,17 @@ def _verdict_from_flags(flags) -> tuple:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FundamentalityReport:
+class FundamentalityReport(Report):
+    KIND = "fundamentality"
+
     verdict: str
     n_max: int
     p: float
-    lambda_value: float
+    lambda_value: float = field(metadata={"json": "lambda"})
     eps: float
     zero_witnesses: tuple
     indeterminate_degrees: tuple
     profile: CoefficientProfile
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "fundamentality",
-            "verdict": self.verdict,
-            "n_max": self.n_max,
-            "p": self.p,
-            "lambda": self.lambda_value,
-            "eps": self.eps,
-            "zero_witnesses": list(self.zero_witnesses),
-            "indeterminate_degrees": list(self.indeterminate_degrees),
-            "profile": self.profile.to_json_dict(),
-        }
 
     def to_csv_text(self) -> str:
         return self.profile.to_csv_text()
@@ -129,41 +117,24 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnionReport:
+class UnionReport(Report):
+    KIND = "union_fundamentality"
+    CSV_HEADER = "n,aggregate_abs,aggregate_error,flag"
+
     verdict: str
     n_max: int
     p: float
-    lambda_value: float
+    lambda_value: float = field(metadata={"json": "lambda"})
     eps: float
     zero_witnesses: tuple
     indeterminate_degrees: tuple
     aggregate_abs: tuple
     aggregate_error: tuple
-    member_reports: tuple
+    member_reports: tuple = field(metadata={"json": "members"})
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "union_fundamentality",
-            "verdict": self.verdict,
-            "n_max": self.n_max,
-            "p": self.p,
-            "lambda": self.lambda_value,
-            "eps": self.eps,
-            "zero_witnesses": list(self.zero_witnesses),
-            "indeterminate_degrees": list(self.indeterminate_degrees),
-            "aggregate_abs": list(self.aggregate_abs),
-            "aggregate_error": list(self.aggregate_error),
-            "members": [r.to_json_dict() for r in self.member_reports],
-        }
-
-    def to_csv_text(self) -> str:
-        lines = ["n,aggregate_abs,aggregate_error,flag"]
-        flags = _union_flags(self.member_reports)
-        for n in range(self.n_max + 1):
-            lines.append(f"{n},{self.aggregate_abs[n]!r},"
-                         f"{self.aggregate_error[n]!r},{flags[n]}")
-        return "\n".join(lines) + "\n"
+    def csv_rows(self):
+        return zip(range(self.n_max + 1), self.aggregate_abs,
+                   self.aggregate_error, _union_flags(self.member_reports))
 
 
 def _union_flags(member_reports) -> list:
@@ -227,9 +198,12 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FunkHeckeReport:
+class FunkHeckeReport(Report):
+    KIND = "funk_hecke"
+    CSV_HEADER = "n,route,residual"
+
     n: int
-    lambda_value: float
+    lambda_value: float = field(metadata={"json": "lambda"})
     coefficient: complex
     coefficient_error: float
     residual: float
@@ -237,26 +211,25 @@ class FunkHeckeReport:
     x_count: int
     basis_size: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "funk_hecke",
-            "n": self.n,
-            "lambda": self.lambda_value,
-            "coefficient": {"re": self.coefficient.real,
-                            "im": self.coefficient.imag},
-            "coefficient_error": self.coefficient_error,
-            "residual": self.residual,
-            "residual_by_route": dict(sorted(self.residual_by_route.items())),
-            "x_count": self.x_count,
-            "basis_size": self.basis_size,
-        }
+    def csv_rows(self):
+        return [(self.n, route, self.residual_by_route[route])
+                for route in sorted(self.residual_by_route)]
 
-    def to_csv_text(self) -> str:
-        lines = ["n,route,residual"]
-        for route in sorted(self.residual_by_route):
-            lines.append(f"{self.n},{route},{self.residual_by_route[route]!r}")
-        return "\n".join(lines) + "\n"
+
+@dataclass(frozen=True)
+class FunkHeckeTable(Report):
+    """The funk-hecke command's report: one FunkHeckeReport per degree and
+    the largest residual, judged against threshold."""
+
+    KIND = "funk_hecke_table"
+    CSV_HEADER = "n,residual"
+
+    threshold: float
+    max_residual: float
+    rows: tuple
+
+    def csv_rows(self):
+        return [(r.n, r.residual) for r in self.rows]
 
 
 def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
@@ -333,33 +306,20 @@ def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Report):
+    KIND = "density_demo"
+    CSV_HEADER = "nodes,ridge,residual"
+
     m_degree: int
-    lambda_value: float
+    lambda_value: float = field(metadata={"json": "lambda"})
     coefficient: float
     node_counts: tuple
     residuals: tuple
     ridges: tuple
     scheme: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "density_demo",
-            "m_degree": self.m_degree,
-            "lambda": self.lambda_value,
-            "coefficient": self.coefficient,
-            "node_counts": list(self.node_counts),
-            "residuals": list(self.residuals),
-            "ridges": list(self.ridges),
-            "scheme": self.scheme,
-        }
-
-    def to_csv_text(self) -> str:
-        lines = ["nodes,ridge,residual"]
-        for c, r, res in zip(self.node_counts, self.ridges, self.residuals):
-            lines.append(f"{c},{r!r},{res!r}")
-        return "\n".join(lines) + "\n"
+    def csv_rows(self):
+        return zip(self.node_counts, self.ridges, self.residuals)
 
 
 def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
@@ -437,21 +397,13 @@ def kernel_symmetry_check(ctx: DunklContext, g: Function1D, pairs: int = 8,
 
 
 @dataclass(frozen=True)
-class OperatorNormReport:
+class OperatorNormReport(Report):
+    KIND = "operator_norm"
+
     p: float
     max_ratio: float
     ratios: tuple
     segment_norm: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "operator_norm",
-            "p": self.p,
-            "max_ratio": self.max_ratio,
-            "ratios": list(self.ratios),
-            "segment_norm": self.segment_norm,
-        }
 
 
 def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,

@@ -15,7 +15,7 @@ callables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -31,6 +31,38 @@ DEFAULT_EPS = 1e-9
 
 #: "schema_version" of every JSON report.
 SCHEMA_VERSION = "2"
+
+
+class Report:
+    """The JSON and CSV form of every report: a frozen dataclass naming its
+    ``KIND``.  Each field goes into the JSON under its name or its
+    ``field(metadata={"json": key})``; a report with a CSV form sets
+    ``CSV_HEADER`` and yields the rows from ``csv_rows()``."""
+
+    def to_json_dict(self) -> dict:
+        doc = {"schema_version": SCHEMA_VERSION, "kind": self.KIND}
+        for f in fields(self):
+            doc[f.metadata.get("json", f.name)] = _json_value(getattr(self, f.name))
+        return doc
+
+    def to_csv_text(self) -> str:
+        lines = [self.CSV_HEADER]
+        lines += [",".join(v if isinstance(v, str) else repr(v) for v in row)
+                  for row in self.csv_rows()]
+        return "\n".join(lines) + "\n"
+
+
+def _json_value(value):
+    """A field's JSON form; reports and profile entries give their own."""
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(value[k]) for k in sorted(value)}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    return value
 
 
 def pochhammer(a, k: int):
@@ -272,6 +304,8 @@ class Function1D:
 
     @classmethod
     def gegenbauer_poly(cls, n: int, lam) -> "Function1D":
+        if int(n) < 0:
+            raise ValueError(f"gegen degree must be >= 0, not {n}")
         return cls("gegenbauer", n=int(n), lam=lam)
 
     @classmethod
@@ -391,6 +425,14 @@ class Function1D:
         raise ValueError(f"unknown kind {k!r}")
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as bad input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_function(text: str, lam=None) -> Function1D:
     """Parse the CLI grammar:
 
@@ -409,7 +451,8 @@ def parse_function(text: str, lam=None) -> Function1D:
             if "*" not in chunk:
                 raise ValueError(f"sum term {chunk!r} needs the form weight*expr")
             ws, expr = chunk.split("*", 1)
-            parts.append((float(Fraction(ws.strip())), parse_function(expr, lam)))
+            parts.append((float(parse_fraction(ws.strip())),
+                          parse_function(expr, lam)))
         return Function1D.weighted_sum(parts)
     tokens = text.split(None, 1)
     if not tokens:
@@ -419,7 +462,8 @@ def parse_function(text: str, lam=None) -> Function1D:
     if head == "poly":
         if not arg:
             raise ValueError("poly needs coefficients")
-        return Function1D.polynomial([Fraction(c.strip()) for c in arg.split(",")])
+        return Function1D.polynomial([parse_fraction(c.strip())
+                                      for c in arg.split(",")])
     if head == "gegen":
         if arg is None:
             raise ValueError("gegen needs a degree")
@@ -435,11 +479,11 @@ def parse_function(text: str, lam=None) -> Function1D:
     if head == "cos":
         if arg is None:
             raise ValueError("cos needs a frequency")
-        return Function1D.cosine(Fraction(arg))
+        return Function1D.cosine(parse_fraction(arg))
     if head == "step":
         if arg is None:
             raise ValueError("step needs a threshold")
-        return Function1D.step(Fraction(arg))
+        return Function1D.step(parse_fraction(arg))
     raise ValueError(f"cannot parse function expression {text!r}")
 
 
@@ -535,18 +579,26 @@ class ProfileEntry:
     def is_zero(self) -> bool:
         return self.flag == ZERO
 
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "re": self.value.real, "im": self.value.imag,
+                "error_bound": self.error_bound, "flag": self.flag,
+                "structural": self.structural}
+
 
 @dataclass(frozen=True)
-class CoefficientProfile:
+class CoefficientProfile(Report):
     """Lambda_n(g) for n = 0..N with per-entry certainty flags."""
 
-    lam: float
-    eps: float
-    g_description: str
-    entries: tuple
+    KIND = "coefficient_profile"
+    CSV_HEADER = "n,re,im,error_bound,flag"
+
+    g_description: str = field(metadata={"json": "g"})
+    lam: float = field(metadata={"json": "lambda"})
+    eps: float = field(metadata={"json": "epsilon"})
     norm_g1: float | None         # quadrature route only, like rule_size
     rule_size: int | None
-    precision: int | None = None
+    precision: int | None
+    entries: tuple
 
     def entry(self, n: int) -> ProfileEntry:
         return self.entries[n]
@@ -563,29 +615,9 @@ class CoefficientProfile:
     def indeterminate_degrees(self) -> list[int]:
         return [e.n for e in self.entries if e.flag == INDETERMINATE]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "coefficient_profile",
-            "g": self.g_description,
-            "lambda": self.lam,
-            "epsilon": self.eps,
-            "norm_g1": self.norm_g1,
-            "rule_size": self.rule_size,
-            "precision": self.precision,
-            "entries": [
-                {"n": e.n, "re": e.value.real, "im": e.value.imag,
-                 "error_bound": e.error_bound, "flag": e.flag,
-                 "structural": e.structural}
-                for e in self.entries],
-        }
-
-    def to_csv_text(self) -> str:
-        lines = ["n,re,im,error_bound,flag"]
-        for e in self.entries:
-            lines.append(f"{e.n},{e.value.real!r},{e.value.imag!r},"
-                         f"{e.error_bound!r},{e.flag}")
-        return "\n".join(lines) + "\n"
+    def csv_rows(self):
+        return [(e.n, e.value.real, e.value.imag, e.error_bound, e.flag)
+                for e in self.entries]
 
 
 SAFETY = 8.0          # a value must clear SAFETY * error to count as resolved
@@ -733,5 +765,5 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
         ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if structural[n]
         else ProfileEntry(n, *data[n])
         for n in range(n_max + 1))
-    return CoefficientProfile(lam_f, eps, g.describe(), entries, norm_g1, m,
-                              precision)
+    return CoefficientProfile(g.describe(), lam_f, eps, norm_g1, m, precision,
+                              entries)

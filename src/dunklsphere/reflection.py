@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .gegenbauer import parse_fraction
 from .multipoly import EXACT, FLOAT, MultiPoly
 
 #: Generic direction whose inner products pick the positive subsystem:
@@ -288,7 +289,7 @@ def _as_kappa_scalar(x):
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     if isinstance(x, float):
         # floats come in from CLI defaults and numpy; shortest-repr keeps
         # human-entered decimals exact (0.5 -> 1/2)
@@ -312,6 +313,11 @@ class MultiplicityFunction:
     @property
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.orbit_values)
+
+    @property
+    def is_integer(self) -> bool:
+        """Integer values: the weight prod |<v, x>|^(2 kappa(v)) is a polynomial."""
+        return all(v.denominator == 1 for v in self.orbit_values)
 
     def __iter__(self):
         return iter(self.orbit_values)
@@ -380,7 +386,7 @@ def weight_eval(rs: RootSystem, kappa: MultiplicityFunction, x: Sequence):
     rational; float otherwise.
     """
     exact_ok = rs.exact and all(isinstance(t, (int, Fraction)) for t in x) \
-        and all(v.denominator == 1 for v in kappa.orbit_values)
+        and kappa.is_integer
     if exact_ok:
         acc = Fraction(1)
         for v in rs.positive:
@@ -419,10 +425,9 @@ def weight_as_polynomial(rs: RootSystem, kappa: MultiplicityFunction,
     Requires every kappa(v) to be a nonnegative integer so that the absolute
     value is redundant.  Exact mode needs rational roots.
     """
-    for v in kappa.orbit_values:
-        if v.denominator != 1:
-            raise ValueError(
-                f"weight is polynomial only for integer multiplicities, got {v}")
+    if not kappa.is_integer:
+        raise ValueError("weight is polynomial only for integer multiplicities, "
+                         f"got {', '.join(map(str, kappa.orbit_values))}")
     if mode is None:
         mode = EXACT if rs.exact else FLOAT
     if mode == EXACT and not rs.exact:

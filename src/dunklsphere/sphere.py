@@ -127,7 +127,7 @@ def a_kappa_paths(ctx: DunklContext, order: int = 80) -> dict:
     out = {}
     if ctx.is_zd2:
         out["closed_form"] = _a_kappa_closed_zd2(ctx)
-    if ctx.root_system.exact and all(v.denominator == 1 for v in ctx.kappa.orbit_values):
+    if ctx.root_system.exact and ctx.kappa.is_integer:
         mass = _weight_mass_rational(ctx)
         out["monomial"] = 1.0 / (float(mass) * math.pi ** (ctx.dim // 2))
     pts, wts = _tensor_grid(ctx, order)
@@ -139,7 +139,7 @@ def a_kappa(ctx: DunklContext, order: int = 80) -> float:
     """Normalization constant with a_kappa * int w_kappa d omega = 1."""
     if ctx.is_zd2:
         return _a_kappa_closed_zd2(ctx)
-    if ctx.root_system.exact and all(v.denominator == 1 for v in ctx.kappa.orbit_values):
+    if ctx.root_system.exact and ctx.kappa.is_integer:
         return 1.0 / (float(_weight_mass_rational(ctx)) * math.pi ** (ctx.dim // 2))
     pts, wts = _tensor_grid(ctx, order)
     return 1.0 / float(wts.sum())
@@ -191,7 +191,7 @@ def exact_sigma_integral(ctx: DunklContext, poly: MultiPoly):
             if frac:
                 total = total + _term_scale(c, frac)
         return total
-    if ctx.root_system.exact and all(v.denominator == 1 for v in ctx.kappa.orbit_values):
+    if ctx.root_system.exact and ctx.kappa.is_integer:
         w = weight_as_polynomial(ctx.root_system, ctx.kappa)
         if poly.mode == FLOAT:
             w = w.to_float()

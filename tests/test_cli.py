@@ -101,6 +101,52 @@ def test_bad_kappa_count(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("g, kappa, message", [
+    ("poly 1/0", "1,1", "zero denominator"),
+    ("cos 1/0", "1,1", "zero denominator"),
+    ("step 1/0", "1,1", "zero denominator"),
+    ("sum 1/0*exp", "1,1", "zero denominator"),
+    ("exp", "1/0,1", "zero denominator"),
+    # n < 0 would make every degree a structural zero
+    ("gegen -1", "1,1", "gegen degree must be >= 0"),
+])
+def test_bad_generator_or_kappa_is_config_error(capsys, g, kappa, message):
+    code, out, err = run_cli(
+        ["fundamental", "--g", g, "--kappa", kappa, "-N", "3"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv, cfg, flag", [
+    (["fundamental", "-p", "inf"], {}, "-p"),
+    (["fundamental", "-p", "nan"], {}, "-p"),
+    (["fundamental", "-p", "0.5"], {}, "-p"),
+    (["coeffs", "-N", "-1"], {}, "-N"),
+    (["coeffs", "--epsilon", "-1"], {}, "--epsilon"),
+    (["coeffs", "--precision", "5"], {}, "--precision"),
+    (["funk-hecke", "--threshold", "nan"], {}, "--threshold"),
+    (["funk-hecke", "--orders", "-4"], {}, "--orders"),
+    (["funk-hecke", "--kernel-order", "0"], {}, "--kernel-order"),
+    (["funk-hecke", "--x-samples", "0"], {}, "--x-samples"),
+    (["funk-hecke", "--degrees", "1,-1"], {}, "--degrees"),
+    (["density", "--ridge", "-1"], {}, "--ridge"),
+    (["density", "-m", "-1"], {}, "-m"),
+    (["density", "--nodes", "6,0"], {}, "--nodes"),
+    # non-text config values bypass argparse's type=
+    (["fundamental"], {"p": float("nan"), "eps": -1}, "-p"),
+    (["fundamental"], {"eps": -1}, "--epsilon"),
+    (["coeffs"], {"n_max": 2.5}, "-N"),
+    (["funk-hecke"], {"degrees": []}, "--degrees"),
+    (["density"], {"node_counts": [6, 1.5]}, "--nodes"),
+])
+def test_numeric_option_out_of_range(tmp_path, capsys, argv, cfg, flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"g": "exp", "kappa": "1,1", **cfg}))
+    code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and f"error: {flag} must be" in err
+
+
 # ---------------------------------------------------------------------------
 # fundamental
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dunklsphere import (
     NOT_FUNDAMENTAL,
     DunklContext,
     Function1D,
+    FunkHeckeTable,
     density_demo,
     funk_hecke_residual,
     funk_hecke_table,
@@ -229,3 +230,74 @@ def test_operator_norm_equality_positive_g_p1():
     rep = operator_norm_check(CTX, parse_function("exp"), p=1.0,
                               x_count=10, seed=2)
     assert abs(rep.max_ratio - 1.0) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# report schema
+# ---------------------------------------------------------------------------
+
+_ENVELOPE = {"schema_version", "kind"}
+_VERDICT_KEYS = {"verdict", "n_max", "p", "lambda", "eps", "zero_witnesses",
+                 "indeterminate_degrees"}
+
+
+def test_report_schema_keys_and_csv_headers():
+    # every report kind's exact JSON keys and CSV header: a serializer that
+    # drops or renames a field fails here
+    fh = funk_hecke_table(CTX, parse_function("poly 0,1"), (0, 1),
+                          orders=24, x_count=3, quad_order=16)
+    fund = is_fundamental(CTX, parse_function("exp"), n_max=3)
+    reports = {
+        "coefficient_profile": (
+            fund.profile,
+            {"g", "lambda", "epsilon", "norm_g1", "rule_size", "precision",
+             "entries"},
+            "n,re,im,error_bound,flag"),
+        "fundamentality": (fund, _VERDICT_KEYS | {"profile"},
+                           "n,re,im,error_bound,flag"),
+        "union_fundamentality": (
+            union_fundamental(CTX, [parse_function("cosh"),
+                                    parse_function("sinh")], n_max=3),
+            _VERDICT_KEYS | {"aggregate_abs", "aggregate_error", "members"},
+            "n,aggregate_abs,aggregate_error,flag"),
+        "funk_hecke": (
+            fh[0],
+            {"n", "lambda", "coefficient", "coefficient_error", "residual",
+             "residual_by_route", "x_count", "basis_size"},
+            "n,route,residual"),
+        "funk_hecke_table": (
+            FunkHeckeTable(1e-6, max(r.residual for r in fh), fh),
+            {"threshold", "max_residual", "rows"},
+            "n,residual"),
+        "density_demo": (
+            density_demo(CTX, parse_function("exp"), 1, [4], orders=24,
+                         kernel_order=16),
+            {"m_degree", "lambda", "coefficient", "node_counts", "residuals",
+             "ridges", "scheme"},
+            "nodes,ridge,residual"),
+        "operator_norm": (
+            operator_norm_check(CTX, parse_function("exp"), x_count=3,
+                                orders=24, kernel_order=16),
+            {"p", "max_ratio", "ratios", "segment_norm"},
+            None),
+    }
+    for kind, (rep, keys, header) in reports.items():
+        doc = rep.to_json_dict()
+        assert doc["kind"] == kind and doc["schema_version"] == "2"
+        assert set(doc) == _ENVELOPE | keys, kind
+        json.dumps(doc, allow_nan=False)
+        if header is None:
+            with pytest.raises(AttributeError):
+                rep.to_csv_text()
+        else:
+            assert rep.to_csv_text().splitlines()[0] == header, kind
+    entries = reports["coefficient_profile"][0].to_json_dict()["entries"]
+    assert set(entries[0]) == {"n", "re", "im", "error_bound", "flag",
+                               "structural"}
+    row = reports["funk_hecke"][0].to_json_dict()
+    assert set(row["coefficient"]) == {"re", "im"}
+    assert list(row["residual_by_route"]) == ["quadrature", "translate"]
+    table = reports["funk_hecke_table"][0].to_json_dict()
+    assert table["rows"] == [r.to_json_dict() for r in fh]
+    union = reports["union_fundamentality"][0].to_json_dict()
+    assert [m["kind"] for m in union["members"]] == ["fundamentality"] * 2
