@@ -45,6 +45,7 @@ from .fundamentality import (
 )
 from .gegenbauer import (
     DEFAULT_EPS,
+    MIN_PRECISION,
     coefficient_profile,
     parse_function,
 )
@@ -86,8 +87,7 @@ _NUMBER_BOUNDS = {
     "orders": ("--orders", 1, True),
     "kernel_order": ("--kernel-order", 1, True),
     "x_count": ("--x-samples", 1, True),
-    # at 5 digits or fewer no closed form clears its bound 10^(5-dps) sum|terms|
-    "precision": ("--precision", 6, True),
+    "precision": ("--precision", MIN_PRECISION, True),
     "p": ("-p", 1, False),
     "eps": ("--epsilon", 0, False),
     "threshold": ("--threshold", 0, False),

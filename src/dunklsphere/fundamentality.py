@@ -94,8 +94,8 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
     complement of that harmonic space); otherwise any degree whose coefficient
     cannot be resolved at tolerance eps yields INDETERMINATE.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
     profile = coefficient_profile(g, ctx.lambda_kappa, n_max, eps=eps,
                                   precision=precision)
     flags = [e.flag for e in profile.entries]
@@ -416,8 +416,8 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     integral is against probability measures), so the ratio never exceeds 1;
     at kappa = 0 the kernel is g(<x, y>) itself and the ratio is 1 exactly.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     seg = lp_norm_segment(g, p, ctx.lambda_kappa)

@@ -362,6 +362,34 @@ class Function1D:
             return ps.pop() if len(ps) == 1 and None not in ps else None
         return None
 
+    @property
+    def exponential_terms(self) -> tuple | None:
+        """g(t) = Re sum_k a_k e^(r_k t) as ((a_k, r_k), ...), or None.
+
+        exp, cosh and sinh have real rates; cos w is the real part of
+        e^(i w t).  A sum concatenates its weighted parts' terms and is None
+        when one part has no such form.  Integrals of these kinds against a
+        product measure factor into one-dimensional integrals per axis.
+        """
+        k = self.kind
+        if k == "exp":
+            return ((1.0, 1.0),)
+        if k == "cosh":
+            return ((0.5, 1.0), (0.5, -1.0))
+        if k == "sinh":
+            return ((0.5, 1.0), (-0.5, -1.0))
+        if k == "cos":
+            return ((1.0, 1j * float(self.omega)),)
+        if k == "sum":
+            terms = []
+            for w, part in self.parts:
+                sub = part.exponential_terms
+                if sub is None:
+                    return None
+                terms.extend((w * a, r) for a, r in sub)
+            return tuple(terms)
+        return None
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, t):
@@ -493,6 +521,8 @@ def parse_function(text: str, lam=None) -> Function1D:
 
 RULE_SIZE = 256       # Gauss-Jacobi nodes for user callables (norm rule: twice)
 PRECISION = 50        # digits of the closed forms when no precision is given
+# at 5 digits or fewer no closed form clears its bound 10^(5-dps) sum|terms|
+MIN_PRECISION = 6
 
 
 def _lambda_values_on_rule(g: Function1D, n_max: int, lam: float,
@@ -537,8 +567,8 @@ def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None =
 def lp_norm_segment(g: Function1D, p: float, lam,
                     rule: QuadratureRule | None = None) -> float:
     """|| g ||_{lambda, p} = (c_lambda int |g|^p (1-t^2)^(lambda-1/2) dt)^(1/p)."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
     lam_f = float(lam)
     if rule is None:
         rule = gauss_jacobi_rule(RULE_SIZE, lam_f)
@@ -745,6 +775,9 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
     whose own accuracy bounds what can be certified; there eps is relative
     to max(1, ||g||_1), with the norm taken on the 2m-node rule.
     """
+    if precision is not None and precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION} digits, "
+                         f"not {precision!r}")
     lam_f = float(lam)
     structural = [_structural_flag(g, n, lam) for n in range(n_max + 1)]
     if _has_closed_form(g):

@@ -370,8 +370,9 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 #: Most points of a sphere tensor grid or a kernel quadrature grid built at
-#: once: 2^24 points take 640 MiB with their weights in d = 4, and d = 4 at
-#: order 80 (1,024,000 points) stays far below.
+#: once, and most entries of a kernel rule's Jacobi matrix: 2^24 points take
+#: 640 MiB with their weights in d = 4, and d = 4 at order 80 (1,024,000
+#: points) stays far below.
 MAX_GRID_POINTS = 2 ** 24
 
 
@@ -383,10 +384,16 @@ def _nu_rule(kappa: float, m: int):
         nu_0 = point mass at t = 1.
 
     Gauss-Jacobi with (alpha, beta) = (kappa - 1, kappa), weights normalized
-    to unit total mass.
+    to unit total mass.  Its m x m Golub-Welsch matrix is counted before it
+    is built; above MAX_GRID_POINTS entries it raises ValueError.
     """
     if kappa == 0.0:
         return np.array([1.0]), np.array([1.0])
+    if m * m > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a kernel rule of order {m} builds a {m} x {m} Jacobi matrix "
+            f"({m * m * 8 / 2 ** 20:.0f} MiB), above the limit of "
+            f"{MAX_GRID_POINTS} entries; lower the kernel order")
     nodes, weights = jacobi_rule(m, kappa - 1.0, kappa)
     w = weights / weights.sum()
     w.flags.writeable = False
@@ -405,8 +412,13 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
 
     kappa = 0 collapses to g(<x, y>); for Zd2 the translate is a tensor
     integral of g(sum_i x_i y_i t_i) against nu_{kappa_1} x ... x nu_{kappa_d},
-    with kappa_i = 0 axes pinned at t_i = 1.  Its quad_order^active grid is
-    counted before it is built; above MAX_GRID_POINTS it raises ValueError.
+    with kappa_i = 0 axes pinned at t_i = 1, on quad_order nodes per axis.
+    When g is a sum of exponentials (exp, cosh, sinh, cos w and sums of
+    them, see Function1D.exponential_terms) that rule factors into one
+    one-dimensional sum per active axis.  Every other g is summed over the
+    quad_order^active tensor grid, which is counted before it is built;
+    above MAX_GRID_POINTS it raises ValueError, as does a quad_order^2
+    Jacobi matrix of the axis rules on either route.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     xf = np.asarray(x, dtype=float)
@@ -421,21 +433,38 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     base = ys @ (xf * pinned)                                   # t_i = 1 axes
     if not active:
         return np.asarray(g(base))
+    terms = g.exponential_terms
     size = quad_order ** len(active)
-    if size > MAX_GRID_POINTS:
+    if terms is None and size > MAX_GRID_POINTS:
         mib = size * (len(active) + 1) * 8 / 2 ** 20
         raise ValueError(
             f"a kernel grid of order {quad_order} on {len(active)} axes has "
             f"{size} points ({mib:.0f} MiB with weights), above the limit of "
             f"{MAX_GRID_POINTS}; lower the kernel order")
     rules = [_nu_rule(kappas[i], quad_order) for i in active]
+    coeff = ys[:, active] * xf[active]                          # (N, n_active)
+    out = np.empty(ys.shape[0], dtype=float)
+    if terms is not None:
+        # g = Re sum_k a_k e^(r_k s) factors the tensor rule exactly:
+        # K = Re sum_k a_k e^(r_k b) prod_i sum_j w_ij e^(r_k c_i t_ij), so a
+        # row costs n_active * quad_order exponentials per term.  Row chunks
+        # of 16k float (8k complex) values stay under 128 KiB, as below
+        width = quad_order * (2 if any(isinstance(r, complex) for _, r in terms) else 1)
+        chunk = max(1, 16_000 // width)
+        for lo in range(0, ys.shape[0], chunk):
+            hi = min(lo + chunk, ys.shape[0])
+            out[lo:hi] = 0.0
+            for a, r in terms:
+                prod = a * np.exp(r * base[lo:hi])
+                for (t, w), c in zip(rules, coeff[lo:hi].T):
+                    prod = prod * (np.exp(r * c[:, None] * t) @ w)
+                out[lo:hi] += prod.real
+        return out
     grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
     tmat = np.stack([gr.ravel() for gr in grids], axis=1)       # (G, n_active)
     wgrid = rules[0][1]
     for _, w in rules[1:]:
         wgrid = np.outer(wgrid, w).ravel()
-    coeff = ys[:, active] * xf[active]                          # (N, n_active)
-    out = np.empty(ys.shape[0], dtype=float)
     # row chunks of at most 16k grid values keep each temporary under the
     # 128 KiB at which glibc malloc maps fresh pages, so repeated calls reuse
     # heap memory instead of page-faulting new arrays in every call

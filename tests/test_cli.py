@@ -264,21 +264,34 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
     assert "81920000" in err
 
 
-def test_funk_hecke_kernel_grid_too_large_exits_at_once():
-    # 48^5 kernel nodes on five kappa > 0 axes (1.9 GiB per array) are
-    # counted, not allocated: the run fits under a 1.5 GiB address cap
+def _funk_hecke_d5_under_address_cap(g):
+    """funk-hecke --g g on Z_2^5 with every kappa_i = 1, in a child process
+    whose address space is capped at 1.5 GiB."""
     cap = 3 * 2 ** 29
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
          "import resource, sys\n"
          f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
          "from dunklsphere.cli import main\n"
          "sys.exit(main(sys.argv[1:]))",
-         "funk-hecke", "--g", "exp", "-d", "5", "--kappa", "1",
+         "funk-hecke", "--g", g, "-d", "5", "--kappa", "1",
          "--orders", "4", "--degrees", "0"],
         capture_output=True, text=True)
+
+
+def test_funk_hecke_kernel_grid_too_large_exits_at_once():
+    # a step kernel integrates over the tensor rule: its 48^5 nodes on five
+    # kappa > 0 axes (1.9 GiB per array) are counted, not allocated
+    proc = _funk_hecke_d5_under_address_cap("step 1/2")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "254803968" in proc.stderr and "MiB" in proc.stderr
+
+
+def test_funk_hecke_exp_kernel_on_five_active_axes_runs():
+    # exp factors into one sum per axis and builds no tensor grid
+    proc = _funk_hecke_d5_under_address_cap("exp")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "funk_hecke_table"
 
 
 def test_funk_hecke_json_matches_per_degree_reports(capsys):

@@ -16,6 +16,7 @@ from dunklsphere import (
     funk_hecke_table,
     is_fundamental,
     kernel_symmetry_check,
+    lp_norm_segment,
     operator_norm_check,
     parse_function,
     union_fundamental,
@@ -63,6 +64,17 @@ def test_verdict_independent_of_p(p):
     base = is_fundamental(CTX, parse_function("poly 1,0,-2"), n_max=6)
     assert rep.verdict == base.verdict
     assert rep.zero_witnesses == base.zero_witnesses
+
+
+@pytest.mark.parametrize("p", [float("nan"), math.inf, 0.5])
+def test_library_refuses_p_outside_one_to_infinity(p):
+    g = parse_function("exp")
+    with pytest.raises(ValueError, match="p must"):
+        is_fundamental(CTX, g, p=p)
+    with pytest.raises(ValueError, match="p must"):
+        operator_norm_check(CTX, g, p=p)
+    with pytest.raises(ValueError, match="p must"):
+        lp_norm_segment(g, p, CTX.lambda_kappa)
 
 
 def test_report_serialization():

@@ -360,6 +360,14 @@ def test_profile_explicit_precision():
     assert prof.precision == 40
 
 
+@pytest.mark.parametrize("precision", [5, 0])
+def test_profile_refuses_precision_below_six_digits(precision):
+    # no closed form clears its bound 10^(5 - precision) sum|terms| there
+    with pytest.raises(ValueError, match="precision"):
+        coefficient_profile(parse_function("exp"), Fraction(2), 3,
+                            precision=precision)
+
+
 def test_profile_user_function_double_only():
     # a user callable has no closed form, so coefficients below the double
     # noise floor are certified only at the eps tolerance: they flag zero

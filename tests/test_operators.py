@@ -21,6 +21,7 @@ from dunklsphere import (
     kernel_translate_batch,
     kernel_translate_eval,
     monomials_of_degree,
+    parse_function,
     translate_as_polynomial,
 )
 from dunklsphere.operators import _nullspace_exact
@@ -362,6 +363,88 @@ def test_kernel_gegenbauer_generator_routes_agree():
     a = kernel_translate_batch(ctx, g, x, ys)
     b = translate_as_polynomial(ctx, g, x).eval_many(ys)
     assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def _unit_rows(rng, n, d):
+    z = rng.standard_normal((n, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _exp_kernel_factor(kappa, s):
+    """V_kappa[e^(s .)](1) on one axis of Z_2^d, the rank-one Dunkl kernel
+
+        E_k(s) = j_{k-1/2}(s) + s / (2k + 1) j_{k+1/2}(s),
+        j_a(s) = Gamma(a + 1) (|s| / 2)^(-a) I_a(|s|),  j_a(0) = 1,
+
+    with E_0(s) = e^s."""
+    from mpmath import mp
+
+    if kappa == 0:
+        return mp.exp(s)
+    k = mp.mpf(kappa.numerator) / kappa.denominator
+
+    def j(a):
+        if s == 0:
+            return mp.mpf(1)
+        return mp.gamma(a + 1) * (abs(s) / 2) ** (-a) * mp.besseli(a, abs(s))
+
+    return j(k - mp.mpf(1) / 2) + s / (2 * k + 1) * j(k + mp.mpf(1) / 2)
+
+
+@pytest.mark.parametrize("kappa", [(1, 1), ("1/2", 0, 2), (1, "1/3", "3/2", 1)])
+def test_exp_kernel_matches_the_dunkl_kernel_closed_form(kappa):
+    # V_kappa[e^<x, .>](y) = prod_i E_{kappa_i}(x_i y_i) on Z_2^d
+    from mpmath import mp
+
+    ctx = DunklContext.create("zd2", len(kappa), kappa)
+    rng = np.random.default_rng(11)
+    x = _unit_rows(rng, 1, ctx.dim)[0]
+    ys = _unit_rows(rng, 8, ctx.dim)
+    got = kernel_translate_batch(ctx, Function1D.exponential(), x, ys, 48)
+    with mp.workdps(30):
+        for y, value in zip(ys, got):
+            want = mp.fprod(_exp_kernel_factor(k, mp.mpf(float(xi * yi)))
+                            for k, xi, yi in zip(ctx.kappa_by_axis(), x, y))
+            assert abs(value - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("text", ["exp", "cosh", "sinh", "cos 3", "cos 1/2",
+                                  "sum 1*exp + -2*cosh + 1/3*cos 5/2 + 1/2*sinh"])
+@pytest.mark.parametrize("kappa", [(1, 2), ("1/2", 0, 2), (1, "1/3", "3/2", 1)])
+def test_exponential_kernels_match_the_tensor_route(text, kappa):
+    # a user callable of the same g takes the tensor grid
+    g = parse_function(text)
+    assert g.exponential_terms is not None
+    ctx = DunklContext.create("zd2", len(kappa), kappa)
+    rng = np.random.default_rng(12)
+    x = _unit_rows(rng, 1, ctx.dim)[0]
+    ys = _unit_rows(rng, 40, ctx.dim)
+    order = 16 if ctx.dim == 4 else 48
+    got = kernel_translate_batch(ctx, g, x, ys, order)
+    want = kernel_translate_batch(ctx, Function1D.from_callable(g), x, ys, order)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_sum_with_a_step_takes_the_tensor_route():
+    g = parse_function("sum 1*exp + 1/2*step 1/2")
+    assert g.exponential_terms is None
+    ctx = DunklContext.create("zd2", 5, 1)
+    x, ys = np.eye(5)[0], np.eye(5)[1:]
+    # the tensor route counts its 48^5 grid and refuses it before building it
+    with pytest.raises(ValueError, match="254803968"):
+        kernel_translate_batch(ctx, g, x, ys)
+    exp = kernel_translate_batch(ctx, parse_function("exp"), x, ys)
+    assert np.allclose(exp, 1.0, rtol=0, atol=1e-14)     # e^0 on every axis
+
+
+@pytest.mark.parametrize("kappa", [(1, 1), (1, 0)])
+def test_kernel_rule_matrix_is_counted_before_it_is_built(kappa):
+    # the factored route builds no grid, but each axis rule still needs an
+    # order x order Golub-Welsch matrix: 4097^2 entries are above the limit
+    ctx = DunklContext.create("zd2", 2, kappa)
+    with pytest.raises(ValueError, match="4097 x 4097 Jacobi matrix"):
+        kernel_translate_batch(ctx, Function1D.exponential(), np.array([1.0, 0.0]),
+                               np.eye(2), 4097)
 
 
 def test_kernel_symmetric_in_arguments():
