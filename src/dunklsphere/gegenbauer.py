@@ -157,16 +157,30 @@ def _beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
+#: Most points of a sphere tensor grid or a kernel quadrature grid built at
+#: once, and most entries of a Gauss-Jacobi rule's Jacobi matrix: 2^24 points
+#: take 640 MiB with their weights in d = 4, and d = 4 at order 80 (1,024,000
+#: points) stays far below.
+MAX_GRID_POINTS = 2 ** 24
+
+
 @lru_cache(maxsize=256)
 def jacobi_rule(m: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes/weights for (1-t)^alpha (1+t)^beta on [-1, 1].
 
     Golub-Welsch: nodes are eigenvalues of the symmetric tridiagonal Jacobi
     matrix of the monic recurrence; weights are mu_0 times the squared first
-    components of the normalized eigenvectors.
+    components of the normalized eigenvectors.  The dense m x m matrix is
+    counted before it is built; above MAX_GRID_POINTS entries it raises
+    ValueError.
     """
     if m < 1:
         raise ValueError("rule needs at least one node")
+    if m * m > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a Gauss-Jacobi rule of order {m} builds a {m} x {m} Jacobi matrix "
+            f"({m * m * 8 / 2 ** 20:.0f} MiB), above the limit of "
+            f"{MAX_GRID_POINTS} entries; lower the order")
     if alpha <= -1 or beta <= -1:
         raise ValueError("Jacobi exponents must exceed -1")
     ab = alpha + beta

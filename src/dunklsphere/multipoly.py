@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 EXACT = "exact"
@@ -26,6 +27,10 @@ FLOAT = "float"
 #: Products whose total degree would exceed this raise DegreeCapError.  Guards
 #: against runaway symbolic growth; pass max_degree to mul() to override.
 DEGREE_CAP = 64
+
+#: Float remainders of a division by a linear form may reach this times
+#: max(1, max |coefficient of the dividend|).
+DIVIDE_TOL = 1e-9
 
 #: Rows per chunk in eval_many: a float temporary of 16k rows stays under the
 #: 128 KiB at which glibc malloc maps fresh pages for every allocation.
@@ -70,6 +75,136 @@ def _check_mode(mode):
         raise ModeError(f"unknown scalar mode {mode!r}")
 
 
+# -- term-dict kernels -------------------------------------------------------
+#
+# A term dict maps exponent tuples to nonzero coefficients.  These kernels are
+# the one implementation of each operation: MultiPoly's methods wrap them, and
+# the Dunkl Laplacian runs them on integer coefficients.  They accept any
+# scalars closed under + - * (int, Fraction, float, complex) and never store
+# a zero.
+
+def _add_terms(acc: dict, terms: Mapping, factor=None) -> dict:
+    """acc += factor * terms in place (terms as they are for factor None)."""
+    for e, c in terms.items():
+        if factor is not None:
+            c = c * factor
+        s = acc.get(e, 0) + c
+        if s == 0:
+            acc.pop(e, None)
+        else:
+            acc[e] = s
+    return acc
+
+
+def _mul_terms(a: Mapping, b: Mapping) -> dict:
+    """The product of two term dicts."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _power_terms(terms: Mapping, k: int, unit: dict) -> dict:
+    """terms ** k by binary powering; unit is the term dict of the constant 1."""
+    result, base = unit, terms
+    while k:
+        if k & 1:
+            result = _mul_terms(result, base)
+        k >>= 1
+        if k:
+            base = _mul_terms(base, base)
+    return result
+
+
+def _derivative_terms(terms: Mapping, i: int) -> dict:
+    """d/dx_{i+1} of a term dict; distinct terms stay distinct."""
+    out = {}
+    for exps, c in terms.items():
+        e = exps[i]
+        if e:
+            out[exps[:i] + (e - 1,) + exps[i + 1:]] = c * e
+    return out
+
+
+def _divide_terms(terms: Mapping, v: Sequence, pivot: int, tol=None) -> dict:
+    """The quotient of terms by <v, x>, by synthetic division in x_pivot.
+
+    The remainder is free of x_pivot.  With tol None (exact scalars) any
+    remainder raises NonDivisibleError; otherwise the largest remainder
+    coefficient may reach tol * max(1, max |coefficient of terms|).  A pivot
+    coefficient of 1 divides nothing, so integer terms stay integers.
+    """
+    vp = v[pivot]
+    form = [(j, vj) for j, vj in enumerate(v) if vj != 0]
+    rem = dict(terms)
+    quot: dict = {}
+    for k in range(max((e[pivot] for e in rem), default=0), 0, -1):
+        for e, c in [(e, c) for e, c in rem.items() if e[pivot] == k]:
+            t = c if vp == 1 else c / vp
+            qe = e[:pivot] + (k - 1,) + e[pivot + 1:]
+            if t != 0:
+                quot[qe] = t
+            # subtract t * x^qe * <v, x>
+            for j, vj in form:
+                ne = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
+                s = rem.get(ne, 0) - t * vj
+                if s == 0:
+                    rem.pop(ne, None)
+                else:
+                    rem[ne] = s
+    if rem:
+        if tol is None:
+            raise NonDivisibleError("polynomial is not divisible by the form")
+        scale = max(1.0, max(abs(c) for c in terms.values()))
+        worst = max(abs(c) for c in rem.values())
+        if worst > tol * scale:
+            raise NonDivisibleError(
+                f"remainder {worst:.3e} exceeds tolerance {tol:.3e} (scaled)")
+    return quot
+
+
+class LinearImages:
+    """The variables' images y_i = sum_j M[i][j] x_j under x -> Mx, as term
+    dicts whose powers are built once and kept.
+
+    Entries are used as given (zeros dropped), so they must already be
+    scalars of the caller's kind; one is that kind's 1.
+    """
+
+    __slots__ = ("_images", "_unit", "_powers")
+
+    def __init__(self, rows, one):
+        d = len(rows)
+        self._images = [{tuple(int(i == j) for i in range(d)): x
+                         for j, x in enumerate(row) if x != 0} for row in rows]
+        self._unit = {(0,) * d: one}
+        self._powers: dict = {}
+
+    def power(self, i: int, k: int) -> dict:
+        """The term dict of y_i ** k."""
+        got = self._powers.get((i, k))
+        if got is None:
+            got = self._powers[i, k] = _power_terms(self._images[i], k, self._unit)
+        return got
+
+    def compose(self, terms: Mapping) -> dict:
+        """The term dict of p(Mx) for p given by terms: one product per factor."""
+        out: dict = {}
+        for exps, c in terms.items():
+            term = {(0,) * len(exps): c}
+            for i, e in enumerate(exps):
+                if e:
+                    term = _mul_terms(term, self.power(i, e))
+            _add_terms(out, term)
+        return out
+
+
 class MultiPoly:
     """Immutable sparse polynomial.  Do not mutate ``terms`` after creation."""
 
@@ -100,6 +235,19 @@ class MultiPoly:
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict, mode: str) -> "MultiPoly":
+        """Wrap a term dict that already holds the invariants __init__
+        enforces (exponent tuples of length dim, nonzero coefficients of the
+        mode's type), taking ownership of it.  Ring operations build their
+        results here instead of re-validating them."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "mode", mode)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -166,17 +314,12 @@ class MultiPoly:
 
     def __add__(self, other):
         self._require_same(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
-            if s == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return MultiPoly(self.dim, terms, self.mode)
+        return MultiPoly._trusted(self.dim, _add_terms(dict(self.terms), other.terms),
+                                 self.mode)
 
     def __neg__(self):
-        return MultiPoly(self.dim, {e: -c for e, c in self.terms.items()}, self.mode)
+        return MultiPoly._trusted(self.dim, {e: -c for e, c in self.terms.items()},
+                                  self.mode)
 
     def __sub__(self, other):
         return self + (-other)
@@ -185,7 +328,7 @@ class MultiPoly:
         c = _coerce_scalar(c, self.mode)
         if c == 0:
             return MultiPoly.zero(self.dim, self.mode)
-        return MultiPoly(self.dim, {e: cc * c for e, cc in self.terms.items()}, self.mode)
+        return MultiPoly._trusted(self.dim, _add_terms({}, self.terms, c), self.mode)
 
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
@@ -204,29 +347,16 @@ class MultiPoly:
         if self.degree() + other.degree() > cap:
             raise DegreeCapError(
                 f"product degree {self.degree() + other.degree()} exceeds cap {cap}")
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return MultiPoly(self.dim, terms, self.mode)
+        return MultiPoly._trusted(self.dim, _mul_terms(self.terms, other.terms), self.mode)
 
     def power(self, k: int, max_degree: int | None = None):
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.dim, 1, self.mode)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base, max_degree=max_degree)
-            k >>= 1
-            if k:
-                base = base.mul(base, max_degree=max_degree)
-        return result
+        cap = DEGREE_CAP if max_degree is None else max_degree
+        if k and self.degree() * k > cap:
+            raise DegreeCapError(f"product degree {self.degree() * k} exceeds cap {cap}")
+        unit = {(0,) * self.dim: _coerce_scalar(1, self.mode)}
+        return MultiPoly._trusted(self.dim, _power_terms(self.terms, k, unit), self.mode)
 
     def conjugate(self):
         if self.mode == EXACT:
@@ -292,13 +422,7 @@ class MultiPoly:
         """d/dx_{i+1} (0-based index i)."""
         if not 0 <= i < self.dim:
             raise IndexError(f"variable index {i} out of range for dim {self.dim}")
-        terms = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                ne = exps[:i] + (e - 1,) + exps[i + 1:]
-                terms[ne] = terms.get(ne, 0) + c * e
-        return MultiPoly(self.dim, terms, self.mode)
+        return MultiPoly._trusted(self.dim, _derivative_terms(self.terms, i), self.mode)
 
     def substitute_linear(self, matrix) -> "MultiPoly":
         """Return p(Mx): each variable x_i is replaced by sum_j M[i][j] x_j.
@@ -310,29 +434,11 @@ class MultiPoly:
         rows = [list(r) for r in matrix]
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ValueError(f"matrix must be {d}x{d}")
-        forms = [MultiPoly.linear_form([_coerce_scalar(x, self.mode) for x in row],
-                                       self.mode) for row in rows]
-        # cache powers of each substituted variable
-        pow_cache: dict = {}
+        images = LinearImages([[_coerce_scalar(x, self.mode) for x in row] for row in rows],
+                              _coerce_scalar(1, self.mode))
+        return MultiPoly._trusted(d, images.compose(self.terms), self.mode)
 
-        def form_power(i, k):
-            key = (i, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = forms[i].power(k)
-                pow_cache[key] = got
-            return got
-
-        out = MultiPoly.zero(d, self.mode)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(d, c, self.mode)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * form_power(i, e)
-            out = out + term
-        return out
-
-    def divide_by_linear_form(self, v: Sequence, tol: float = 1e-9) -> "MultiPoly":
+    def divide_by_linear_form(self, v: Sequence, tol: float = DIVIDE_TOL) -> "MultiPoly":
         """Exact quotient p / <v, x>, raising NonDivisibleError otherwise.
 
         Synthetic division with the coordinate of largest |v_i| as pivot
@@ -351,43 +457,15 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero form")
         if self.is_zero():
             return self
-        vp = vv[pivot]
-        rem = dict(self.terms)
-        quot: dict = {}
-        maxdeg = max(e[pivot] for e in rem)
-        for k in range(maxdeg, 0, -1):
-            slice_items = [(e, c) for e, c in rem.items() if e[pivot] == k]
-            for e, c in slice_items:
-                t = c / vp if self.mode == EXACT else c / vp
-                qe = e[:pivot] + (k - 1,) + e[pivot + 1:]
-                quot[qe] = quot.get(qe, 0) + t
-                # subtract t * x^qe * <v, x>
-                for j, vj in enumerate(vv):
-                    if vj == 0:
-                        continue
-                    ne = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
-                    s = rem.get(ne, 0) - t * vj
-                    if s == 0:
-                        rem.pop(ne, None)
-                    else:
-                        rem[ne] = s
-        if self.mode == EXACT:
-            if any(c != 0 for c in rem.values()):
-                raise NonDivisibleError("polynomial is not divisible by the form")
-        else:
-            scale = max(1.0, max(abs(c) for c in self.terms.values()))
-            worst = max((abs(c) for c in rem.values()), default=0.0)
-            if worst > tol * scale:
-                raise NonDivisibleError(
-                    f"remainder {worst:.3e} exceeds tolerance {tol:.3e} (scaled)")
-        return MultiPoly(self.dim, quot, self.mode)
+        quot = _divide_terms(self.terms, vv, pivot, None if self.mode == EXACT else tol)
+        return MultiPoly._trusted(self.dim, quot, self.mode)
 
     def homogeneous_components(self):
         """List of (degree, component) pairs, ascending degree; [] for zero."""
         buckets: dict = {}
         for exps, c in self.terms.items():
             buckets.setdefault(sum(exps), {})[exps] = c
-        return [(n, MultiPoly(self.dim, t, self.mode))
+        return [(n, MultiPoly._trusted(self.dim, t, self.mode))
                 for n, t in sorted(buckets.items())]
 
     # -- text serialization --------------------------------------------------

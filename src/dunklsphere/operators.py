@@ -21,8 +21,9 @@ from math import comb, gcd, lcm
 
 import numpy as np
 
-from .gegenbauer import Function1D, jacobi_rule
-from .multipoly import EXACT, FLOAT, MultiPoly, monomials_of_degree
+from .gegenbauer import MAX_GRID_POINTS, Function1D, jacobi_rule
+from .multipoly import (DIVIDE_TOL, EXACT, FLOAT, LinearImages, MultiPoly, _add_terms,
+                        _derivative_terms, _divide_terms, monomials_of_degree)
 from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
                          UnsupportedGroupError, builtin_root_system, constants,
                          reflection_matrix, validate_multiplicity)
@@ -37,6 +38,8 @@ class DunklContext:
     const: DunklConstants
     _roots_by_mode: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
+    _laplacian_by_mode: dict = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     @classmethod
     def create(cls, family: str, dimension: int | None = None, kappa=0,
@@ -112,6 +115,39 @@ class DunklContext:
             self._roots_by_mode[mode] = got
         return got
 
+    def _laplacian_data(self, mode: str) -> tuple:
+        """(scale, roots) for dunkl_laplacian in the poly's mode; built once.
+
+        roots holds (v, pivot, |v|^2, weight, images of the variables under
+        s_v) for every positive root with kappa != 0, pivot being the
+        coordinate of largest |v_i|.  Float mode keeps v as it is, with
+        weight kappa(v) and scale None.  Exact mode divides v by its pivot
+        coordinate (the h-Laplacian's bracket does not change when v is
+        scaled) and takes weight = kappa(v) * scale, scale being the lcm of
+        the kappa denominators; every integral value becomes an int.
+        """
+        got = self._laplacian_by_mode.get(mode)
+        if got is None:
+            positive = self._positive_data(mode)
+            exact = mode == EXACT
+            scale = lcm(*(kv.denominator for _, kv, _, _ in positive)) if exact else None
+            roots = []
+            for v, kv, s_v, vv in positive:
+                pivot = max(range(len(v)), key=lambda i: abs(v[i]))
+                if exact:
+                    v = tuple(_integral(Fraction(c) / v[pivot]) for c in v)
+                    vv = _integral(sum(c * c for c in v))
+                    kv = _integral(kv * scale)
+                    s_v = [[_integral(x) for x in row] for row in s_v]
+                roots.append((v, pivot, vv, kv, LinearImages(s_v, 1 if exact else 1.0)))
+            got = self._laplacian_by_mode[mode] = (scale, tuple(roots))
+        return got
+
+
+def _integral(x):
+    """x as an int when it is one, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
 
 def _check_poly(ctx: DunklContext, f: MultiPoly) -> None:
     if f.dim != ctx.dim:
@@ -149,25 +185,42 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
             [2 <grad f, v> <v, x> - |v|^2 (f - f o s_v)] / <v, x>^2 .
 
     Each root's bracket is divisible by <v, x>^2, so it is taken as
-    2 (<grad f, v> - |v|^2 / 2 * q) / <v, x> with q = (f - f o s_v) / <v, x>:
-    two exact divisions.
+    (2 <grad f, v> - |v|^2 q) / <v, x> with q = (f - f o s_v) / <v, x>: two
+    exact divisions.  The work runs on term dicts; f o s_v multiplies the
+    context's cached images of the variables under s_v, one product per
+    factor (a single term each for the signed permutations of a, b, d and
+    zd2).  Exact mode clears f's denominators once, so with integer roots
+    all is integer arithmetic up to one final division per coefficient;
+    other rational roots carry Fractions through the same steps.  Float
+    mode performs the float operations of sum_v 2 kappa(v) (<grad f, v> -
+    |v|^2 q / 2) / <v, x> one for one; only the factor 2 moves, which is
+    exact, so float results are bit-for-bit those of that form.
     """
     _check_poly(ctx, f)
-    grad = [f.partial_derivative(i) for i in range(f.dim)]
-    out = MultiPoly.zero(f.dim, f.mode)
-    for i, gi in enumerate(grad):
-        out = out + gi.partial_derivative(i)
-    for v, kv, s_v, vv in ctx._positive_data(f.mode):
-        num = MultiPoly.zero(f.dim, f.mode)
-        for gi, vi in zip(grad, v):
+    scale, roots = ctx._laplacian_data(f.mode)
+    terms, den = f.terms, 1
+    if f.mode == EXACT:
+        den = lcm(*(c.denominator for c in terms.values()))
+        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    tol = None if f.mode == EXACT else DIVIDE_TOL
+    grad = [_derivative_terms(terms, i) for i in range(f.dim)]
+    out: dict = {}
+    for i, g in enumerate(grad):
+        _add_terms(out, _derivative_terms(g, i), scale)
+    for v, pivot, vv, weight, images in roots:
+        num: dict = {}
+        for g, vi in zip(grad, v):
             if vi != 0:
-                num = num + gi.scale(vi)
-        diff = f - f.substitute_linear(s_v)
-        if not diff.is_zero():
-            num = num - diff.divide_by_linear_form(v).scale(vv / 2)
-        if not num.is_zero():
-            out = out + num.divide_by_linear_form(v).scale(2 * kv)
-    return out
+                _add_terms(num, g, 2 * vi)
+        diff = _add_terms(dict(terms), images.compose(terms), -1)
+        if diff:
+            _add_terms(num, _divide_terms(diff, v, pivot, tol), -vv)
+        if num:
+            _add_terms(out, _divide_terms(num, v, pivot, tol), weight)
+    if f.mode == EXACT:
+        den *= scale
+        out = {e: Fraction(c, den) for e, c in out.items()}
+    return MultiPoly._trusted(f.dim, out, f.mode)
 
 
 def harmonic_space_dimension(d: int, n: int) -> int:
@@ -369,13 +422,6 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 # Kernel translates V_kappa[g(<x, .>)](y)
 # ---------------------------------------------------------------------------
 
-#: Most points of a sphere tensor grid or a kernel quadrature grid built at
-#: once, and most entries of a kernel rule's Jacobi matrix: 2^24 points take
-#: 640 MiB with their weights in d = 4, and d = 4 at order 80 (1,024,000
-#: points) stays far below.
-MAX_GRID_POINTS = 2 ** 24
-
-
 @lru_cache(maxsize=256)
 def _nu_rule(kappa: float, m: int):
     """Quadrature for the probability measure d nu_kappa on [-1, 1]:
@@ -384,16 +430,10 @@ def _nu_rule(kappa: float, m: int):
         nu_0 = point mass at t = 1.
 
     Gauss-Jacobi with (alpha, beta) = (kappa - 1, kappa), weights normalized
-    to unit total mass.  Its m x m Golub-Welsch matrix is counted before it
-    is built; above MAX_GRID_POINTS entries it raises ValueError.
+    to unit total mass.
     """
     if kappa == 0.0:
         return np.array([1.0]), np.array([1.0])
-    if m * m > MAX_GRID_POINTS:
-        raise ValueError(
-            f"a kernel rule of order {m} builds a {m} x {m} Jacobi matrix "
-            f"({m * m * 8 / 2 ** 20:.0f} MiB), above the limit of "
-            f"{MAX_GRID_POINTS} entries; lower the kernel order")
     nodes, weights = jacobi_rule(m, kappa - 1.0, kappa)
     w = weights / weights.sum()
     w.flags.writeable = False

@@ -31,9 +31,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gegenbauer import pochhammer, symmetric_jacobi_rule
+from .gegenbauer import MAX_GRID_POINTS, pochhammer, symmetric_jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly
-from .operators import MAX_GRID_POINTS, DunklContext, HarmonicBasis
+from .operators import DunklContext, HarmonicBasis
 from .reflection import weight_as_polynomial, weight_values
 
 BACKENDS = ("exact", "tensor", "monte_carlo")

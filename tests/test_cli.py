@@ -264,19 +264,32 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
     assert "81920000" in err
 
 
-def _funk_hecke_d5_under_address_cap(g):
-    """funk-hecke --g g on Z_2^5 with every kappa_i = 1, in a child process
-    whose address space is capped at 1.5 GiB."""
+def _cli_under_address_cap(*argv):
+    """The CLI on argv in a child process whose address space is capped at
+    1.5 GiB."""
     cap = 3 * 2 ** 29
     return subprocess.run(
         [sys.executable, "-c",
          "import resource, sys\n"
          f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
          "from dunklsphere.cli import main\n"
-         "sys.exit(main(sys.argv[1:]))",
-         "funk-hecke", "--g", g, "-d", "5", "--kappa", "1",
-         "--orders", "4", "--degrees", "0"],
+         "sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, text=True)
+
+
+def _funk_hecke_d5_under_address_cap(g):
+    """funk-hecke --g g on Z_2^5 with every kappa_i = 1, under the cap."""
+    return _cli_under_address_cap("funk-hecke", "--g", g, "-d", "5", "--kappa", "1",
+                                  "--orders", "4", "--degrees", "0")
+
+
+def test_funk_hecke_sphere_rule_too_large_exits_at_once():
+    # the d = 2 grid of order 100000 has 200000 points, under the grid limit,
+    # but its order-50000 Jacobi rule needs a 50000 x 50000 matrix (18.6 GiB)
+    proc = _cli_under_address_cap("funk-hecke", "--g", "exp", "-d", "2", "--kappa", "1,1",
+                                  "--orders", "100000", "--degrees", "0")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "50000 x 50000 Jacobi matrix" in proc.stderr and "MiB" in proc.stderr
 
 
 def test_funk_hecke_kernel_grid_too_large_exits_at_once():

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -283,3 +284,47 @@ def test_homogeneous_components():
     for _, c in comps:
         total = total + c
     assert total == p
+
+
+# ---------------------------------------------------------------------------
+# ring results are built without re-validation: they must already be canonical
+# ---------------------------------------------------------------------------
+
+def _canonical(r):
+    """r as the validating constructor would build it: no zero coefficient,
+    and every exact coefficient a Fraction (an int would compare equal)."""
+    assert MultiPoly(r.dim, r.terms, r.mode) == r
+    assert all(c != 0 for c in r.terms.values())
+    if r.mode == EXACT:
+        assert all(type(c) is Fraction for c in r.terms.values())
+    return True
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_ring_results_hold_the_constructor_invariants(mode):
+    rng = random.Random(mode)
+    # few distinct small coefficients make cancellations to zero common
+    scalars = [Fraction(k, 2) for k in (-3, -2, -1, 1, 2, 4)]
+    if mode == FLOAT:
+        scalars = [float(c) for c in scalars]
+
+    def poly(d):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exps = tuple(rng.randint(0, 3) for _ in range(d))
+            terms[exps] = rng.choice(scalars)
+        return MultiPoly(d, terms, mode)
+
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        p, q = poly(d), poly(d)
+        v = [rng.choice(scalars) for _ in range(d)]
+        form = MultiPoly.linear_form(v, mode)
+        matrix = [[rng.choice(scalars + [0]) for _ in range(d)] for _ in range(d)]
+        results = [p + q, p - q, p + (-p), p - p, -p, p.scale(rng.choice(scalars)),
+                   p * q, p.power(rng.randint(0, 3)),
+                   p.partial_derivative(rng.randrange(d)),
+                   p.substitute_linear(matrix),
+                   (p * form).divide_by_linear_form(v)]
+        results += [c for _, c in (p + q).homogeneous_components()]
+        assert all(_canonical(r) for r in results)

@@ -25,6 +25,7 @@ from dunklsphere import (
     translate_as_polynomial,
 )
 from dunklsphere.operators import _nullspace_exact
+from dunklsphere.reflection import RootSystem
 
 
 def xvar(d, i, mode=EXACT):
@@ -170,14 +171,29 @@ def _laplacian_by_definition(ctx, f):
     return out
 
 
+# a rational root whose reflection is not integral: s_v has entries +-3/5, -4/5
+CUSTOM = RootSystem(2, ((1, 2), (-1, -2)), ((1, 2),), "custom")
+
+
+def _context(family, d, kappa):
+    if family == "custom":
+        return DunklContext.from_root_system(CUSTOM, kappa)
+    return DunklContext.create(family, d, kappa)
+
+
 @pytest.mark.parametrize("family,d,kappa", [
-    ("a", 4, 1), ("d", 4, 1), ("b", 3, (1, 2)), ("zd2", 3, ("1/2", 1, 2))])
+    ("a", 4, 1), ("d", 4, 1), ("b", 3, (1, 2)), ("zd2", 3, ("1/2", 1, 2)),
+    ("custom", 2, 1)])
 def test_laplacian_matches_squared_dunkl_operators(family, d, kappa):
-    ctx = DunklContext.create(family, d, kappa)
+    ctx = _context(family, d, kappa)
     rng = random.Random(f"{family}{d}")
     for _ in range(6):
         f = _random_poly(rng, d)
-        assert dunkl_laplacian(ctx, f) == _laplacian_by_definition(ctx, f)
+        for g in (f, f.scale(60)):          # the second has integer coefficients
+            lap = dunkl_laplacian(ctx, g)
+            assert lap == _laplacian_by_definition(ctx, g)
+            # == alone would pass an int: Fraction(3) == 3
+            assert all(type(c) is Fraction for c in lap.terms.values())
 
 
 def test_laplacian_matches_squared_dunkl_operators_float_i2():
@@ -235,6 +251,24 @@ def test_harmonic_basis_dihedral_even_order(m):
         for el in basis.elements:
             residual = _laplacian_by_definition(ctx, el)
             assert np.max(np.abs(residual.eval_many(pts))) <= 1e-9
+
+
+@pytest.mark.parametrize("family,d,kappa,n", [
+    ("a", 4, 1, 5), ("d", 4, 1, 4), ("b", 3, (1, 2), 5), ("zd2", 4, "1/2", 4),
+    ("custom", 2, 1, 4)])
+def test_harmonic_basis_matches_the_definition_route(family, d, kappa, n):
+    # the nullspace of the Laplacian matrix built from sum_i D_i D_i
+    ctx = _context(family, d, kappa)
+    source = monomials_of_degree(d, n)
+    tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
+    rows = [{} for _ in tindex]
+    for col, exps in enumerate(source):
+        lap = _laplacian_by_definition(ctx, MultiPoly.monomial(d, exps))
+        for e, c in lap.terms.items():
+            rows[tindex[e]][col] = c
+    want = [MultiPoly(d, dict(zip(source, vec))).to_text()
+            for vec in _nullspace_exact(rows, len(source))]
+    assert [p.to_text() for p in harmonic_basis(ctx, n).elements] == want
 
 
 def _random_sparse_rows(rng, nrows, ncols):
