@@ -364,10 +364,6 @@ def _cmd_fundamental(args) -> int:
 
 def _cmd_funk_hecke(args) -> int:
     ctx = _make_context(args)
-    if not (ctx.is_zd2 or ctx.kappa_is_zero):
-        raise UnsupportedGroupError(
-            "the funk-hecke command needs an explicit kernel and is "
-            "implemented for kappa = 0 or Zd2 groups only")
     g = parse_function(_one_g(args), ctx.lambda_kappa)
     rows = funk_hecke_table(ctx, g, args.degrees, orders=args.orders,
                             x_count=args.x_count,

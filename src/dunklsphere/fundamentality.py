@@ -22,6 +22,7 @@ import numpy as np
 from .gegenbauer import (
     DEFAULT_EPS,
     INDETERMINATE,
+    MAX_GRID_POINTS,
     NONZERO,
     ZERO,
     CoefficientProfile,
@@ -234,7 +235,6 @@ class FunkHeckeTable(Report):
 
 def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
                      orders: int = 80, x_count: int = 6, quad_order: int = 48,
-                     basis_limit: int | None = None,
                      seed: int = 3) -> tuple:
     """Residuals of int K(x, y) Y_n(y) d sigma(y) = Lambda_n(g) Y_n(x), one
     FunkHeckeReport per degree n in degrees.
@@ -245,26 +245,23 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     K(x, .) as an explicit polynomial first.  Residuals are normalized per
     basis element by max(1, sup |Y| on the grid).  The kernel does not
     depend on n, so the grid, the x points and the weighted kernel rows
-    wts * K(x, .) of both routes are built once for all degrees.
+    wts * K(x, .) of both routes are built once for all degrees.  A context
+    without a kernel raises UnsupportedGroupError before anything is built.
     """
+    ctx.kappa_by_axis()
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     xs = _default_x_points(ctx.dim, x_count, seed)
     rows = {"quadrature": [wts * kernel_translate_batch(ctx, g, x, pts, quad_order)
                            for x in xs]}
-    # the translate route exists when K(x, .) has an exact expansion
-    try:
+    if g.poly_degree is not None:
         rows["translate"] = [wts * translate_as_polynomial(ctx, g, x).eval_many(pts)
                              for x in xs]
-    except (ValueError, TypeError):
-        pass
 
     reports = []
     for n in degrees:
-        basis = harmonic_basis(ctx, n, mode="exact" if ctx.exact else "float")
+        basis = harmonic_basis(ctx, n)
         elements = [e.to_float() if e.mode == EXACT else e for e in basis.elements]
-        if basis_limit is not None:
-            elements = elements[:basis_limit]
         lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
         y_vals = np.stack([e.eval_many(pts) for e in elements])   # (B, Q)
         y_at_x = np.stack([e.eval_many(xs) for e in elements])    # (B, X)
@@ -294,11 +291,9 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
 def funk_hecke_residual(ctx: DunklContext, g: Function1D, n: int,
                         orders: int = 80, x_count: int = 6,
                         quad_order: int = 48,
-                        basis_limit: int | None = None,
                         seed: int = 3) -> FunkHeckeReport:
     """funk_hecke_table for the single degree n."""
-    return funk_hecke_table(ctx, g, (n,), orders, x_count, quad_order,
-                            basis_limit, seed)[0]
+    return funk_hecke_table(ctx, g, (n,), orders, x_count, quad_order, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +328,22 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     G_ij = <K(x_i, .), K(x_j, .)> the squared residual is
     1 - 2 a.b + a.G.a for the L2-normalized target.  When Lambda_m(g) = 0
     the translates are orthogonal to the whole degree-m space and the
-    residual is exactly 1.
+    residual is exactly 1.  Before anything is built, a context without a
+    kernel raises UnsupportedGroupError and J nodes with J^2 above
+    MAX_GRID_POINTS (the Gram matrix) raise ValueError.
     """
+    ctx.kappa_by_axis()
+    counts = tuple(int(c) for c in node_counts)
+    most = max(counts, default=0)
+    if most * most > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a density node set of {most} nodes builds a {most} x {most} Gram "
+            f"matrix ({most * most * 8 / 2 ** 20:.0f} MiB), above the limit of "
+            f"{MAX_GRID_POINTS} entries; lower the node count")
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
 
-    basis = harmonic_basis(ctx, m_degree, mode="exact" if ctx.exact else "float")
+    basis = harmonic_basis(ctx, m_degree)
     y = basis.elements[0]
     y = y.to_float() if y.mode == EXACT else y
     norm = measure.lp_norm(y, 2)
@@ -347,7 +352,6 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     value, _ = lambda_coefficient(g, m_degree, ctx.lambda_kappa)
     lam_val = float(np.real(value))
 
-    counts = tuple(int(c) for c in node_counts)
     residuals = []
     ridges = []
     for count in counts:
@@ -418,6 +422,7 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, not {p!r}")
+    ctx.kappa_by_axis()
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     seg = lp_norm_segment(g, p, ctx.lambda_kappa)

@@ -559,12 +559,12 @@ def _quadrature_pair(g: Function1D, n_max: int, lam: float,
     return v2, np.abs(v1 - v2) + 1e-15 * max(1.0, norm_g1), norm_g1
 
 
-def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None = None):
+def lambda_coefficient(g: Function1D, n: int, lam):
     """(value, error_bound) for Lambda_n(g), by the same routes as
     coefficient_profile: exactly (0, 0) for a structural zero, the closed
     form at PRECISION digits for grammar kinds, and for user callables the
-    value on the doubled rule with its spread to rule (RULE_SIZE nodes by
-    default) plus a round-off floor as the bound.
+    value on the doubled rule with its spread to the RULE_SIZE-node rule
+    plus a round-off floor as the bound.
     """
     if _structural_flag(g, n, lam):
         return 0j, 0.0
@@ -572,9 +572,7 @@ def lambda_coefficient(g: Function1D, n: int, lam, rule: QuadratureRule | None =
         value, err, _ = _closed_form(g, lam, [n], PRECISION)[n]
         return value, err
     lam_f = float(lam)
-    if rule is None:
-        rule = gauss_jacobi_rule(RULE_SIZE, lam_f)
-    values, errors, _ = _quadrature_pair(g, n, lam_f, rule)
+    values, errors, _ = _quadrature_pair(g, n, lam_f, gauss_jacobi_rule(RULE_SIZE, lam_f))
     return complex(values[n]), float(errors[n])
 
 

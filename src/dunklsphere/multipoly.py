@@ -438,7 +438,7 @@ class MultiPoly:
                               _coerce_scalar(1, self.mode))
         return MultiPoly._trusted(d, images.compose(self.terms), self.mode)
 
-    def divide_by_linear_form(self, v: Sequence, tol: float = DIVIDE_TOL) -> "MultiPoly":
+    def divide_by_linear_form(self, v: Sequence) -> "MultiPoly":
         """Exact quotient p / <v, x>, raising NonDivisibleError otherwise.
 
         Synthetic division with the coordinate of largest |v_i| as pivot
@@ -447,7 +447,7 @@ class MultiPoly:
         that round-off.  For a linear divisor the quotient is unique and the
         remainder is free of the pivot variable, so exact divisibility shows
         up as a literally empty remainder in exact mode; in float mode the
-        remainder is compared against tol * max(1, max |coeff of p|).
+        remainder is compared against DIVIDE_TOL * max(1, max |coeff of p|).
         """
         if len(v) != self.dim:
             raise ValueError(f"form has length {len(v)}, expected {self.dim}")
@@ -457,7 +457,8 @@ class MultiPoly:
             raise ZeroDivisionError("division by the zero form")
         if self.is_zero():
             return self
-        quot = _divide_terms(self.terms, vv, pivot, None if self.mode == EXACT else tol)
+        quot = _divide_terms(self.terms, vv, pivot,
+                             None if self.mode == EXACT else DIVIDE_TOL)
         return MultiPoly._trusted(self.dim, quot, self.mode)
 
     def homogeneous_components(self):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, gcd, lcm
 
 import numpy as np
@@ -76,16 +76,29 @@ class DunklContext:
     def exact(self) -> bool:
         return self.root_system.exact
 
-    def kappa_by_axis(self) -> list[Fraction]:
-        """Per-coordinate multiplicities for Zd2 (orbit of each +-e_i)."""
-        if not self.is_zd2:
-            raise UnsupportedGroupError("kappa_by_axis applies to zd2 only")
+    @cached_property
+    def axis_kappas(self) -> tuple | None:
+        """kappa per coordinate where sigma_kappa and V_kappa factor over the
+        coordinates (Zd2 at any kappa, every family at kappa = 0), else None;
+        computed once per context."""
         d = self.dim
-        out = []
-        for i in range(d):
-            e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(d))
-            out.append(self.kappa.value(e))
-        return out
+        if self.is_zd2:
+            return tuple(self.kappa.value(tuple(Fraction(int(i == j)) for j in range(d)))
+                         for i in range(d))
+        return (Fraction(0),) * d if self.kappa_is_zero else None
+
+    def kappa_by_axis(self) -> tuple:
+        """axis_kappas, the one test of kernel support: the orbit of each
+        +-e_i for Zd2 and zeros for every family at kappa = 0.  Other
+        contexts have no explicit kernel translate and raise
+        UnsupportedGroupError; commands ask before they build anything.
+        """
+        if self.axis_kappas is None:
+            raise UnsupportedGroupError(
+                "kernel translates and the intertwining operator are "
+                "implemented for Zd2 at any kappa and for every family at "
+                "kappa = 0 only")
+        return self.axis_kappas
 
     def describe(self) -> dict:
         rs = self.root_system
@@ -334,17 +347,16 @@ def _nullspace_float(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     return [vh[k] for k in range(rank, a.shape[1])]
 
 
-def harmonic_basis(ctx: DunklContext, n: int, mode: str | None = None) -> HarmonicBasis:
+def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
-    Exact mode (default where the context allows it) takes the exact
-    nullspace by fraction-free elimination; float mode finds the numerical
-    nullspace with a rank tolerance of 1e-10.
+    Exact contexts take the exact nullspace by fraction-free elimination;
+    float ones (i2) find the numerical nullspace with a rank tolerance of
+    1e-10.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if mode is None:
-        mode = EXACT if ctx.exact else FLOAT
+    mode = EXACT if ctx.exact else FLOAT
     d = ctx.dim
     source = monomials_of_degree(d, n)
     if n < 2:
@@ -380,7 +392,7 @@ def harmonic_basis(ctx: DunklContext, n: int, mode: str | None = None) -> Harmon
 
 
 # ---------------------------------------------------------------------------
-# Intertwining operator (kappa = 0 and Zd2)
+# Intertwining operator (contexts with per-axis kappas)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=4096)
@@ -398,16 +410,14 @@ def _b_factor(kappa: Fraction, m: int) -> Fraction:
 
 
 def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
-    """V_kappa f.  Identity at kappa = 0; the Zd2 operator scales each
-    monomial x^alpha by prod_i b_{kappa_i}(alpha_i).  Other groups are out of
-    scope and raise UnsupportedGroupError.
+    """V_kappa f.  The operator scales each monomial x^alpha by
+    prod_i b_{kappa_i}(alpha_i) over the context's per-axis kappas, and is
+    the identity when they all vanish.  Contexts without per-axis kappas
+    raise UnsupportedGroupError.
     """
-    if ctx.kappa_is_zero:
-        return f
-    if not ctx.is_zd2:
-        raise UnsupportedGroupError(
-            "the intertwining operator is implemented for Zd2 (and kappa = 0) only")
     kappas = ctx.kappa_by_axis()
+    if not any(kappas):
+        return f
     terms = {}
     for exps, c in f.terms.items():
         factor = Fraction(1)
@@ -424,16 +434,14 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 
 @lru_cache(maxsize=256)
 def _nu_rule(kappa: float, m: int):
-    """Quadrature for the probability measure d nu_kappa on [-1, 1]:
+    """Quadrature for the probability measure d nu_kappa on [-1, 1], kappa > 0:
 
-        d nu_kappa(t) = c'_kappa (1 + t) (1 - t^2)^(kappa - 1) dt   (kappa > 0)
-        nu_0 = point mass at t = 1.
+        d nu_kappa(t) = c'_kappa (1 + t) (1 - t^2)^(kappa - 1) dt
 
     Gauss-Jacobi with (alpha, beta) = (kappa - 1, kappa), weights normalized
-    to unit total mass.
+    to unit total mass.  nu_0 is the point mass at t = 1, which
+    kernel_translate_batch applies by pinning the axis.
     """
-    if kappa == 0.0:
-        return np.array([1.0]), np.array([1.0])
     nodes, weights = jacobi_rule(m, kappa - 1.0, kappa)
     w = weights / weights.sum()
     w.flags.writeable = False
@@ -450,9 +458,11 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
                            ys: np.ndarray, quad_order: int = 48) -> np.ndarray:
     """K(x, y_j) = V_kappa[g(<x, .>)](y_j) for all rows y_j of ys at once.
 
-    kappa = 0 collapses to g(<x, y>); for Zd2 the translate is a tensor
-    integral of g(sum_i x_i y_i t_i) against nu_{kappa_1} x ... x nu_{kappa_d},
-    with kappa_i = 0 axes pinned at t_i = 1, on quad_order nodes per axis.
+    The translate is a tensor integral of g(sum_i x_i y_i t_i) against
+    nu_{kappa_1} x ... x nu_{kappa_d} over the context's per-axis kappas
+    (kappa_by_axis, which raises UnsupportedGroupError elsewhere), with
+    kappa_i = 0 axes pinned at t_i = 1, on quad_order nodes per axis; at
+    kappa = 0 every axis is pinned and K(x, y) = g(<x, y>).
     When g is a sum of exponentials (exp, cosh, sinh, cos w and sums of
     them, see Function1D.exponential_terms) that rule factors into one
     one-dimensional sum per active axis.  Every other g is summed over the
@@ -462,11 +472,6 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     xf = np.asarray(x, dtype=float)
-    if ctx.kappa_is_zero:
-        return np.asarray(g(ys @ xf))
-    if not ctx.is_zd2:
-        raise UnsupportedGroupError(
-            "kernel translates are implemented for Zd2 (and kappa = 0) only")
     kappas = [float(k) for k in ctx.kappa_by_axis()]
     active = [i for i, k in enumerate(kappas) if k > 0]
     pinned = np.array([1.0 if k == 0 else 0.0 for k in kappas])

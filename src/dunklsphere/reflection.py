@@ -181,7 +181,7 @@ def builtin_root_system(family: str, dimension: int | None = None,
     return RootSystem(d, roots, pos, fam, exact=True)
 
 
-def validate_root_system(rs: RootSystem, tol: float = DEDUP_TOL) -> None:
+def validate_root_system(rs: RootSystem) -> None:
     """Check the two root-system axioms; raise ValueError on failure.
 
     (1) the only multiples of a root v in R are +-v;
@@ -201,12 +201,12 @@ def validate_root_system(rs: RootSystem, tol: float = DEDUP_TOL) -> None:
             u, w = rs.roots[i], rs.roots[j]
             # u, w collinear iff all 2x2 minors vanish
             coll = all(
-                abs(float(u[p]) * float(w[q]) - float(u[q]) * float(w[p])) <= tol
+                abs(float(u[p]) * float(w[q]) - float(u[q]) * float(w[p])) <= DEDUP_TOL
                 for p in range(rs.dim) for q in range(p + 1, rs.dim)) \
                 if rs.dim > 1 else True
             if coll:
-                same = all(abs(float(a) - float(b)) <= tol for a, b in zip(u, w))
-                opp = all(abs(float(a) + float(b)) <= tol for a, b in zip(u, w))
+                same = all(abs(float(a) - float(b)) <= DEDUP_TOL for a, b in zip(u, w))
+                opp = all(abs(float(a) + float(b)) <= DEDUP_TOL for a, b in zip(u, w))
                 if not (same or opp):
                     raise ValueError(f"roots {u} and {w} are collinear but not opposite")
     for v in rs.positive:
@@ -227,11 +227,12 @@ class ReflectionGroup:
         return len(self.elements)
 
 
-def generate_group(rs: RootSystem, cap: int = GROUP_ORDER_CAP) -> ReflectionGroup:
+def generate_group(rs: RootSystem) -> ReflectionGroup:
     """Closure of the root reflections under multiplication (BFS).
 
     Deduplication is exact for rational matrices and quantized at 1e-10
-    entrywise otherwise.  Raises GroupOrderCapError past ``cap`` elements.
+    entrywise otherwise.  Raises GroupOrderCapError past GROUP_ORDER_CAP
+    elements.
     """
     gens = tuple(reflection_matrix(v) for v in rs.positive)
     ident = _identity(rs.dim, rs.exact)
@@ -244,9 +245,9 @@ def generate_group(rs: RootSystem, cap: int = GROUP_ORDER_CAP) -> ReflectionGrou
                 p = _matmul(a, g)
                 k = _mat_key(p)
                 if k not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= GROUP_ORDER_CAP:
                         raise GroupOrderCapError(
-                            f"group generation exceeded cap {cap}")
+                            f"group generation exceeded cap {GROUP_ORDER_CAP}")
                     seen[k] = p
                     nxt.append(p)
         frontier = nxt

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .gegenbauer import MAX_GRID_POINTS, pochhammer, symmetric_jacobi_rule
+from .gegenbauer import MAX_GRID_POINTS, jacobi_rule, pochhammer, symmetric_jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly
 from .operators import DunklContext, HarmonicBasis
 from .reflection import weight_as_polynomial, weight_values
@@ -182,8 +181,8 @@ def exact_sigma_integral(ctx: DunklContext, poly: MultiPoly):
     if poly.dim != ctx.dim:
         raise ValueError("dimension mismatch")
     zero = Fraction(0) if poly.mode == EXACT else 0.0
-    if ctx.is_zd2 or ctx.kappa_is_zero:
-        kappas = ctx.kappa_by_axis() if ctx.is_zd2 else [Fraction(0)] * ctx.dim
+    kappas = ctx.axis_kappas
+    if kappas is not None:
         gamma = ctx.gamma_kappa
         total = zero
         for exps, c in poly.terms.items():
@@ -214,16 +213,8 @@ def exact_sigma_integral(ctx: DunklContext, poly: MultiPoly):
 # Tensor quadrature grids
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _gauss_legendre(m: int):
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
 def _tensor_grid_zd2(kappas, d: int, order: int):
-    """Factorized grid for Zd2: per-angle symmetric Jacobi rules.
+    """Factorized grid for per-axis kappas: per-angle symmetric Jacobi rules.
 
     Returns (points, weights) with sum(weights) ~= int w_kappa d omega.  The
     node set is invariant under every coordinate sign flip, so odd monomials
@@ -255,11 +246,11 @@ def _tensor_grid_general(ctx: DunklContext, order: int):
     # angle parametrization: theta_1..theta_{d-2} in [0, pi], phi in [0, 2 pi)
     grids = []
     for j in range(d - 2):
-        t, w = _gauss_legendre(order)
+        t, w = jacobi_rule(order, 0.0, 0.0)
         theta = (t + 1.0) * (math.pi / 2.0)
         wj = w * (math.pi / 2.0) * np.sin(theta) ** (d - 2 - j)
         grids.append((theta, wj))
-    t, w = _gauss_legendre(order)
+    t, w = jacobi_rule(order, 0.0, 0.0)
     grids.append(((t + 1.0) * math.pi, w * math.pi))
     mesh = np.meshgrid(*[g[0] for g in grids], indexing="ij")
     wmesh = np.meshgrid(*[g[1] for g in grids], indexing="ij")
@@ -282,23 +273,18 @@ def _tensor_grid(ctx: DunklContext, order: int):
     The size is counted before anything is allocated; a grid above
     MAX_GRID_POINTS raises ValueError with its size.
     """
-    d = ctx.dim
+    d, kappas = ctx.dim, ctx.axis_kappas
     if d < 2:
         raise ValueError("sphere quadrature needs d >= 2")
-    if ctx.is_zd2 or ctx.kappa_is_zero:
-        size = 2 * (2 * max(2, order // 2)) ** (d - 1)
-    else:
-        size = order ** (d - 1)
+    size = order ** (d - 1) if kappas is None else 2 * (2 * max(2, order // 2)) ** (d - 1)
     if size > MAX_GRID_POINTS:
         mib = size * (d + 1) * 8 / 2 ** 20
         raise ValueError(
             f"a d = {d} tensor grid of order {order} has {size} points "
             f"({mib:.0f} MiB with weights), above the limit of "
             f"{MAX_GRID_POINTS}; lower the order")
-    if ctx.is_zd2:
-        return _tensor_grid_zd2(ctx.kappa_by_axis(), ctx.dim, order)
-    if ctx.kappa_is_zero:
-        return _tensor_grid_zd2([Fraction(0)] * ctx.dim, ctx.dim, order)
+    if kappas is not None:
+        return _tensor_grid_zd2(kappas, d, order)
     return _tensor_grid_general(ctx, order)
 
 
@@ -500,13 +486,13 @@ def node_set(d: int, count: int, scheme: str = "spiral",
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if scheme in ("random", "uniform_random"):
+    if scheme == "uniform_random":
         if seed is None:
             raise ValueError("random node sets require a seed")
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((count, d))
         return z / np.linalg.norm(z, axis=1, keepdims=True)
-    if scheme in ("spiral", "generalized_spiral"):
+    if scheme == "spiral":
         if d == 2:
             ang = 2.0 * math.pi * np.arange(count) / count
             return np.stack([np.cos(ang), np.sin(ang)], axis=1)

@@ -337,9 +337,35 @@ def test_funk_hecke_unsupported_group(capsys):
     assert "kernel" in err.lower() or "group" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["funk-hecke", "density"])
+def test_unsupported_group_exits_before_building(command, unsupported, nothing_built,
+                                                 capsys):
+    code, out, err = run_cli([command, "--g", "exp", *unsupported[0]], capsys)
+    assert code == EXIT_UNSUPPORTED, err
+    assert out == "" and "kernel translates" in err
+
+
+@pytest.mark.parametrize("command", ["funk-hecke", "density"])
+def test_unsupported_group_with_a_huge_grid_exits_at_once(command):
+    # the order-20000 Gauss-Legendre rule of the i2 grid would need 3 GiB
+    proc = _cli_under_address_cap(command, "--g", "exp", "--family", "i2", "--order", "5",
+                                  "--kappa", "1", "--orders", "20000")
+    assert proc.returncode == EXIT_UNSUPPORTED, proc.stderr
+    assert "kernel translates" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
+
+def test_density_node_set_too_large_exits_at_once():
+    # 20000 nodes give a 20000 x 20000 Gram matrix (3 GiB); counted, not built
+    proc = _cli_under_address_cap("density", "--g", "exp", "--kappa", "1,1",
+                                  "--nodes", "6,20000", "--orders", "8",
+                                  "--kernel-order", "4")
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "20000 x 20000 Gram matrix" in proc.stderr and "MiB" in proc.stderr
+
 
 def test_density_command(capsys):
     code, out, _ = run_cli(

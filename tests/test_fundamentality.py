@@ -18,6 +18,7 @@ from dunklsphere import (
     kernel_symmetry_check,
     lp_norm_segment,
     operator_norm_check,
+    UnsupportedGroupError,
     parse_function,
     union_fundamental,
 )
@@ -177,6 +178,21 @@ def test_funk_hecke_table_matches_per_degree_calls(family, dim, kappa, g, routes
     for n, rep in enumerate(table):
         assert rep == funk_hecke_residual(ctx, fn, n, **opts)
         assert set(rep.residual_by_route) == routes
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, g: funk_hecke_table(ctx, g, (0, 1)),
+    lambda ctx, g: density_demo(ctx, g, 1, (6, 12)),
+    lambda ctx, g: operator_norm_check(ctx, g),
+])
+def test_kernel_users_refuse_unsupported_groups_first(call, unsupported, nothing_built):
+    with pytest.raises(UnsupportedGroupError):
+        call(unsupported[1], parse_function("exp"))
+
+
+def test_density_refuses_a_huge_node_set_before_building(nothing_built):
+    with pytest.raises(ValueError, match="4097 x 4097 Gram matrix"):
+        density_demo(CTX, parse_function("exp"), 1, (6, 4097))
 
 
 def test_funk_hecke_csv():

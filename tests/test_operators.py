@@ -510,6 +510,24 @@ def test_kernel_unsupported_group():
                               np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("family, dim", [("b", 3), ("a", 4), ("d", 4), ("zd2", 3)])
+def test_kappa_zero_factors_by_axis_on_every_family(family, dim):
+    # (every d = 2 family, i2 among them, has lambda = 0 at kappa = 0)
+    ctx = DunklContext.create(family, dim, 0)
+    assert ctx.kappa_by_axis() == (0,) * dim
+    assert ctx.kappa_by_axis() is ctx.kappa_by_axis()         # cached
+    p = _random_poly(random.Random(dim), dim)
+    assert intertwine(ctx, p) == p
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    ys = rng.standard_normal((25, dim))
+    ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+    for g in ("exp", "poly 1,2,0,-1", "step 1/3"):
+        fn = parse_function(g, ctx.lambda_kappa)
+        assert np.array_equal(kernel_translate_batch(ctx, fn, x, ys), fn(ys @ x))
+
+
 def test_context_describe_and_properties():
     ctx = DunklContext.create("zd2", 2, (1, 2))
     assert ctx.is_zd2 and not ctx.kappa_is_zero and ctx.exact

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +213,26 @@ def test_tensor_general_group_integer_kappa():
     assert abs(tensor_m.integrate(p) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_general_grid_rule_too_large_raises_at_once():
+    # the d = 2 grid of order 20000 has 20000 points, under the grid limit,
+    # but its Gauss-Legendre rule needs a 20000 x 20000 Jacobi matrix (3 GiB);
+    # a child capped at 1.5 GiB of address space fails fast without the count
+    cap = 3 * 2 ** 29
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import resource\n"
+         f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+         "from dunklsphere import DunklContext, SphereMeasure\n"
+         "ctx = DunklContext.create('i2', kappa=1, order=5)\n"
+         "try:\n"
+         "    SphereMeasure(ctx, 'tensor', orders=20000).quad_points()\n"
+         "except ValueError as exc:\n"
+         "    print(exc)\n"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "20000 x 20000 Jacobi matrix" in proc.stdout
+
+
 def test_monte_carlo_mass_and_determinism():
     ctx = DunklContext.create("zd2", 2, (1, 1))
     m = SphereMeasure(ctx, "monte_carlo", mc_samples=200_000, seed=11)
@@ -309,6 +331,12 @@ def test_random_nodes_seeded():
 def test_spiral_high_dimension_rejected():
     with pytest.raises(ValueError):
         node_set(4, 10, "spiral")
+
+
+@pytest.mark.parametrize("scheme", ["random", "generalized_spiral"])
+def test_unknown_node_scheme_rejected(scheme):
+    with pytest.raises(ValueError, match="unknown node scheme"):
+        node_set(2, 10, scheme, seed=1)
 
 
 def test_sphere_function_wrapper():
