@@ -35,6 +35,7 @@ from .gegenbauer import (
 from .multipoly import EXACT, MultiPoly
 from .operators import (
     DunklContext,
+    _check_kernel_rows,
     harmonic_basis,
     kernel_translate_batch,
     translate_as_polynomial,
@@ -245,18 +246,21 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     K(x, .) as an explicit polynomial first.  Residuals are normalized per
     basis element by max(1, sup |Y| on the grid).  The kernel does not
     depend on n, so the grid, the x points and the weighted kernel rows
-    wts * K(x, .) of both routes are built once for all degrees.  A context
-    without a kernel raises UnsupportedGroupError before anything is built.
+    wts * K(x, .) of both routes are built once for all degrees, one
+    (x_count, Q) matrix per route; kernel_translate_batch counts the first
+    against MAX_GRID_POINTS before it is allocated.  A context without a
+    kernel raises UnsupportedGroupError before anything is built.
     """
     ctx.kappa_by_axis()
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     xs = _default_x_points(ctx.dim, x_count, seed)
-    rows = {"quadrature": [wts * kernel_translate_batch(ctx, g, x, pts, quad_order)
-                           for x in xs]}
+    rows = {"quadrature": kernel_translate_batch(ctx, g, xs, pts, quad_order)}
     if g.poly_degree is not None:
-        rows["translate"] = [wts * translate_as_polynomial(ctx, g, x).eval_many(pts)
-                             for x in xs]
+        rows["translate"] = np.stack([translate_as_polynomial(ctx, g, x).eval_many(pts)
+                                      for x in xs])
+    for weighted in rows.values():
+        weighted *= wts
 
     reports = []
     for n in degrees:
@@ -317,6 +321,20 @@ class DensityReport(Report):
         return zip(self.node_counts, self.ridges, self.residuals)
 
 
+# values per block of kernel rows taken at once (2 MiB)
+_ROW_BLOCK = 2 ** 18
+
+
+def _weighted_gram(rows: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """(rows * wts) @ rows.T, built in blocks of rows of at most _ROW_BLOCK
+    values so that no second (J, Q) array is made."""
+    gram = np.empty((rows.shape[0], rows.shape[0]))
+    step = max(1, _ROW_BLOCK // rows.shape[1])
+    for lo in range(0, rows.shape[0], step):
+        gram[lo:lo + step] = (rows[lo:lo + step] * wts) @ rows.T
+    return gram
+
+
 def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
                  node_counts, orders: int = 80, ridge: float | None = None,
                  scheme: str = "spiral", kernel_order: int = 48,
@@ -331,6 +349,12 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     residual is exactly 1.  Before anything is built, a context without a
     kernel raises UnsupportedGroupError and J nodes with J^2 above
     MAX_GRID_POINTS (the Gram matrix) raise ValueError.
+
+    Each node set's kernel rows K(x_j, .) on the Q grid points come from one
+    kernel_translate_batch call, and G is built from them in node blocks
+    (_weighted_gram), so one (J, Q) array is held at a time.  The largest
+    set's J x Q is counted against MAX_GRID_POINTS once the grid is built,
+    before the basis or any node set, and above it raises ValueError.
     """
     ctx.kappa_by_axis()
     counts = tuple(int(c) for c in node_counts)
@@ -342,6 +366,7 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
             f"{MAX_GRID_POINTS} entries; lower the node count")
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
+    _check_kernel_rows(most, len(pts))
 
     basis = harmonic_basis(ctx, m_degree)
     y = basis.elements[0]
@@ -356,11 +381,8 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     ridges = []
     for count in counts:
         nodes = node_set(ctx.dim, count, scheme, seed=seed)
-        rows = np.stack([
-            kernel_translate_batch(ctx, g, x, pts, kernel_order)
-            for x in nodes
-        ])                                                        # (J, Q)
-        gram = (rows * wts) @ rows.T
+        gram = _weighted_gram(kernel_translate_batch(ctx, g, nodes, pts, kernel_order),
+                              wts)
         b = lam_val * y.eval_many(nodes)
         rid = ridge
         if rid is None:
@@ -419,6 +441,8 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     The translate operator is an average of values of g (the defining
     integral is against probability measures), so the ratio never exceeds 1;
     at kappa = 0 the kernel is g(<x, y>) itself and the ratio is 1 exactly.
+    The kernel rows are built in blocks of centres of at most _ROW_BLOCK
+    values (one row when Q is larger), so x_count x Q is never refused.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"p must be a finite number >= 1, not {p!r}")
@@ -427,11 +451,11 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     pts, wts = measure.quad_points()
     seg = lp_norm_segment(g, p, ctx.lambda_kappa)
     xs = node_set(ctx.dim, x_count, "uniform_random", seed=seed)
-    ratios = []
-    for x in xs:
-        vals = kernel_translate_batch(ctx, g, x, pts, kernel_order)
-        norm = float(wts @ np.abs(vals) ** float(p)) ** (1.0 / float(p))
-        ratios.append(norm / seg)
+    step = max(1, _ROW_BLOCK // len(pts))
+    powered = np.concatenate([
+        np.abs(kernel_translate_batch(ctx, g, xs[lo:lo + step], pts, kernel_order))
+        ** float(p) @ wts for lo in range(0, len(xs), step)])
+    ratios = powered ** (1.0 / float(p)) / seg
     return OperatorNormReport(
         p=float(p),
         max_ratio=float(max(ratios)),

@@ -139,30 +139,41 @@ def _divide_terms(terms: Mapping, v: Sequence, pivot: int, tol=None) -> dict:
     remainder raises NonDivisibleError; otherwise the largest remainder
     coefficient may reach tol * max(1, max |coefficient of terms|).  A pivot
     coefficient of 1 divides nothing, so integer terms stay integers.
+
+    The remainder is kept in one dict per x_pivot exponent k, filled in one
+    pass over terms.  Subtracting t x^qe <v, x> for a term of slice k touches
+    that term and slice k - 1 only, and each slice keeps the order its terms
+    were inserted in, so slices are processed in the order of a single
+    remainder dict scanned per k.
     """
     vp = v[pivot]
     form = [(j, vj) for j, vj in enumerate(v) if vj != 0]
-    rem = dict(terms)
+    slices: dict = {}
+    for e, c in terms.items():
+        slices.setdefault(e[pivot], {})[e] = c
     quot: dict = {}
-    for k in range(max((e[pivot] for e in rem), default=0), 0, -1):
-        for e, c in [(e, c) for e, c in rem.items() if e[pivot] == k]:
+    for k in range(max(slices, default=0), 0, -1):
+        here, below = slices.get(k, {}), slices.setdefault(k - 1, {})
+        for e, c in list(here.items()):
             t = c if vp == 1 else c / vp
             qe = e[:pivot] + (k - 1,) + e[pivot + 1:]
             if t != 0:
                 quot[qe] = t
             # subtract t * x^qe * <v, x>
             for j, vj in form:
+                into = here if j == pivot else below
                 ne = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
-                s = rem.get(ne, 0) - t * vj
+                s = into.get(ne, 0) - t * vj
                 if s == 0:
-                    rem.pop(ne, None)
+                    into.pop(ne, None)
                 else:
-                    rem[ne] = s
+                    into[ne] = s
+    rem = [c for part in slices.values() for c in part.values()]
     if rem:
         if tol is None:
             raise NonDivisibleError("polynomial is not divisible by the form")
         scale = max(1.0, max(abs(c) for c in terms.values()))
-        worst = max(abs(c) for c in rem.values())
+        worst = max(abs(c) for c in rem)
         if worst > tol * scale:
             raise NonDivisibleError(
                 f"remainder {worst:.3e} exceeds tolerance {tol:.3e} (scaled)")

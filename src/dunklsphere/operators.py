@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from math import comb, exp, gcd, lcm
 
 import numpy as np
 
@@ -357,21 +357,23 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     if n < 0:
         raise ValueError("degree must be >= 0")
     mode = EXACT if ctx.exact else FLOAT
+    one = Fraction(1) if mode == EXACT else 1.0
     d = ctx.dim
     source = monomials_of_degree(d, n)
     if n < 2:
-        elems = tuple(MultiPoly.monomial(d, e, 1, mode) for e in source)
+        elems = tuple(MultiPoly._trusted(d, {e: one}, mode) for e in source)
         return HarmonicBasis(n, elems)
     tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
     rows: list[dict] = [{} for _ in tindex]
     for col, exps in enumerate(source):
-        lap = dunkl_laplacian(ctx, MultiPoly.monomial(d, exps, 1, mode))
+        lap = dunkl_laplacian(ctx, MultiPoly._trusted(d, {exps: one}, mode))
         for e, c in lap.terms.items():
             rows[tindex[e]][col] = c
     if mode == EXACT:
         vecs = _nullspace_exact(rows, len(source))
         elems = tuple(
-            MultiPoly(d, {source[c]: vec[c] for c in range(len(source))}, EXACT)
+            MultiPoly._trusted(d, {source[c]: vec[c] for c in range(len(source))
+                                   if vec[c] != 0}, EXACT)
             for vec in vecs)
     else:
         a = np.zeros((len(rows), len(source)))
@@ -380,8 +382,8 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
                 a[r, c] = x
         vecs = _nullspace_float(a)
         elems = tuple(
-            MultiPoly(d, {source[c]: float(vec[c]) for c in range(len(source))
-                          if abs(vec[c]) > 0}, FLOAT)
+            MultiPoly._trusted(d, {source[c]: float(vec[c]) for c in range(len(source))
+                                   if abs(vec[c]) > 0}, FLOAT)
             for vec in vecs)
     expected = harmonic_space_dimension(d, n)
     if len(elems) != expected:
@@ -432,6 +434,23 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 # Kernel translates V_kappa[g(<x, .>)](y)
 # ---------------------------------------------------------------------------
 
+# Terms e^(r s) with |r| <= SERIES_MAX_RATE take the moment series of
+# _series_coefficients, the others the direct sum over the rule's nodes.  A
+# check against 40-digit mpmath gave these largest errors per rate:
+#
+#     |r|          3        5        8        12       20
+#     series       1.8e-16  2e-15    9e-15    3e-13    2.5e-9
+#     direct sum   1.3e-16  1.9e-16  1.1e-16  3e-16    2.6e-16
+#
+# The series sums terms up to |r|^n / n!, which cancel as the rate grows.
+SERIES_MAX_RATE = 4.0
+
+# temporaries of at most 16k float values stay under the 128 KiB at which
+# glibc malloc maps fresh pages, so repeated calls reuse heap memory instead
+# of page-faulting new arrays in every call
+_CHUNK = 16_000
+
+
 @lru_cache(maxsize=256)
 def _nu_rule(kappa: float, m: int):
     """Quadrature for the probability measure d nu_kappa on [-1, 1], kappa > 0:
@@ -448,6 +467,71 @@ def _nu_rule(kappa: float, m: int):
     return nodes, w
 
 
+@lru_cache(maxsize=256)
+def _series_coefficients(kappa: float, m: int, rate) -> np.ndarray:
+    """p_n = mu_n r^n / n!, n = 0..N, so that the m-node nu_kappa rule gives
+
+        sum_j w_j e^(r s t_j) = sum_n p_n s^n,
+
+    mu_n = sum_j w_j t_j^n being the rule's own moments (the one-dimensional
+    intertwining operator of Dunkl and Xu maps s^n to mu_n s^n).  The weights
+    are a probability on [-1, 1], so for |s| <= 1 the tail past N is at most
+    e^|r| |r|^(N+1) / (N+1)!; N is the first at which that is below 2^-60.
+    """
+    t, w = _nu_rule(kappa, m)
+    a = abs(rate)
+    n, tail = 0, exp(a) * a
+    while tail >= 2.0 ** -60:
+        n += 1
+        tail *= a / (n + 1)
+    terms = np.ones((n + 1, m), dtype=np.result_type(rate, float))
+    terms[1:] = np.cumprod(np.outer(1.0 / np.arange(1, n + 1), rate * t), axis=0)
+    p = terms @ w                                              # (r t)^n / n! averaged
+    p.flags.writeable = False
+    return p
+
+
+def _powers(v: np.ndarray, n: int) -> np.ndarray:
+    """The (n + 1, len(v)) table of v^0, ..., v^n, by cumulative products."""
+    out = np.empty((n + 1, v.size))
+    out[0] = 1.0
+    out[1:] = v
+    np.cumprod(out[1:], axis=0, out=out[1:])
+    return out
+
+
+def _series_sum(ypow: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_n coef[n, j] y_q^n as a (points, centres) matrix, from the
+    (N + 1, points) power table: one BLAS product.  Complex coefficients
+    enter as interleaved real columns, so the real table is never cast."""
+    if np.iscomplexobj(coef):
+        return (ypow[:len(coef)].T @ coef.view(float)).view(complex)
+    return ypow[:len(coef)].T @ coef
+
+
+def _pair_chunks(xs, ys, pinned, active, width):
+    """The J x Q centre-point pairs in row-major order, in chunks of at most
+    16k // width pairs: (flat slice, sum of x_i y_i over the pinned axes,
+    x_i y_i on the active axes as (pairs, active))."""
+    total = len(xs) * len(ys)
+    step = max(1, _CHUNK // width)
+    for lo in range(0, total, step):
+        jj, qq = np.divmod(np.arange(lo, min(lo + step, total)), len(ys))
+        x, y = xs[jj], ys[qq]
+        yield (slice(lo, lo + len(jj)), (x[:, pinned] * y[:, pinned]).sum(axis=1),
+               x[:, active] * y[:, active])
+
+
+def _check_kernel_rows(rows: int, points: int) -> None:
+    """Refuse rows x points kernel values above MAX_GRID_POINTS before they
+    are allocated."""
+    if rows * points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{rows} kernel rows on {points} sphere points are {rows * points} "
+            f"values ({rows * points * 8 / 2 ** 20:.0f} MiB), above the limit of "
+            f"{MAX_GRID_POINTS}; lower the number of centres or the sphere order")
+
+
 def _unit_check(x, tol=1e-8):
     nrm = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if abs(nrm - 1.0) > tol:
@@ -456,28 +540,38 @@ def _unit_check(x, tol=1e-8):
 
 def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
                            ys: np.ndarray, quad_order: int = 48) -> np.ndarray:
-    """K(x, y_j) = V_kappa[g(<x, .>)](y_j) for all rows y_j of ys at once.
+    """K(x, y_q) = V_kappa[g(<x, .>)](y_q) for every row y_q of ys (Q rows).
+
+    x is one centre of shape (d,), giving shape (Q,), or J centres of shape
+    (J, d), giving (J, Q); the J x Q output is counted against
+    MAX_GRID_POINTS before it is allocated.  The centres and the rows of ys
+    are points of the unit sphere: the moment series below needs
+    |x_i y_i| <= 1 and raises ValueError for inputs that break it.
 
     The translate is a tensor integral of g(sum_i x_i y_i t_i) against
     nu_{kappa_1} x ... x nu_{kappa_d} over the context's per-axis kappas
     (kappa_by_axis, which raises UnsupportedGroupError elsewhere), with
     kappa_i = 0 axes pinned at t_i = 1, on quad_order nodes per axis; at
-    kappa = 0 every axis is pinned and K(x, y) = g(<x, y>).
-    When g is a sum of exponentials (exp, cosh, sinh, cos w and sums of
-    them, see Function1D.exponential_terms) that rule factors into one
-    one-dimensional sum per active axis.  Every other g is summed over the
-    quad_order^active tensor grid, which is counted before it is built;
-    above MAX_GRID_POINTS it raises ValueError, as does a quad_order^2
-    Jacobi matrix of the axis rules on either route.
+    kappa = 0 every axis is pinned and K(x, y) = g(<x, y>), evaluated in
+    blocks of centres.  When g is a sum of exponentials a e^(r s) (exp,
+    cosh, sinh, cos w and sums of them, see Function1D.exponential_terms)
+    that rule factors into one sum per active axis, sum_j w_j e^(r c t_j)
+    with c = x_i y_i.  For |r| <= SERIES_MAX_RATE that sum is the moment
+    series sum_n p_n x_i^n y_i^n (_series_coefficients): one BLAS product
+    per axis for all centres, on power tables of y built in chunks of
+    points.  Faster rates keep the sum over the nodes, in chunks of the
+    flattened centre-point pairs.  Every other g is summed over the
+    quad_order^active tensor grid, one centre at a time in chunks of
+    points; the grid is counted before it is built, and above
+    MAX_GRID_POINTS it raises ValueError, as does a quad_order^2 Jacobi
+    matrix of the axis rules on either route.
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    xf = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
     kappas = [float(k) for k in ctx.kappa_by_axis()]
     active = [i for i, k in enumerate(kappas) if k > 0]
-    pinned = np.array([1.0 if k == 0 else 0.0 for k in kappas])
-    base = ys @ (xf * pinned)                                   # t_i = 1 axes
-    if not active:
-        return np.asarray(g(base))
+    pinned = [i for i, k in enumerate(kappas) if k == 0]      # t_i = 1 axes
     terms = g.exponential_terms
     size = quad_order ** len(active)
     if terms is None and size > MAX_GRID_POINTS:
@@ -486,40 +580,67 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
             f"a kernel grid of order {quad_order} on {len(active)} axes has "
             f"{size} points ({mib:.0f} MiB with weights), above the limit of "
             f"{MAX_GRID_POINTS}; lower the kernel order")
+    _check_kernel_rows(len(xs), len(ys))
+    series = [(a, r) for a, r in terms or () if abs(r) <= SERIES_MAX_RATE]
+    if active and series:
+        reach = (np.abs(xs[:, active]).max(initial=0.0)
+                 * np.abs(ys[:, active]).max(initial=0.0))
+        if reach > 1.0 + 1e-8:
+            raise ValueError(
+                f"the moment series of the kernel needs |x_i y_i| <= 1, not up to "
+                f"{reach:.6g}; the centres and points must lie on the unit sphere")
     rules = [_nu_rule(kappas[i], quad_order) for i in active]
-    coeff = ys[:, active] * xf[active]                          # (N, n_active)
-    out = np.empty(ys.shape[0], dtype=float)
-    if terms is not None:
+    out = np.zeros((len(xs), len(ys)))
+    if not active:
+        step = max(1, _CHUNK // max(1, len(ys)))
+        for lo in range(0, len(xs), step):
+            out[lo:lo + step] = g(xs[lo:lo + step] @ ys.T)
+    elif terms is None:
+        grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+        tmat = np.stack([gr.ravel() for gr in grids], axis=1)   # (G, n_active)
+        wgrid = rules[0][1]
+        for _, w in rules[1:]:
+            wgrid = np.outer(wgrid, w).ravel()
+        step = max(1, _CHUNK // len(wgrid))
+        for xc, row in zip(xs, out):
+            base = ys[:, pinned] @ xc[pinned]
+            coeff = ys[:, active] * xc[active]                  # (Q, n_active)
+            for lo in range(0, len(ys), step):
+                args = base[lo:lo + step, None] + coeff[lo:lo + step] @ tmat.T
+                row[lo:lo + step] = g(args) @ wgrid
+    else:
         # g = Re sum_k a_k e^(r_k s) factors the tensor rule exactly:
-        # K = Re sum_k a_k e^(r_k b) prod_i sum_j w_ij e^(r_k c_i t_ij), so a
-        # row costs n_active * quad_order exponentials per term.  Row chunks
-        # of 16k float (8k complex) values stay under 128 KiB, as below
-        width = quad_order * (2 if any(isinstance(r, complex) for _, r in terms) else 1)
-        chunk = max(1, 16_000 // width)
-        for lo in range(0, ys.shape[0], chunk):
-            hi = min(lo + chunk, ys.shape[0])
-            out[lo:hi] = 0.0
-            for a, r in terms:
-                prod = a * np.exp(r * base[lo:hi])
-                for (t, w), c in zip(rules, coeff[lo:hi].T):
+        # K = Re sum_k a_k e^(r_k b) prod_i sum_j w_ij e^(r_k c_i t_ij), with
+        # c_i = x_i y_i on the active axes and b the pinned axes' part of <x, y>
+        series = [(a, r, [_series_coefficients(kappas[i], quad_order, r) for i in active])
+                  for a, r in series]
+        direct = [(a, r) for a, r in terms if abs(r) > SERIES_MAX_RATE]
+        if series:
+            top = max(len(p) for _, _, ps in series for p in ps) - 1
+            xpow = [_powers(xs[:, i], top) for i in active]        # (top + 1, J)
+            coefs = [[xp[:len(p)] * p[:, None] for xp, p in zip(xpow, ps)]
+                     for _, _, ps in series]
+            step = max(1, _CHUNK // max(len(xs), (top + 1) * len(active)))
+            for lo in range(0, len(ys), step):
+                yb = ys[lo:lo + step]
+                ypow = [_powers(yb[:, i], top) for i in active]
+                base = yb[:, pinned] @ xs[:, pinned].T if pinned else 0.0
+                acc = np.zeros((len(yb), len(xs)))              # (points, centres)
+                for (a, r, _), cs in zip(series, coefs):
+                    prod = a * np.exp(r * base)
+                    for yp, c in zip(ypow, cs):
+                        prod = prod * _series_sum(yp, c)
+                    acc += prod.real
+                out[:, lo:lo + step] = acc.T
+        flat = out.reshape(-1)
+        for a, r in direct:
+            width = quad_order * (2 if isinstance(r, complex) else 1)
+            for sl, base, coeff in _pair_chunks(xs, ys, pinned, active, width):
+                prod = a * np.exp(r * base)
+                for (t, w), c in zip(rules, coeff.T):
                     prod = prod * (np.exp(r * c[:, None] * t) @ w)
-                out[lo:hi] += prod.real
-        return out
-    grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    tmat = np.stack([gr.ravel() for gr in grids], axis=1)       # (G, n_active)
-    wgrid = rules[0][1]
-    for _, w in rules[1:]:
-        wgrid = np.outer(wgrid, w).ravel()
-    # row chunks of at most 16k grid values keep each temporary under the
-    # 128 KiB at which glibc malloc maps fresh pages, so repeated calls reuse
-    # heap memory instead of page-faulting new arrays in every call
-    chunk = max(1, int(16_000 // max(tmat.shape[0], 1)))
-    for lo in range(0, ys.shape[0], chunk):
-        hi = min(lo + chunk, ys.shape[0])
-        args = base[lo:hi, None] + coeff[lo:hi] @ tmat.T        # (chunk, G)
-        vals = np.asarray(g(args))
-        out[lo:hi] = vals @ wgrid
-    return out
+                flat[sl] += prod.real
+    return out if x.ndim == 2 else out[0]
 
 
 def kernel_translate_eval(ctx: DunklContext, g: Function1D, x, y,

@@ -354,6 +354,20 @@ def test_unsupported_group_with_a_huge_grid_exits_at_once(command):
     assert "kernel translates" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, count", [
+    (("funk-hecke", "--g", "exp", "-d", "4", "--kappa", "0", "--x-samples", "5000",
+      "--orders", "40", "--degrees", "0"), "640000000"),
+    (("density", "--g", "exp", "-d", "4", "--kappa", "0", "--nodes", "4096",
+      "--orders", "80", "--scheme", "uniform_random", "--seed", "1"), "4194304000"),
+])
+def test_kernel_rows_too_many_exit_at_once(argv, count):
+    # 5000 x-samples on 128000 points and 4096 nodes on 1024000 points (4.8
+    # and 31 GiB of kernel rows) are counted, not allocated
+    proc = _cli_under_address_cap(*argv)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert f"{count} values" in proc.stderr and "MiB" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # density
 # ---------------------------------------------------------------------------
@@ -365,6 +379,15 @@ def test_density_node_set_too_large_exits_at_once():
                                   "--kernel-order", "4")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "20000 x 20000 Gram matrix" in proc.stderr and "MiB" in proc.stderr
+
+
+def test_density_d4_defaults_refuse_their_largest_node_set(capsys):
+    # the default node sets 6, 12, 24 on the 1024000 points of the order-80
+    # d = 4 grid: 24 rows are 24576000 kernel values, refused before any set
+    code, _, err = run_cli(["density", "--g", "exp", "-d", "4", "--kappa", "0",
+                            "--scheme", "uniform_random", "--seed", "1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "24 kernel rows on 1024000 sphere points are 24576000 values" in err
 
 
 def test_density_command(capsys):

@@ -22,6 +22,7 @@ from dunklsphere import (
     parse_function,
     union_fundamental,
 )
+from dunklsphere.fundamentality import _weighted_gram
 
 CTX = DunklContext.create("zd2", 2, (1, 1))
 
@@ -221,6 +222,15 @@ def test_density_residual_decreases():
     assert rep.residuals[2] < 0.05
 
 
+def test_weighted_gram_in_node_blocks_equals_the_direct_product():
+    # 300 rows of 2000 values are taken in node blocks of 131 rows
+    rng = np.random.default_rng(4)
+    rows, wts = rng.standard_normal((300, 2000)), rng.random(2000)
+    want = (rows * wts) @ rows.T
+    got = _weighted_gram(rows, wts)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_density_report_csv():
     rep = density_demo(CTX, parse_function("exp"), 2, [6, 12])
     lines = rep.to_csv_text().splitlines()
@@ -252,6 +262,16 @@ def test_operator_norm_equality_kappa_zero():
     rep = operator_norm_check(ctx, parse_function("exp"), p=2.0,
                               x_count=10, seed=1)
     assert abs(rep.max_ratio - 1.0) <= 1e-9
+
+
+def test_operator_norm_blocks_centres_instead_of_refusing():
+    # 132 centres on the 128000 points of Z_2^4 at order 40 are 16896000
+    # kernel values, above MAX_GRID_POINTS; they are taken two rows at a time
+    ctx = DunklContext.create("zd2", 4, 0)
+    rep = operator_norm_check(ctx, parse_function("exp"), p=2.0, orders=40,
+                              x_count=132, seed=1)
+    assert len(rep.ratios) == 132
+    assert max(abs(r - 1.0) for r in rep.ratios) <= 1e-9
 
 
 def test_operator_norm_equality_positive_g_p1():

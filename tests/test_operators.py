@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from dunklsphere import (
     parse_function,
     translate_as_polynomial,
 )
-from dunklsphere.operators import _nullspace_exact
+from dunklsphere.operators import SERIES_MAX_RATE, _nullspace_exact
 from dunklsphere.reflection import RootSystem
 
 
@@ -457,6 +458,88 @@ def test_exponential_kernels_match_the_tensor_route(text, kappa):
     got = kernel_translate_batch(ctx, g, x, ys, order)
     want = kernel_translate_batch(ctx, Function1D.from_callable(g), x, ys, order)
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("text", ["exp", "cosh", "cos 3", "cos 12", "poly 1,2,0,-1",
+                                  "sum 1*exp + -2*cosh + 1/3*cos 12 + 1/2*sinh"])
+@pytest.mark.parametrize("kappa", [(1, 2), ("1/2", 0, 2), (0, 0, 0)])
+def test_many_centres_equal_stacked_single_centre_calls(text, kappa):
+    # 30 centres on 1000 points take several chunks of points on the moment
+    # series (cos 3 needs 32 terms) and of centre-point pairs on the direct
+    # sum (cos 12) and the tensor grid (poly); kappa 0 takes node blocks
+    ctx = DunklContext.create("zd2", len(kappa), kappa)
+    g = parse_function(text, ctx.lambda_kappa)
+    rng = np.random.default_rng(13)
+    xs, ys = _unit_rows(rng, 30, ctx.dim), _unit_rows(rng, 1000, ctx.dim)
+    got = kernel_translate_batch(ctx, g, xs, ys, 16)
+    want = np.stack([kernel_translate_batch(ctx, g, x, ys, 16) for x in xs])
+    assert got.shape == (30, 1000)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _dunkl_kernel_factor(kappa, s):
+    """E_kappa(s) of _exp_kernel_factor for complex s, through
+    j_a(s) = 0F1(; a + 1; s^2 / 4)."""
+    from mpmath import mp
+
+    if kappa == 0:
+        return mp.exp(s)
+    k = mp.mpf(kappa.numerator) / kappa.denominator
+    half = mp.mpf(1) / 2
+    return (mp.hyp0f1(k + half, s * s / 4)
+            + s / (2 * k + 1) * mp.hyp0f1(k + 1 + half, s * s / 4))
+
+
+@pytest.mark.parametrize("w", [3, 12])                # both sides of SERIES_MAX_RATE
+@pytest.mark.parametrize("kappa", [(1, 1), ("1/2", 0, 2), (1, "1/3", "3/2", 1)])
+def test_cos_kernel_matches_the_dunkl_kernel_closed_form(kappa, w):
+    # V_kappa[cos(w <x, .>)](y) = Re prod_i E_{kappa_i}(i w x_i y_i) on Z_2^d
+    from mpmath import mp
+
+    assert (abs(1j * w) <= SERIES_MAX_RATE) == (w == 3)
+    ctx = DunklContext.create("zd2", len(kappa), kappa)
+    rng = np.random.default_rng(11)
+    xs, ys = _unit_rows(rng, 3, ctx.dim), _unit_rows(rng, 8, ctx.dim)
+    got = kernel_translate_batch(ctx, parse_function(f"cos {w}"), xs, ys, 48)
+    with mp.workdps(30):
+        for x, row in zip(xs, got):
+            for y, value in zip(ys, row):
+                want = mp.re(mp.fprod(
+                    _dunkl_kernel_factor(k, mp.mpc(0, w * float(xi) * float(yi)))
+                    for k, xi, yi in zip(ctx.kappa_by_axis(), x, y)))
+                assert abs(value - want) <= 1e-13
+
+
+def test_kernel_rows_are_counted_before_they_are_allocated():
+    # 4097 centres on 4096 points are 16781312 values, just above the limit;
+    # the inputs are broadcast views, so a traced peak far below the 128 MiB
+    # output shows that nothing was allocated
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    xs = np.broadcast_to(np.array([1.0, 0.0]), (4097, 2))
+    ys = np.broadcast_to(np.array([0.0, 1.0]), (4096, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="16781312 values"):
+            kernel_translate_batch(ctx, Function1D.exponential(), xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_moment_series_refuses_points_off_the_sphere():
+    # |x_1 y_1| = 3 would put the series past its truncation bound; the
+    # direct sum (cos 12) and the tensor grid hold for any points
+    ctx = DunklContext.create("zd2", 3, (1, 0, 1))
+    x, ys = np.array([1.0, 0.0, 0.0]), np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for text in ("exp", "sum 1*cos 12 + 1*cosh"):
+        with pytest.raises(ValueError, match="must lie on the unit sphere"):
+            kernel_translate_batch(ctx, parse_function(text), x, ys)
+    for text in ("cos 12", "poly 1,2,0,-1"):
+        assert np.all(np.isfinite(kernel_translate_batch(ctx, parse_function(text), x, ys)))
+    zero = DunklContext.create("zd2", 3, 0)
+    assert np.array_equal(kernel_translate_batch(zero, parse_function("exp"), x, ys),
+                          np.exp(ys @ x))
 
 
 def test_sum_with_a_step_takes_the_tensor_route():
