@@ -346,9 +346,10 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     G_ij = <K(x_i, .), K(x_j, .)> the squared residual is
     1 - 2 a.b + a.G.a for the L2-normalized target.  When Lambda_m(g) = 0
     the translates are orthogonal to the whole degree-m space and the
-    residual is exactly 1.  Before anything is built, a context without a
-    kernel raises UnsupportedGroupError and J nodes with J^2 above
-    MAX_GRID_POINTS (the Gram matrix) raise ValueError.
+    residual is exactly 1, as it is with no solve when the Gram matrix is
+    zero (a zero kernel), where a = 0 is the minimiser.  Before anything is
+    built, a context without a kernel raises UnsupportedGroupError and J
+    nodes with J^2 above MAX_GRID_POINTS (the Gram matrix) raise ValueError.
 
     Each node set's kernel rows K(x_j, .) on the Q grid points come from one
     kernel_translate_batch call, and G is built from them in node blocks
@@ -387,8 +388,10 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
         rid = ridge
         if rid is None:
             rid = 1e-10 * float(np.trace(gram)) / gram.shape[0]
-        a = np.linalg.solve(gram + rid * np.eye(gram.shape[0]), b)
-        sq = 1.0 - 2.0 * float(a @ b) + float(a @ gram @ a)
+        sq = 1.0
+        if gram.any():
+            a = np.linalg.solve(gram + rid * np.eye(gram.shape[0]), b)
+            sq = 1.0 - 2.0 * float(a @ b) + float(a @ gram @ a)
         residuals.append(math.sqrt(max(0.0, sq)))
         ridges.append(float(rid))
 

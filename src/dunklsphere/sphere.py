@@ -4,12 +4,11 @@ The normalized measure is d sigma = a_kappa * w_kappa * d omega with
 w_kappa(x) = prod |<v, x>|^(2 kappa(v)) over positive roots and a_kappa chosen
 so that sigma(S^{d-1}) = 1.  Three backends:
 
-* ``exact``          -- closed-form monomial integrals.  Covers Zd2 contexts
-                        with any rational kappa (normalized even-monomial
-                        integrals reduce to Pochhammer ratios, exact
-                        Fractions) and any rational root system whose
-                        multiplicities are integers (weight is then itself a
-                        polynomial).
+* ``exact``          -- exact integrals of polynomials for every context:
+                        a Horner pass of Dunkl Laplacians over the even
+                        homogeneous parts (exact Fractions for exact-mode
+                        input, float or complex values in float mode, which
+                        is what I2 needs).
 * ``tensor``         -- product Gauss rules over spherical angles.  For Zd2
                         the per-coordinate weight factors exactly into
                         |u|^b (1-u^2)^c angle weights, handled by dedicated
@@ -30,9 +29,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gegenbauer import MAX_GRID_POINTS, jacobi_rule, pochhammer, symmetric_jacobi_rule
+from .gegenbauer import MAX_GRID_POINTS, jacobi_rule, symmetric_jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly
-from .operators import DunklContext, HarmonicBasis
+from .operators import DunklContext, HarmonicBasis, dunkl_laplacian
 from .reflection import weight_as_polynomial, weight_values
 
 BACKENDS = ("exact", "tensor", "monte_carlo")
@@ -148,65 +147,31 @@ def a_kappa(ctx: DunklContext, order: int = 80) -> float:
 # Exact normalized integrals
 # ---------------------------------------------------------------------------
 
-def _sigma_monomial_zd2(alpha, kappas, gamma, d) -> Fraction:
-    """Normalized integral of x^alpha against d sigma_kappa on a Zd2 context:
-
-        prod_i (kappa_i + 1/2)_{alpha_i / 2} / (gamma + d/2)_{|alpha| / 2}
-
-    (zero for any odd exponent).  Exact for rational kappa.
-    """
-    if any(a % 2 for a in alpha):
-        return Fraction(0)
-    half = Fraction(1, 2)
-    num = Fraction(1)
-    for k, a in zip(kappas, alpha):
-        num *= pochhammer(k + half, a // 2)
-    den = pochhammer(gamma + Fraction(d, 2), sum(alpha) // 2)
-    return num / den
-
-
-def _term_scale(c, frac: Fraction):
-    # Fraction coefficients stay exact; float/complex coefficients demote frac
-    if isinstance(c, Fraction):
-        return c * frac
-    return c * float(frac)
-
-
 def exact_sigma_integral(ctx: DunklContext, poly: MultiPoly):
-    """int poly d sigma_kappa via closed forms.
+    """int poly d sigma_kappa by Dunkl Laplacians, for every context.
 
-    Returns a Fraction for exact-mode input (float/complex for float mode).
-    Raises ValueError when no exact route exists for the context.
+    Each even homogeneous part splits as p_(2m) = sum_j |x|^(2j) Y_(2m-2j)
+    with Y_k kappa-harmonic (Dunkl and Xu, P_n = H_n + |x|^2 P_(n-2)), and
+    only Y_0 survives integration.  Delta_kappa^m kills every term with
+    j < m and maps |x|^(2m) to 4^m m! (lambda + 1)_m, so
+
+        int poly d sigma_kappa = sum_m Delta_kappa^m p_(2m) / (4^m m! (lambda + 1)_m),
+
+    taken Horner-fashion from the top even degree down: one dunkl_laplacian
+    per even degree.  Odd parts integrate to 0.  Returns a Fraction for
+    exact-mode input and a float or complex value in float mode.  The first
+    dunkl_laplacian call, on the zero polynomial of poly's dim and mode,
+    raises ValueError for a dimension mismatch or an exact polynomial on a
+    context with irrational roots, constants included.
     """
-    if poly.dim != ctx.dim:
-        raise ValueError("dimension mismatch")
-    zero = Fraction(0) if poly.mode == EXACT else 0.0
-    kappas = ctx.axis_kappas
-    if kappas is not None:
-        gamma = ctx.gamma_kappa
-        total = zero
-        for exps, c in poly.terms.items():
-            frac = _sigma_monomial_zd2(exps, kappas, gamma, ctx.dim)
-            if frac:
-                total = total + _term_scale(c, frac)
-        return total
-    if ctx.root_system.exact and ctx.kappa.is_integer:
-        w = weight_as_polynomial(ctx.root_system, ctx.kappa)
-        if poly.mode == FLOAT:
-            w = w.to_float()
-        fw = poly * w
-        num = zero
-        for exps, c in fw.terms.items():
-            frac = even_monomial_coeff(exps, ctx.dim)
-            if frac:
-                num = num + _term_scale(c, frac)
-        mass = _weight_mass_rational(ctx)
-        if poly.mode == EXACT:
-            return num / mass
-        return num / float(mass)
-    raise ValueError(
-        "no exact route: context is neither Zd2/kappa=0 nor integer-multiplicity "
-        "with rational roots; use the tensor or monte_carlo backend")
+    even = {n // 2: part for n, part in poly.homogeneous_components() if n % 2 == 0}
+    lam = ctx.lambda_kappa
+    q = MultiPoly.zero(poly.dim, poly.mode)
+    for m in range(max(even, default=0), -1, -1):
+        q = dunkl_laplacian(ctx, q).scale(1 / (4 * (m + 1) * (lam + m + 1)))
+        if m in even:
+            q = q + even[m]
+    return q.coefficient((0,) * poly.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +411,7 @@ class SphereMeasure:
             for _ in range(k - 1):
                 acc = acc * prod
             val = self.integrate(acc)
-            return float(val) ** (1.0 / float(p))
+            return float(val.real) ** (1.0 / float(p))
         pts, wts = self.quad_points()
         vals = np.abs(np.asarray(_point_fn(f)(pts))) ** float(p)
         return float(wts @ vals) ** (1.0 / float(p))

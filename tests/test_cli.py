@@ -401,6 +401,17 @@ def test_density_command(capsys):
     assert doc["residuals"][1] < doc["residuals"][0]
 
 
+@pytest.mark.parametrize("g", ["poly 0", "sum 1*exp + -1*exp"])
+def test_density_zero_kernel_has_residual_one(g, capsys):
+    # every translate of a zero kernel is 0, so a = 0 and the residual is 1
+    # with no solve of the zero Gram matrix
+    code, out, _ = run_cli(
+        ["density", "--g", g, "-d", "2", "--kappa", "1,1", "-m", "1",
+         "--nodes", "4"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["residuals"] == [1.0]
+
+
 def test_density_csv(capsys):
     code, out, _ = run_cli(
         ["density", "--g", "cosh", "--kappa", "1,1", "-m", "1",

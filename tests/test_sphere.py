@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,8 +24,11 @@ from dunklsphere import (
     exact_sigma_integral,
     harmonic_basis,
     monomial_sphere_integral,
+    monomials_of_degree,
     node_set,
+    pochhammer,
     sphere_surface_area,
+    weight_as_polynomial,
     with_gram,
 )
 from dunklsphere.sphere import _gamma_half
@@ -122,6 +127,8 @@ def test_exact_mass_is_one():
         ctx = DunklContext.create("zd2", 2, kappa)
         one = MultiPoly.constant(2, 1, EXACT)
         assert exact_sigma_integral(ctx, one) == 1
+    with pytest.raises(ValueError, match="dim 3"):
+        exact_sigma_integral(ctx, MultiPoly.constant(3, 1, EXACT))
 
 
 def test_exact_monomial_pochhammer():
@@ -141,8 +148,8 @@ def test_exact_odd_monomials_vanish():
 
 
 def test_exact_dual_routes_agree():
-    # Pochhammer route (Zd2) against the weight-polynomial route run on the
-    # same integrand through a B-family context with the same weight
+    # B2 at kappa (1, 0) has the weight x1^2 x2^2 of Zd2 at (1, 1), so the
+    # two contexts give the same measure through different Laplacians
     ctx_b = DunklContext.create("b", 2, (1, 0))   # weight x1^2 x2^2 only
     ctx_z = DunklContext.create("zd2", 2, (1, 1))
     for exps in [(0, 0), (2, 0), (4, 2), (0, 6)]:
@@ -158,11 +165,102 @@ def test_exact_float_coefficients():
     assert abs(got - 0.25) < 1e-15
 
 
-def test_exact_route_unavailable_for_fractional_general_group():
+def test_exact_mass_is_one_for_fractional_general_group():
     ctx = DunklContext.create("b", 2, ("1/2", "1/2"))
     one = MultiPoly.constant(2, 1, EXACT)
+    assert exact_sigma_integral(ctx, one) == 1
+
+
+def _pochhammer_oracle(ctx, poly):
+    """Zd2 closed form: each even monomial integrates to
+    prod_i (kappa_i + 1/2)_(a_i / 2) / (gamma + d/2)_(|a| / 2)."""
+    half, total = Fraction(1, 2), Fraction(0)
+    for exps, c in poly.terms.items():
+        if not any(a % 2 for a in exps):
+            num = math.prod(pochhammer(k + half, a // 2)
+                            for k, a in zip(ctx.axis_kappas, exps))
+            total += c * num / pochhammer(ctx.gamma_kappa + Fraction(ctx.dim, 2),
+                                          sum(exps) // 2)
+    return total
+
+
+def _weight_oracle(ctx, poly, w):
+    """Integer kappa: int poly * w d omega / int w d omega on even monomials."""
+    def moment(p):
+        return sum((c * even_monomial_coeff(e, ctx.dim) for e, c in p.terms.items()),
+                   Fraction(0))
+    return moment(poly * w) / moment(w)
+
+
+def _sparse_poly(d, deg, seed, per_degree=6):
+    rng = random.Random(seed)
+    terms = {}
+    for n in range(deg + 1):
+        mons = monomials_of_degree(d, n)
+        for e in rng.sample(mons, min(per_degree, len(mons))):
+            terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return MultiPoly(d, terms, EXACT)
+
+
+@pytest.mark.parametrize("family,d,kappa", [
+    ("zd2", 3, ("1/2", "1", "2")), ("zd2", 5, 1), ("a", 4, 1), ("a", 4, 2),
+    ("b", 3, (1, 2)), ("d", 4, 1), ("b", 4, (2, 1)),
+])
+def test_exact_integral_matches_closed_form_oracles(family, d, kappa):
+    # the Laplacian route against the Pochhammer product (Zd2) and the
+    # weight polynomial (integer kappa), wherever each exists
+    ctx = DunklContext.create(family, d, kappa)
+    w = None
+    if ctx.kappa.is_integer:
+        w = weight_as_polynomial(ctx.root_system, ctx.kappa)
+    for deg in (6, 8, 10):
+        p = _sparse_poly(ctx.dim, deg, seed=deg)
+        got = exact_sigma_integral(ctx, p)
+        assert isinstance(got, Fraction)
+        if ctx.axis_kappas is not None:
+            assert got == _pochhammer_oracle(ctx, p), deg
+        if w is not None:
+            assert got == _weight_oracle(ctx, p, w), deg
+
+
+@pytest.mark.parametrize("family,kappa", [("a", "1/2"), ("b", "1/2")])
+def test_harmonics_of_different_degrees_orthogonal_at_half_kappa(family, kappa):
+    ctx = DunklContext.create(family, 3, kappa)
+    bases = [harmonic_basis(ctx, n) for n in range(5)]
+    for n, m in itertools.combinations(range(5), 2):
+        for yn in bases[n].elements:
+            for ym in bases[m].elements:
+                assert exact_sigma_integral(ctx, yn * ym) == 0, (n, m)
+
+
+@pytest.mark.parametrize("family,kappa,want,tol", [
+    # the weight has kinks on the mirrors, so the grid converges slowly
+    ("b", ("1/2", 1), Fraction(-14, 165), 5e-4),
+    ("a", "1/2", Fraction(-47, 384), 2e-5),
+])
+def test_exact_half_kappa_against_tensor_grid(family, kappa, want, tol):
+    ctx = DunklContext.create(family, 3, kappa)
+    p = MultiPoly(3, {(4, 0, 0): 1, (2, 2, 0): 2, (0, 0, 6): -3,
+                      (1, 1, 0): Fraction(1, 2)}, EXACT)
+    assert exact_sigma_integral(ctx, p) == want
+    grid = SphereMeasure(ctx, "tensor", orders=160).integrate(p)
+    assert abs(grid - float(want)) <= tol
+
+
+def test_exact_float_route_on_i2():
+    ctx = DunklContext.create("i2", kappa=1, order=5)
+    exact_m = SphereMeasure(ctx, "exact")
+    tensor_m = SphereMeasure(ctx, "tensor", orders=200)
+    x1sq = MultiPoly.monomial(2, (2, 0), 1, FLOAT)
+    assert abs(exact_m.sigma_mass() - 1.0) <= 1e-12
+    assert abs(exact_m.integrate(x1sq) - 0.5) <= 1e-12
+    assert abs(tensor_m.sigma_mass() - 1.0) <= 1e-12
+    assert abs(tensor_m.integrate(x1sq) - 0.5) <= 1e-12
+    y2, y3 = harmonic_basis(ctx, 2).elements[0], harmonic_basis(ctx, 3).elements[0]
+    assert abs(exact_m.inner_product(y2, y3)) <= 1e-12
+    assert abs(exact_m.inner_product(y3, y3) - tensor_m.inner_product(y3, y3)) <= 1e-12
     with pytest.raises(ValueError):
-        exact_sigma_integral(ctx, one)
+        exact_sigma_integral(ctx, MultiPoly.constant(2, 1, EXACT))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +368,16 @@ def test_lp_norm_even_p_exact_vs_quadrature():
         a = exact_m.lp_norm(p, q)
         b = tensor_m.lp_norm(p, q)
         assert abs(a - b) <= 1e-10 * max(1.0, a)
+
+
+def test_lp_norm_exact_complex_float_poly():
+    # |p|^2 has complex coefficients; its integral is real
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    p = MultiPoly(2, {(1, 0): 1 + 2j, (0, 1): 0.5}, FLOAT)
+    got = SphereMeasure(ctx, "exact").lp_norm(p, 2)
+    want = SphereMeasure(ctx, "tensor").lp_norm(p, 2)
+    assert abs(want - math.sqrt(2.625)) <= 1e-12
+    assert abs(got - want) <= 1e-12
 
 
 def test_lp_norm_odd_p_falls_back():
