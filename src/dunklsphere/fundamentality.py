@@ -22,12 +22,12 @@ import numpy as np
 from .gegenbauer import (
     DEFAULT_EPS,
     INDETERMINATE,
-    MAX_GRID_POINTS,
     NONZERO,
     ZERO,
     CoefficientProfile,
     Function1D,
     Report,
+    check_size,
     coefficient_profile,
     lambda_coefficient,
     lp_norm_segment,
@@ -40,7 +40,7 @@ from .operators import (
     kernel_translate_batch,
     translate_as_polynomial,
 )
-from .sphere import SphereMeasure, node_set
+from .sphere import SphereMeasure, grid_size, node_set
 
 FUNDAMENTAL = "FUNDAMENTAL_UP_TO_N"
 NOT_FUNDAMENTAL = "NOT_FUNDAMENTAL"
@@ -199,6 +199,10 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
 # Funk-Hecke residuals (reproducing identity check)
 # ---------------------------------------------------------------------------
 
+# values per block of kernel rows or basis elements taken at once (2 MiB)
+_ROW_BLOCK = 2 ** 18
+
+
 @dataclass(frozen=True)
 class FunkHeckeReport(Report):
     KIND = "funk_hecke"
@@ -247,11 +251,14 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     basis element by max(1, sup |Y| on the grid).  The kernel does not
     depend on n, so the grid, the x points and the weighted kernel rows
     wts * K(x, .) of both routes are built once for all degrees, one
-    (x_count, Q) matrix per route; kernel_translate_batch counts the first
-    against MAX_GRID_POINTS before it is allocated.  A context without a
-    kernel raises UnsupportedGroupError before anything is built.
+    (x_count, Q) matrix per route.  Before anything is built, a context
+    without a kernel raises UnsupportedGroupError, and a grid or an
+    x_count x Q above the limit of check_size raises ValueError.  The basis
+    elements are evaluated on the grid in blocks of at most _ROW_BLOCK
+    values (one element when Q is larger).
     """
     ctx.kappa_by_axis()
+    _check_kernel_rows(x_count, grid_size(ctx, orders))
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     xs = _default_x_points(ctx.dim, x_count, seed)
@@ -262,23 +269,24 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     for weighted in rows.values():
         weighted *= wts
 
+    step = max(1, _ROW_BLOCK // len(pts))
     reports = []
     for n in degrees:
         basis = harmonic_basis(ctx, n)
         elements = [e.to_float() if e.mode == EXACT else e for e in basis.elements]
         lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
-        y_vals = np.stack([e.eval_many(pts) for e in elements])   # (B, Q)
-        y_at_x = np.stack([e.eval_many(xs) for e in elements])    # (B, X)
-        scales = np.maximum(1.0, np.abs(y_vals).max(axis=1))      # (B,)
-        routes = {}
-        for route, weighted in rows.items():
-            worst = 0.0
-            # one matrix-vector product per x: a single product over all x
-            # could sum in another order and move the last digits
-            for j, wk in enumerate(weighted):
-                err = np.abs(y_vals @ wk - lam_val * y_at_x[:, j]) / scales
-                worst = max(worst, float(err.max()))
-            routes[route] = worst
+        routes = dict.fromkeys(rows, 0.0)
+        for lo in range(0, len(elements), step):
+            block = elements[lo:lo + step]
+            y_vals = np.stack([e.eval_many(pts) for e in block])      # (b, Q)
+            y_at_x = np.stack([e.eval_many(xs) for e in block])       # (b, X)
+            scales = np.maximum(1.0, np.abs(y_vals).max(axis=1))      # (b,)
+            for route, weighted in rows.items():
+                # one matrix-vector product per x: a single product over all
+                # x could sum in another order and move the last digits
+                for j, wk in enumerate(weighted):
+                    err = np.abs(y_vals @ wk - lam_val * y_at_x[:, j]) / scales
+                    routes[route] = max(routes[route], float(err.max()))
         reports.append(FunkHeckeReport(
             n=n,
             lambda_value=float(ctx.lambda_kappa),
@@ -321,10 +329,6 @@ class DensityReport(Report):
         return zip(self.node_counts, self.ridges, self.residuals)
 
 
-# values per block of kernel rows taken at once (2 MiB)
-_ROW_BLOCK = 2 ** 18
-
-
 def _weighted_gram(rows: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """(rows * wts) @ rows.T, built in blocks of rows of at most _ROW_BLOCK
     values so that no second (J, Q) array is made."""
@@ -348,26 +352,23 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     the translates are orthogonal to the whole degree-m space and the
     residual is exactly 1, as it is with no solve when the Gram matrix is
     zero (a zero kernel), where a = 0 is the minimiser.  Before anything is
-    built, a context without a kernel raises UnsupportedGroupError and J
-    nodes with J^2 above MAX_GRID_POINTS (the Gram matrix) raise ValueError.
+    built, a context without a kernel raises UnsupportedGroupError, and the
+    largest set's J x J Gram matrix, the grid and that set's J x Q kernel
+    rows are counted in that order and raise ValueError above the limit of
+    check_size.
 
     Each node set's kernel rows K(x_j, .) on the Q grid points come from one
     kernel_translate_batch call, and G is built from them in node blocks
-    (_weighted_gram), so one (J, Q) array is held at a time.  The largest
-    set's J x Q is counted against MAX_GRID_POINTS once the grid is built,
-    before the basis or any node set, and above it raises ValueError.
+    (_weighted_gram), so one (J, Q) array is held at a time.
     """
     ctx.kappa_by_axis()
     counts = tuple(int(c) for c in node_counts)
     most = max(counts, default=0)
-    if most * most > MAX_GRID_POINTS:
-        raise ValueError(
-            f"a density node set of {most} nodes builds a {most} x {most} Gram "
-            f"matrix ({most * most * 8 / 2 ** 20:.0f} MiB), above the limit of "
-            f"{MAX_GRID_POINTS} entries; lower the node count")
+    check_size(most * most, f"a density node set of {most} nodes builds a {most} x "
+               f"{most} Gram matrix", "lower the node count")
+    _check_kernel_rows(most, grid_size(ctx, orders))
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
-    _check_kernel_rows(most, len(pts))
 
     basis = harmonic_basis(ctx, m_degree)
     y = basis.elements[0]

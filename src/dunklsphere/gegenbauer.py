@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,24 +125,24 @@ def gegenbauer_at_one(n: int, lam):
 
 
 def gegenbauer_coefficients(n: int, lam) -> list:
-    """Monomial coefficients [c_0, ..., c_n] of C_n; exact for Fraction lam."""
+    """Monomial coefficients [c_0, ..., c_n] of C_n; exact for Fraction lam.
+
+    From the explicit sum (DLMF 18.5.10) C_n(t) = sum_k (-1)^k (lam)_(n-k)
+    (2t)^(n-2k) / (k! (n-2k)!): c_n = 2^n (lam)_n / n!, and each coefficient
+    two degrees down is the last times -(n-2k)(n-2k-1) / (4 (k+1) (lam+n-k-1)).
+    That is O(n) operations; lam may not be a negative integer.
+    """
     exact = isinstance(lam, (int, Fraction))
     lam = Fraction(lam) if exact else float(lam)
-    zero = Fraction(0) if exact else 0.0
-    prev = [Fraction(1) if exact else 1.0]
-    if n == 0:
-        return prev
-    cur = [zero, 2 * lam]
-    for k in range(2, n + 1):
-        nxt = [zero] * (k + 1)
-        for j, c in enumerate(cur):
-            if c:
-                nxt[j + 1] += 2 * (k + lam - 1) * c / k
-        for j, c in enumerate(prev):
-            if c:
-                nxt[j] -= (k + 2 * lam - 2) * c / k
-        prev, cur = cur, nxt
-    return cur
+    zero, c = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    out = [zero] * (n + 1)
+    for j in range(n):
+        c = c * 2 * (lam + j) / (j + 1)
+    out[n] = c
+    for k in range(n // 2):
+        c = -c * (n - 2 * k) * (n - 2 * k - 1) / (4 * (k + 1) * (lam + n - k - 1))
+        out[n - 2 * k - 2] = c
+    return out
 
 
 def c_lambda(lam) -> float:
@@ -164,6 +164,16 @@ def _beta(a: float, b: float) -> float:
 MAX_GRID_POINTS = 2 ** 24
 
 
+def check_size(count: int, what: str, advice: str, width: int = 1) -> None:
+    """Refuse count values above MAX_GRID_POINTS before they are built: the
+    one memory limit of the package.  what names the object and its count,
+    advice says what to lower, and width is the float64 values per counted
+    point (d + 1 for a grid of points with weights) for the MiB figure."""
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"{what} ({count * width * 8 / 2 ** 20:.0f} MiB), above the "
+                         f"limit of {MAX_GRID_POINTS}; {advice}")
+
+
 @lru_cache(maxsize=256)
 def jacobi_rule(m: int, alpha: float, beta: float):
     """Gauss-Jacobi nodes/weights for (1-t)^alpha (1+t)^beta on [-1, 1].
@@ -171,16 +181,12 @@ def jacobi_rule(m: int, alpha: float, beta: float):
     Golub-Welsch: nodes are eigenvalues of the symmetric tridiagonal Jacobi
     matrix of the monic recurrence; weights are mu_0 times the squared first
     components of the normalized eigenvectors.  The dense m x m matrix is
-    counted before it is built; above MAX_GRID_POINTS entries it raises
-    ValueError.
+    counted by check_size before it is built.
     """
     if m < 1:
         raise ValueError("rule needs at least one node")
-    if m * m > MAX_GRID_POINTS:
-        raise ValueError(
-            f"a Gauss-Jacobi rule of order {m} builds a {m} x {m} Jacobi matrix "
-            f"({m * m * 8 / 2 ** 20:.0f} MiB), above the limit of "
-            f"{MAX_GRID_POINTS} entries; lower the order")
+    check_size(m * m, f"a Gauss-Jacobi rule of order {m} builds a {m} x {m} "
+               "Jacobi matrix", "lower the order")
     if alpha <= -1 or beta <= -1:
         raise ValueError("Jacobi exponents must exceed -1")
     ab = alpha + beta
@@ -269,9 +275,9 @@ class Function1D:
 
     kind is one of poly | exp | cosh | sinh | cos | step | gegenbauer | user
     | sum.  ``sum`` nodes hold (weight, child) pairs of primitive kinds.
-    ``parity`` is "even", "odd", or None; ``poly_degree`` is the exact degree
-    for polynomial content and None otherwise.  Both feed the structural
-    zero rules of coefficient profiles.
+    ``parity`` is "even", "odd", or None; ``poly_degree`` is the degree of
+    ``coefficients``, the monomial form of polynomial content, and None
+    otherwise.  Both feed the structural zero rules of coefficient profiles.
     """
 
     kind: str
@@ -341,18 +347,31 @@ class Function1D:
 
     # -- structure -----------------------------------------------------------
 
+    @cached_property
+    def coefficients(self) -> tuple | None:
+        """(c_0, ..., c_k) with g(t) = sum_i c_i t^i for poly, gegen and sums
+        of them, else None; computed once.  Exact for exact input: a sum
+        adds its parts' coefficients times the exact values of their float
+        weights, padded to the longest part, so k is the largest part
+        degree."""
+        if self.kind == "poly":
+            return self.coeffs or (0,)
+        if self.kind == "gegenbauer":
+            return tuple(gegenbauer_coefficients(self.n, self.lam))
+        if self.kind != "sum":
+            return None
+        if any(p.coefficients is None for _, p in self.parts):
+            return None
+        out = [0] * max((len(p.coefficients) for _, p in self.parts), default=1)
+        for w, p in self.parts:
+            for i, c in enumerate(p.coefficients):
+                out[i] += Fraction(w) * c
+        return tuple(out)
+
     @property
     def poly_degree(self) -> int | None:
-        if self.kind == "poly":
-            return len(self.coeffs) - 1 if any(c != 0 for c in self.coeffs) else 0
-        if self.kind == "gegenbauer":
-            return self.n
-        if self.kind == "sum":
-            degs = [p.poly_degree for _, p in self.parts]
-            if any(d is None for d in degs):
-                return None
-            return max(degs, default=0)
-        return None
+        cf = self.coefficients
+        return None if cf is None else len(cf) - 1
 
     @property
     def parity(self) -> str | None:
@@ -689,7 +708,7 @@ def _polynomial_coefficient(g: Function1D, n: int, lam: Fraction) -> Fraction:
     Kronecker delta lam / (m + lam)."""
     if g.kind == "gegenbauer" and g.lam == lam:
         return lam / (n + lam) if n == g.n else Fraction(0)
-    coeffs = g.coeffs if g.kind == "poly" else gegenbauer_coefficients(g.n, g.lam)
+    coeffs = g.coefficients
     moments = [Fraction(1)]
     for k in range((len(coeffs) - 1 + n) // 2):
         moments.append(moments[-1] * (Fraction(1, 2) + k) / (lam + 1 + k))
@@ -774,7 +793,6 @@ def _closed_form(g: Function1D, lam, degrees, dps: int,
 
 
 def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS,
-                        m: int | None = None,
                         precision: int | None = None) -> CoefficientProfile:
     """Profile of Lambda_n(g), n = 0..n_max.
 
@@ -783,9 +801,9 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
     from its closed form at precision digits (PRECISION when None), is
     classified against eps itself, and builds no quadrature rule: norm_g1
     and rule_size are None.  A user callable, or a sum holding one, runs on
-    the Gauss-Jacobi pair of m and 2m nodes (m = RULE_SIZE by default),
-    whose own accuracy bounds what can be certified; there eps is relative
-    to max(1, ||g||_1), with the norm taken on the 2m-node rule.
+    the Gauss-Jacobi pair of RULE_SIZE and twice as many nodes, whose own
+    accuracy bounds what can be certified; there eps is relative to
+    max(1, ||g||_1), with the norm taken on the larger rule.
     """
     if precision is not None and precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} digits, "
@@ -798,8 +816,7 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
                             PRECISION if precision is None else precision, eps)
         norm_g1 = m = None
     else:
-        if m is None:
-            m = RULE_SIZE
+        m = RULE_SIZE
         values, errors, norm_g1 = _quadrature_pair(g, n_max, lam_f,
                                                    gauss_jacobi_rule(m, lam_f))
         data = {}

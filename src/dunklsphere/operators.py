@@ -21,9 +21,9 @@ from math import comb, exp, gcd, lcm
 
 import numpy as np
 
-from .gegenbauer import MAX_GRID_POINTS, Function1D, jacobi_rule
-from .multipoly import (DIVIDE_TOL, EXACT, FLOAT, LinearImages, MultiPoly, _add_terms,
-                        _derivative_terms, _divide_terms, monomials_of_degree)
+from .gegenbauer import Function1D, check_size, jacobi_rule
+from .multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, EXACT, FLOAT, LinearImages, MultiPoly,
+                        _add_terms, _derivative_terms, _divide_terms, monomials_of_degree)
 from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
                          UnsupportedGroupError, builtin_root_system, constants,
                          reflection_matrix, validate_multiplicity)
@@ -250,8 +250,8 @@ class HarmonicBasis:
     """Nullspace basis of the Dunkl Laplacian on homogeneous degree n.
 
     Elements are ordered deterministically (graded-lex monomials, first free
-    column first); they are not orthogonalized.  ``gram`` stays None until a
-    sphere measure fills it in.
+    column first); they are not orthogonalized.  ``gram`` is None unless one
+    is passed in, as in HarmonicBasis(b.degree, b.elements, measure.gram(b)).
     """
 
     degree: int
@@ -445,12 +445,6 @@ def intertwine(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
 # The series sums terms up to |r|^n / n!, which cancel as the rate grows.
 SERIES_MAX_RATE = 4.0
 
-# temporaries of at most 16k float values stay under the 128 KiB at which
-# glibc malloc maps fresh pages, so repeated calls reuse heap memory instead
-# of page-faulting new arrays in every call
-_CHUNK = 16_000
-
-
 @lru_cache(maxsize=256)
 def _nu_rule(kappa: float, m: int):
     """Quadrature for the probability measure d nu_kappa on [-1, 1], kappa > 0:
@@ -514,7 +508,7 @@ def _pair_chunks(xs, ys, pinned, active, width):
     16k // width pairs: (flat slice, sum of x_i y_i over the pinned axes,
     x_i y_i on the active axes as (pairs, active))."""
     total = len(xs) * len(ys)
-    step = max(1, _CHUNK // width)
+    step = max(1, EVAL_CHUNK_ROWS // width)
     for lo in range(0, total, step):
         jj, qq = np.divmod(np.arange(lo, min(lo + step, total)), len(ys))
         x, y = xs[jj], ys[qq]
@@ -523,13 +517,16 @@ def _pair_chunks(xs, ys, pinned, active, width):
 
 
 def _check_kernel_rows(rows: int, points: int) -> None:
-    """Refuse rows x points kernel values above MAX_GRID_POINTS before they
-    are allocated."""
-    if rows * points > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{rows} kernel rows on {points} sphere points are {rows * points} "
-            f"values ({rows * points * 8 / 2 ** 20:.0f} MiB), above the limit of "
-            f"{MAX_GRID_POINTS}; lower the number of centres or the sphere order")
+    """Refuse rows x points kernel values (check_size) before they are built."""
+    check_size(rows * points, f"{rows} kernel rows on {points} sphere points are "
+               f"{rows * points} values", "lower the number of centres or the sphere order")
+
+
+def _abs_max(a: np.ndarray, cols) -> float:
+    """max |a[:, i]| over the columns cols, from each column's max and min
+    so that no part of a is copied; 0 for no rows or columns."""
+    return max((max(a[:, i].max(initial=0.0), -a[:, i].min(initial=0.0)) for i in cols),
+               default=0.0)
 
 
 def _unit_check(x, tol=1e-8):
@@ -573,18 +570,14 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     active = [i for i, k in enumerate(kappas) if k > 0]
     pinned = [i for i, k in enumerate(kappas) if k == 0]      # t_i = 1 axes
     terms = g.exponential_terms
-    size = quad_order ** len(active)
-    if terms is None and size > MAX_GRID_POINTS:
-        mib = size * (len(active) + 1) * 8 / 2 ** 20
-        raise ValueError(
-            f"a kernel grid of order {quad_order} on {len(active)} axes has "
-            f"{size} points ({mib:.0f} MiB with weights), above the limit of "
-            f"{MAX_GRID_POINTS}; lower the kernel order")
+    if terms is None:
+        size = quad_order ** len(active)
+        check_size(size, f"a kernel grid of order {quad_order} on {len(active)} axes "
+                   f"has {size} points", "lower the kernel order", len(active) + 1)
     _check_kernel_rows(len(xs), len(ys))
     series = [(a, r) for a, r in terms or () if abs(r) <= SERIES_MAX_RATE]
     if active and series:
-        reach = (np.abs(xs[:, active]).max(initial=0.0)
-                 * np.abs(ys[:, active]).max(initial=0.0))
+        reach = _abs_max(xs, active) * _abs_max(ys, active)
         if reach > 1.0 + 1e-8:
             raise ValueError(
                 f"the moment series of the kernel needs |x_i y_i| <= 1, not up to "
@@ -592,7 +585,7 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     rules = [_nu_rule(kappas[i], quad_order) for i in active]
     out = np.zeros((len(xs), len(ys)))
     if not active:
-        step = max(1, _CHUNK // max(1, len(ys)))
+        step = max(1, EVAL_CHUNK_ROWS // max(1, len(ys)))
         for lo in range(0, len(xs), step):
             out[lo:lo + step] = g(xs[lo:lo + step] @ ys.T)
     elif terms is None:
@@ -601,7 +594,7 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
         wgrid = rules[0][1]
         for _, w in rules[1:]:
             wgrid = np.outer(wgrid, w).ravel()
-        step = max(1, _CHUNK // len(wgrid))
+        step = max(1, EVAL_CHUNK_ROWS // len(wgrid))
         for xc, row in zip(xs, out):
             base = ys[:, pinned] @ xc[pinned]
             coeff = ys[:, active] * xc[active]                  # (Q, n_active)
@@ -620,7 +613,7 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
             xpow = [_powers(xs[:, i], top) for i in active]        # (top + 1, J)
             coefs = [[xp[:len(p)] * p[:, None] for xp, p in zip(xpow, ps)]
                      for _, _, ps in series]
-            step = max(1, _CHUNK // max(len(xs), (top + 1) * len(active)))
+            step = max(1, EVAL_CHUNK_ROWS // max(len(xs), (top + 1) * len(active)))
             for lo in range(0, len(ys), step):
                 yb = ys[lo:lo + step]
                 ypow = [_powers(yb[:, i], top) for i in active]
@@ -656,34 +649,16 @@ def translate_as_polynomial(ctx: DunklContext, g: Function1D, x) -> MultiPoly:
     """For polynomial g: K(x, .) = V_kappa[g(<x, .>)] as a float polynomial in y.
 
     This is the exact route (up to round-off in the coefficients): expand
-    g(<x, y>) in y, then apply the monomial scaling of the intertwining
-    operator.  Cross-checks the quadrature route in the tests.
+    g(<x, y>) in y by one Horner pass over g.coefficients, then apply the
+    monomial scaling of the intertwining operator.  Cross-checks the
+    quadrature route in the tests.
     """
-    deg = g.poly_degree
-    if deg is None:
+    coeffs = g.coefficients
+    if coeffs is None:
         raise ValueError("translate_as_polynomial needs polynomial g")
     d = ctx.dim
     form = MultiPoly.linear_form([float(c) for c in np.asarray(x, dtype=float)], FLOAT)
-    # Horner in <x, y>
-    if g.kind == "gegenbauer":
-        coeffs = [float(c) for c in gegenbauer_coefficients_cached(g.n, float(g.lam))]
-    elif g.kind == "poly":
-        coeffs = [float(c) for c in g.coeffs]
-    elif g.kind == "sum":
-        acc = MultiPoly.zero(d, FLOAT)
-        for w, part in g.parts:
-            acc = acc + translate_as_polynomial(ctx, part, x).scale(w)
-        return acc
-    else:
-        raise ValueError(f"function kind {g.kind!r} is not polynomial")
     poly = MultiPoly.zero(d, FLOAT)
     for c in reversed(coeffs):
-        poly = poly * form + MultiPoly.constant(d, c, FLOAT)
+        poly = poly * form + MultiPoly.constant(d, float(c), FLOAT)
     return intertwine(ctx, poly)
-
-
-@lru_cache(maxsize=512)
-def gegenbauer_coefficients_cached(n: int, lam: float) -> tuple:
-    from .gegenbauer import gegenbauer_coefficients
-
-    return tuple(gegenbauer_coefficients(n, lam))

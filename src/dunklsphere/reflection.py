@@ -157,26 +157,14 @@ def builtin_root_system(family: str, dimension: int | None = None,
             raise UnsupportedGroupError("a requires ambient dimension d >= 2")
         pos = tuple(tuple(a - b for a, b in zip(e(i, d), e(j, d)))
                     for i in range(d) for j in range(d) if i < j)
-    elif fam == "b":
-        if d < 2:
-            raise UnsupportedGroupError("b requires d >= 2")
+    else:  # fam in ("b", "d"): e_i -+ e_j, and for b the axes e_i first
+        least = 2 if fam == "b" else 3
+        if d < least:
+            raise UnsupportedGroupError(f"{fam} requires d >= {least}")
         axes = [e(i, d) for i in range(d)]
-        combos = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                combos.append(tuple(a - b for a, b in zip(axes[i], axes[j])))
-                combos.append(tuple(a + b for a, b in zip(axes[i], axes[j])))
-        pos = tuple(axes) + tuple(combos)
-    else:  # fam == "d"
-        if d < 3:
-            raise UnsupportedGroupError("d requires d >= 3")
-        axes = [e(i, d) for i in range(d)]
-        combos = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                combos.append(tuple(a - b for a, b in zip(axes[i], axes[j])))
-                combos.append(tuple(a + b for a, b in zip(axes[i], axes[j])))
-        pos = tuple(combos)
+        pos = tuple(axes) if fam == "b" else ()
+        pos += tuple(tuple(a + sign * b for a, b in zip(axes[i], axes[j]))
+                     for i in range(d) for j in range(i + 1, d) for sign in (-1, 1))
     roots = pos + tuple(neg(v) for v in pos)
     return RootSystem(d, roots, pos, fam, exact=True)
 
@@ -378,31 +366,6 @@ def constants(rs: RootSystem, kappa: MultiplicityFunction) -> DunklConstants:
             f"lambda = gamma + (d-2)/2 = {lam} must be positive "
             f"(d = {rs.dim}, gamma = {gamma})")
     return DunklConstants(gamma, lam)
-
-
-def weight_eval(rs: RootSystem, kappa: MultiplicityFunction, x: Sequence):
-    """w(x) = prod over positive roots of |<v, x>|^(2 kappa(v)).
-
-    Exact Fraction when every exponent is an even integer and all inputs are
-    rational; float otherwise.
-    """
-    exact_ok = rs.exact and all(isinstance(t, (int, Fraction)) for t in x) \
-        and kappa.is_integer
-    if exact_ok:
-        acc = Fraction(1)
-        for v in rs.positive:
-            k = kappa.value(v)
-            if k:
-                ip = _dot(v, tuple(Fraction(t) for t in x))
-                acc *= abs(ip) ** (2 * int(k))
-        return acc
-    acc = 1.0
-    for v in rs.positive:
-        k = float(kappa.value(v))
-        if k:
-            ip = abs(sum(float(a) * float(b) for a, b in zip(v, x)))
-            acc *= ip ** (2.0 * k)
-    return acc
 
 
 def weight_values(rs: RootSystem, kappa: MultiplicityFunction, points):

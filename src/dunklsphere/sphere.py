@@ -24,12 +24,11 @@ so that sigma(S^{d-1}) = 1.  Three backends:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gegenbauer import MAX_GRID_POINTS, jacobi_rule, symmetric_jacobi_rule
+from .gegenbauer import check_size, jacobi_rule, symmetric_jacobi_rule
 from .multipoly import EXACT, FLOAT, MultiPoly
 from .operators import DunklContext, HarmonicBasis, dunkl_laplacian
 from .reflection import weight_as_polynomial, weight_values
@@ -198,11 +197,10 @@ def _tensor_grid_zd2(kappas, d: int, order: int):
     u, w = symmetric_jacobi_rule(m01, 2.0 * kf[0],
                                  (d - 3) / 2.0 + float(sum(kf[1:])))
     r = np.sqrt(np.maximum(0.0, 1.0 - u * u))
-    n_u, n_p = u.size, pts.shape[0]
-    big = np.empty((n_u * n_p, d))
-    big[:, 0] = np.repeat(u, n_p)
-    big[:, 1:] = np.repeat(r, n_p)[:, None] * np.tile(pts, (n_u, 1))
-    return big, np.repeat(w, n_p) * np.tile(wts, n_u)
+    big = np.empty((u.size, pts.shape[0], d))          # written in place, no copies
+    big[:, :, 0] = u[:, None]
+    np.multiply(r[:, None, None], pts, out=big[:, :, 1:])
+    return big.reshape(-1, d), np.outer(w, wts).ravel()
 
 
 def _tensor_grid_general(ctx: DunklContext, order: int):
@@ -232,65 +230,41 @@ def _tensor_grid_general(ctx: DunklContext, order: int):
     return pts, weights
 
 
-def _tensor_grid(ctx: DunklContext, order: int):
-    """(points, weights) with sum(weights) ~ int w_kappa d omega (unnormalized).
-
-    The size is counted before anything is allocated; a grid above
-    MAX_GRID_POINTS raises ValueError with its size.
-    """
-    d, kappas = ctx.dim, ctx.axis_kappas
+def grid_size(ctx: DunklContext, order: int) -> int:
+    """Points of the order-`order` tensor grid of ctx, counted without building
+    it: 2 (2 max(2, order // 2))^(d-1) with per-axis kappas, order^(d-1) on
+    the angle grid of other groups.  A grid above the limit of check_size, or
+    d < 2, raises ValueError."""
+    d = ctx.dim
     if d < 2:
         raise ValueError("sphere quadrature needs d >= 2")
-    size = order ** (d - 1) if kappas is None else 2 * (2 * max(2, order // 2)) ** (d - 1)
-    if size > MAX_GRID_POINTS:
-        mib = size * (d + 1) * 8 / 2 ** 20
-        raise ValueError(
-            f"a d = {d} tensor grid of order {order} has {size} points "
-            f"({mib:.0f} MiB with weights), above the limit of "
-            f"{MAX_GRID_POINTS}; lower the order")
-    if kappas is not None:
-        return _tensor_grid_zd2(kappas, d, order)
+    size = (order ** (d - 1) if ctx.axis_kappas is None
+            else 2 * (2 * max(2, order // 2)) ** (d - 1))
+    check_size(size, f"a d = {d} tensor grid of order {order} has {size} points",
+               "lower the order", d + 1)
+    return size
+
+
+def _tensor_grid(ctx: DunklContext, order: int):
+    """(points, weights) with sum(weights) ~ int w_kappa d omega (unnormalized),
+    counted by grid_size before anything is allocated."""
+    grid_size(ctx, order)
+    if ctx.axis_kappas is not None:
+        return _tensor_grid_zd2(ctx.axis_kappas, ctx.dim, order)
     return _tensor_grid_general(ctx, order)
 
 
 # ---------------------------------------------------------------------------
-# SphereFunction and SphereMeasure
+# SphereMeasure
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SphereFunction:
-    """Function on the sphere, vectorized over (N, d) point arrays."""
-
-    fn: object
-    tag: str = "user"
-    poly: MultiPoly | None = None
-    description: str = ""
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly, description: str = "") -> "SphereFunction":
-        return cls(p.eval_many, "polynomial", p, description or p.to_text())
-
-    def __call__(self, points):
-        return self.fn(points)
-
-
 def _point_fn(f):
-    """Normalize f (MultiPoly | SphereFunction | callable) to a point callable."""
+    """Normalize f (MultiPoly | callable) to a point callable."""
     if isinstance(f, MultiPoly):
         return f.eval_many
-    if isinstance(f, SphereFunction):
-        return f.fn
     if callable(f):
         return f
     raise TypeError(f"cannot integrate object of type {type(f).__name__}")
-
-
-def _poly_of(f) -> MultiPoly | None:
-    if isinstance(f, MultiPoly):
-        return f
-    if isinstance(f, SphereFunction):
-        return f.poly
-    return None
 
 
 class SphereMeasure:
@@ -323,7 +297,8 @@ class SphereMeasure:
         """Tensor-grid (points, sigma-normalized weights); built lazily."""
         if self._grid is None:
             pts, wts = _tensor_grid(self.ctx, self.orders)
-            self._grid = (pts, wts * self.normalization)
+            wts *= self.normalization
+            self._grid = (pts, wts)
         return self._grid
 
     # -- integration -------------------------------------------------------
@@ -332,10 +307,9 @@ class SphereMeasure:
         """int f d sigma_kappa.  Exact backend requires polynomial input and
         returns a Fraction for exact-mode polynomials."""
         if self.backend == "exact":
-            poly = _poly_of(f)
-            if poly is None:
+            if not isinstance(f, MultiPoly):
                 raise TypeError("exact backend integrates polynomials only")
-            return exact_sigma_integral(self.ctx, poly)
+            return exact_sigma_integral(self.ctx, f)
         if self.backend == "tensor":
             pts, wts = self.quad_points()
             vals = np.asarray(_point_fn(f)(pts))
@@ -379,22 +353,22 @@ class SphereMeasure:
         if self.backend == "tensor":
             _, wts = self.quad_points()
             return float(wts.sum())
-        return self.integrate(SphereFunction(lambda p: np.ones(p.shape[0])))
+        return self.integrate(lambda p: np.ones(p.shape[0]))
 
     # -- inner products and norms -------------------------------------------
 
     def inner_product(self, f, h):
         """<f, h> = int f * conj(h) d sigma_kappa."""
-        pf, ph = _poly_of(f), _poly_of(h)
-        if pf is not None and ph is not None:
+        if isinstance(f, MultiPoly) and isinstance(h, MultiPoly):
+            pf, ph = f, h
             if pf.mode != ph.mode:
                 pf, ph = pf.to_float(), ph.to_float()
             return self.integrate(pf * ph.conjugate())
         if self.backend == "exact":
             raise TypeError("exact backend integrates polynomials only")
         ff, fh = _point_fn(f), _point_fn(h)
-        return self.integrate(SphereFunction(
-            lambda pts: np.asarray(ff(pts)) * np.conjugate(np.asarray(fh(pts)))))
+        return self.integrate(
+            lambda pts: np.asarray(ff(pts)) * np.conjugate(np.asarray(fh(pts))))
 
     def lp_norm(self, f, p) -> float:
         """|| f ||_{kappa, p} on the sphere.  Exact backend handles even
@@ -402,11 +376,10 @@ class SphereMeasure:
         grid of the same order."""
         if p < 1:
             raise ValueError("p must be >= 1")
-        poly = _poly_of(f)
-        if self.backend == "exact" and poly is not None \
+        if self.backend == "exact" and isinstance(f, MultiPoly) \
                 and float(p) == int(p) and int(p) % 2 == 0:
             k = int(p) // 2
-            prod = poly * poly.conjugate()
+            prod = f * f.conjugate()
             acc = prod
             for _ in range(k - 1):
                 acc = acc * prod
@@ -431,10 +404,6 @@ class SphereMeasure:
                     row.append(self.inner_product(elements[i], elements[j]))
             rows.append(row)
         return tuple(tuple(r) for r in rows)
-
-
-def with_gram(basis: HarmonicBasis, measure: SphereMeasure) -> HarmonicBasis:
-    return HarmonicBasis(basis.degree, basis.elements, measure.gram(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dunklsphere import (
     parse_function,
     union_fundamental,
 )
+from dunklsphere import fundamentality
 from dunklsphere.fundamentality import _weighted_gram
 
 CTX = DunklContext.create("zd2", 2, (1, 1))
@@ -194,6 +195,36 @@ def test_kernel_users_refuse_unsupported_groups_first(call, unsupported, nothing
 def test_density_refuses_a_huge_node_set_before_building(nothing_built):
     with pytest.raises(ValueError, match="4097 x 4097 Gram matrix"):
         density_demo(CTX, parse_function("exp"), 1, (6, 4097))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx, g: funk_hecke_table(ctx, g, (0,), orders=80, x_count=24),
+    lambda ctx, g: density_demo(ctx, g, 1, (6, 24), orders=80, scheme="uniform_random",
+                                seed=1),
+])
+def test_kernel_rows_are_counted_before_the_grid_is_built(call, nothing_built):
+    # the d = 4 grid of order 80 has 1024000 points: its size is computed,
+    # and 24 rows on it are refused before the grid or a node set exists
+    ctx = DunklContext.create("zd2", 4, 0)
+    with pytest.raises(ValueError, match="24 kernel rows on 1024000 sphere points "
+                                         "are 24576000 values"):
+        call(ctx, parse_function("exp"))
+
+
+@pytest.mark.parametrize("g", ["exp", "poly 1,0,2,1"])
+def test_funk_hecke_basis_blocks_match_one_block(g, monkeypatch):
+    # a _ROW_BLOCK below the grid size takes one basis element per block
+    ctx = DunklContext.create("zd2", 3, (1, 0, 2))
+    fn = parse_function(g, ctx.lambda_kappa)
+    opts = dict(orders=16, x_count=3, quad_order=12)
+    whole = funk_hecke_table(ctx, fn, (2, 3), **opts)
+    monkeypatch.setattr(fundamentality, "_ROW_BLOCK", 1)
+    blocked = funk_hecke_table(ctx, fn, (2, 3), **opts)
+    for a, b in zip(whole, blocked):
+        assert a.basis_size == b.basis_size > 1
+        assert set(a.residual_by_route) == set(b.residual_by_route)
+        for route, value in a.residual_by_route.items():
+            assert abs(value - b.residual_by_route[route]) <= 1e-15
 
 
 def test_funk_hecke_csv():

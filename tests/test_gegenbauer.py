@@ -77,6 +77,41 @@ def test_coefficients_match_eval():
         assert horner == gegenbauer_eval(n, lam, t)
 
 
+def test_coefficients_match_eval_at_high_degree():
+    # the explicit sum takes O(n) steps, so degree 1000 costs milliseconds
+    lam, t = Fraction(7, 3), Fraction(2, 7)
+    for n in (40, 41):
+        horner = Fraction(0)
+        for c in reversed(gegenbauer_coefficients(n, lam)):
+            horner = horner * t + c
+        assert horner == gegenbauer_eval(n, lam, t)
+    assert len(gegenbauer_coefficients(1000, lam)) == 1001
+    floats = gegenbauer_coefficients(9, 1.25)
+    exact = gegenbauer_coefficients(9, Fraction(5, 4))
+    assert all(abs(a - float(b)) <= 1e-12 * max(1.0, abs(float(b)))
+               for a, b in zip(floats, exact))
+
+
+def test_function_coefficients_are_the_polynomial_form():
+    lam = Fraction(3, 2)
+    poly = parse_function("poly 1,0,3/2")
+    assert poly.coefficients == (1, 0, Fraction(3, 2)) and poly.poly_degree == 2
+    gegen = Function1D.gegenbauer_poly(2, lam)
+    assert gegen.coefficients == tuple(gegenbauer_coefficients(2, lam))
+    total = parse_function("sum 2*poly 1,1 + 1/2*gegen 2", lam)
+    assert total.coefficients == (2 - lam / 2, 2, lam * (lam + 1))
+    assert total.poly_degree == 2
+    # a sum keeps its largest part degree even when the top terms cancel
+    cancel = parse_function("sum 1*poly 0,1 + -1*poly 0,1")
+    assert cancel.coefficients == (0, 0) and cancel.poly_degree == 1
+    for text in ("exp", "cos 2", "step 1/2", "sum 1*poly 1 + 1*exp"):
+        assert parse_function(text).coefficients is None
+        assert parse_function(text).poly_degree is None
+    assert Function1D.from_callable(np.exp).coefficients is None
+    # degree 1000 is read from its coefficients without a slow expansion
+    assert Function1D.gegenbauer_poly(1000, lam).poly_degree == 1000
+
+
 def test_eval_agrees_across_number_types():
     from mpmath import mp
 

@@ -527,6 +527,25 @@ def test_kernel_rows_are_counted_before_they_are_allocated():
     assert peak < 2 ** 20
 
 
+def test_moment_series_reach_check_copies_no_points():
+    # max |y_i| comes from each column's max and min, so one exp batch on
+    # 200000 points holds its (1, Q) output and chunk temporaries, not a
+    # copy of the points
+    ctx = DunklContext.create("zd2", 4, 1)
+    rng = np.random.default_rng(5)
+    ys = _unit_rows(rng, 200_000, 4)
+    x = _unit_rows(rng, 1, 4)[0]
+    g = Function1D.exponential()
+    kernel_translate_batch(ctx, g, x, ys[:10], 8)          # rules built and cached
+    tracemalloc.start()
+    try:
+        kernel_translate_batch(ctx, g, x, ys, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ys.nbytes / 2
+
+
 def test_moment_series_refuses_points_off_the_sphere():
     # |x_1 y_1| = 3 would put the series past its truncation bound; the
     # direct sum (cos 12) and the tensor grid hold for any points

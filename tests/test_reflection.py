@@ -22,7 +22,6 @@ from dunklsphere import (
     validate_multiplicity,
     validate_root_system,
     weight_as_polynomial,
-    weight_eval,
     weight_values,
 )
 
@@ -306,8 +305,10 @@ def test_weight_polynomial_needs_integer_kappa():
 def test_weight_eval_exact_for_rational_input():
     rs = builtin_root_system("zd2", 2)
     kappa = _mult(rs, [1, 2])
-    val = weight_eval(rs, kappa, (Fraction(1, 2), Fraction(1, 3)))
+    x = (Fraction(1, 2), Fraction(1, 3))
+    val = weight_as_polynomial(rs, kappa).eval(x)
     assert val == Fraction(1, 2) ** 2 * Fraction(1, 3) ** 4
+    assert weight_values(rs, kappa, [x])[0] == pytest.approx(float(val), rel=1e-15)
 
 
 def test_group_elements_are_orthogonal():

@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from dunklsphere import (
     DunklContext,
     Function1D,
     MultiPoly,
-    SphereFunction,
     SphereMeasure,
     a_kappa,
     a_kappa_paths,
@@ -29,9 +29,8 @@ from dunklsphere import (
     pochhammer,
     sphere_surface_area,
     weight_as_polynomial,
-    with_gram,
 )
-from dunklsphere.sphere import _gamma_half
+from dunklsphere.sphere import _gamma_half, grid_size
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +310,37 @@ def test_tensor_general_group_integer_kappa():
     assert abs(tensor_m.integrate(p) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+@pytest.mark.parametrize("args, order", [
+    (("zd2", 3, ("1/2", 0, 2)), 9), (("zd2", 4, 1), 6), (("b", 3, 0), 7),
+    (("b", 3, (1, 2)), 7), (("i2", 2, 1, 5), 11),
+])
+def test_grid_size_counts_the_built_grid(args, order):
+    ctx = DunklContext.create(*args)
+    pts, wts = SphereMeasure(ctx, "tensor", orders=order).quad_points()
+    assert grid_size(ctx, order) == len(pts) == len(wts)
+
+
+def test_grid_size_refuses_before_building():
+    # 2 * 80^4 points on Z_2^5 at order 80; nothing is allocated to say so
+    with pytest.raises(ValueError, match="a d = 5 tensor grid of order 80 has 81920000 "
+                                         "points"):
+        grid_size(DunklContext.create("zd2", 5, 0), 80)
+
+
+def test_zd2_grid_holds_no_copies_of_itself():
+    # the (n_u, n_p, d) output is written in place: the traced peak of a
+    # d = 4 grid of order 60 stays near the bytes of its points and weights
+    ctx = DunklContext.create("zd2", 4, (1, "1/2", 0, 2))
+    measure = SphereMeasure(ctx, "tensor", orders=60)
+    tracemalloc.start()
+    try:
+        pts, wts = measure.quad_points()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (pts.nbytes + wts.nbytes)
+
+
 def test_general_grid_rule_too_large_raises_at_once():
     # the d = 2 grid of order 20000 has 20000 points, under the grid limit,
     # but its Gauss-Legendre rule needs a 20000 x 20000 Jacobi matrix (3 GiB);
@@ -397,8 +427,6 @@ def test_gram_is_symmetric_and_diagonal_positive():
         assert g[i][i] > 0
         for j in range(size):
             assert g[i][j] == g[j][i]
-    hb = with_gram(basis, m)
-    assert hb.gram == g
 
 
 def test_inner_product_conjugates_second_argument():
@@ -445,13 +473,3 @@ def test_spiral_high_dimension_rejected():
 def test_unknown_node_scheme_rejected(scheme):
     with pytest.raises(ValueError, match="unknown node scheme"):
         node_set(2, 10, scheme, seed=1)
-
-
-def test_sphere_function_wrapper():
-    ctx = DunklContext.create("zd2", 2, (1, 1))
-    p = MultiPoly.monomial(2, (2, 0), 1, EXACT)
-    f = SphereFunction.from_poly(p)
-    pts = node_set(2, 6)
-    assert np.allclose(f(pts), p.to_float().eval_many(pts))
-    m = SphereMeasure(ctx, "exact")
-    assert m.integrate(f) == Fraction(1, 2)
