@@ -83,7 +83,7 @@ class DunklContext:
         computed once per context."""
         d = self.dim
         if self.is_zd2:
-            return tuple(self.kappa.value(tuple(Fraction(int(i == j)) for j in range(d)))
+            return tuple(self.kappa.value(tuple(int(i == j) for j in range(d)))
                          for i in range(d))
         return (Fraction(0),) * d if self.kappa_is_zero else None
 
@@ -558,8 +558,8 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     per axis for all centres, on power tables of y built in chunks of
     points.  Faster rates keep the sum over the nodes, in chunks of the
     flattened centre-point pairs.  Every other g is summed over the
-    quad_order^active tensor grid, one centre at a time in chunks of
-    points; the grid is counted before it is built, and above
+    quad_order^active tensor grid in chunks of points, one centre at a time
+    within each chunk; the grid is counted before it is built, and above
     MAX_GRID_POINTS it raises ValueError, as does a quad_order^2 Jacobi
     matrix of the axis rules on either route.
     """
@@ -595,12 +595,12 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
         for _, w in rules[1:]:
             wgrid = np.outer(wgrid, w).ravel()
         step = max(1, EVAL_CHUNK_ROWS // len(wgrid))
-        for xc, row in zip(xs, out):
-            base = ys[:, pinned] @ xc[pinned]
-            coeff = ys[:, active] * xc[active]                  # (Q, n_active)
-            for lo in range(0, len(ys), step):
-                args = base[lo:lo + step, None] + coeff[lo:lo + step] @ tmat.T
-                row[lo:lo + step] = g(args) @ wgrid
+        xp, xa = xs[:, pinned], xs[:, active]
+        for lo in range(0, len(ys), step):                      # no (Q, d) copies
+            yp, ya = ys[lo:lo + step, pinned], ys[lo:lo + step, active]
+            for j in range(len(xs)):
+                args = (yp @ xp[j])[:, None] + (ya * xa[j]) @ tmat.T
+                out[j, lo:lo + step] = g(args) @ wgrid
     else:
         # g = Re sum_k a_k e^(r_k s) factors the tensor rule exactly:
         # K = Re sum_k a_k e^(r_k b) prod_i sum_j w_ij e^(r_k c_i t_ij), with

@@ -5,6 +5,9 @@ Vectors and matrices are plain tuples of scalars so that the rational families
 family I2(m) uses unit roots cos/sin(k*pi/m), which are irrational for every
 m >= 3, so it always lives in float coordinates; roots and matrices are then
 deduplicated by an entrywise 1e-10 quantization instead of exact comparison.
+Root walks (orbits and the permutation axiom) reflect vectors directly,
+s_v w = w - (2 <v, w> / <v, v>) v, on int coordinates wherever the roots are
+integral, so the rational families build no Fraction there.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .gegenbauer import parse_fraction
@@ -44,11 +48,7 @@ class InvalidMultiplicityError(ValueError):
 # -- small exact linear algebra on tuples -----------------------------------
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _matvec(m, v):
-    return tuple(_dot(row, v) for row in m)
+    return sum(map(mul, u, v))
 
 
 def _matmul(a, b):
@@ -63,9 +63,47 @@ def _identity(d, exact):
 
 
 def _vec_key(v):
+    """Exact vectors key as they are (an int and the equal Fraction hash and
+    compare alike); float vectors by their DEDUP_TOL quantization."""
     if all(isinstance(x, (int, Fraction)) for x in v):
-        return tuple(Fraction(x) for x in v)
+        return tuple(v)
     return tuple(int(round(float(x) / DEDUP_TOL)) for x in v)
+
+
+def _int_coords(v):
+    """v with every integral Fraction coordinate as an int; others unchanged."""
+    return tuple(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+                 for x in v)
+
+
+def _reflect(v, vv, w):
+    """s_v w = w - (2 <v, w> / <v, v>) v, given vv = <v, v>: O(d) per image.
+
+    Int coordinates stay ints while vv divides 2 <v, w>; a Fraction appears
+    only when the ratio is not an integer, and float roots stay floats.
+    """
+    ip = 2 * _dot(v, w)
+    if not ip:
+        return w
+    if isinstance(ip, int) and isinstance(vv, int) and ip % vv == 0:
+        c = ip // vv
+    elif isinstance(ip, float) or isinstance(vv, float):
+        c = ip / vv
+    else:
+        c = Fraction(ip) / vv
+    return tuple(a - c * b for a, b in zip(w, v))
+
+
+def _reflection_steps(rs: RootSystem) -> tuple:
+    """(v, <v, v>) per positive root, in int coordinates where integral."""
+    steps = []
+    for v in rs.positive:
+        v = _int_coords(v)
+        vv = _dot(v, v)
+        if vv == 0:
+            raise ValueError("cannot reflect through the zero vector")
+        steps.append((v, vv))
+    return tuple(steps)
 
 
 def _mat_key(m):
@@ -197,10 +235,10 @@ def validate_root_system(rs: RootSystem) -> None:
                 opp = all(abs(float(a) + float(b)) <= DEDUP_TOL for a, b in zip(u, w))
                 if not (same or opp):
                     raise ValueError(f"roots {u} and {w} are collinear but not opposite")
-    for v in rs.positive:
-        s = reflection_matrix(v)
-        for w in rs.roots:
-            if _vec_key(_matvec(s, w)) not in keys:
+    roots = tuple(_int_coords(w) for w in rs.roots)
+    for v, (u, uu) in zip(rs.positive, _reflection_steps(rs)):
+        for w in roots:
+            if _vec_key(_reflect(u, uu, w)) not in keys:
                 raise ValueError(f"reflection through {v} does not preserve the root set")
 
 
@@ -251,24 +289,32 @@ def root_orbits(rs: RootSystem) -> list[list]:
     canonical enumeration order) they contain, which fixes the meaning of
     per-orbit multiplicity sequences.
     """
-    gens = tuple(reflection_matrix(v) for v in rs.positive)
-    key_to_root = {_vec_key(v): v for v in rs.roots}
+    steps = _reflection_steps(rs)
+    # roots keyed by their int coordinates, so that lookups compare ints;
+    # images of exact roots are exact, so they key as they are
+    exact = all(isinstance(x, (int, Fraction)) for v in rs.roots for x in v)
+    key = tuple if exact else _vec_key
+    by_key = {}
+    for v in rs.roots:
+        w = _int_coords(v)
+        by_key[key(w)] = (v, w)
     assigned: set = set()
     orbits: list[list] = []
     for v in rs.positive:
-        if _vec_key(v) in assigned:
+        w = _int_coords(v)
+        if key(w) in assigned:
             continue
-        orbit = [v]
-        assigned.add(_vec_key(v))
-        for w in orbit:              # grows while it is walked: a BFS
-            for s in gens:
-                wk = _vec_key(_matvec(s, w))
-                if wk not in key_to_root:
-                    raise ValueError(f"reflection maps root {w} outside the root set")
+        orbit = [(v, w)]
+        assigned.add(key(w))
+        for root, w in orbit:        # grows while it is walked: a BFS
+            for u, uu in steps:
+                wk = key(_reflect(u, uu, w))
+                if wk not in by_key:
+                    raise ValueError(f"reflection maps root {root} outside the root set")
                 if wk not in assigned:
                     assigned.add(wk)
-                    orbit.append(key_to_root[wk])
-        orbits.append(orbit)
+                    orbit.append(by_key[wk])
+        orbits.append([root for root, _ in orbit])
     return orbits
 
 

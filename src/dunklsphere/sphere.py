@@ -132,14 +132,19 @@ def a_kappa_paths(ctx: DunklContext, order: int = 80) -> dict:
     return out
 
 
-def a_kappa(ctx: DunklContext, order: int = 80) -> float:
-    """Normalization constant with a_kappa * int w_kappa d omega = 1."""
+def a_kappa(ctx: DunklContext, order: int = 80, weights=None) -> float:
+    """Normalization constant with a_kappa * int w_kappa d omega = 1.
+
+    Closed forms where they exist, else 1 / sum of the order-`order` tensor
+    grid's weights: those of `weights` when the caller has that grid built.
+    """
     if ctx.is_zd2:
         return _a_kappa_closed_zd2(ctx)
     if ctx.root_system.exact and ctx.kappa.is_integer:
         return 1.0 / (float(_weight_mass_rational(ctx)) * math.pi ** (ctx.dim // 2))
-    pts, wts = _tensor_grid(ctx, order)
-    return 1.0 / float(wts.sum())
+    if weights is None:
+        _, weights = _tensor_grid(ctx, order)
+    return 1.0 / float(weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +302,9 @@ class SphereMeasure:
         """Tensor-grid (points, sigma-normalized weights); built lazily."""
         if self._grid is None:
             pts, wts = _tensor_grid(self.ctx, self.orders)
-            wts *= self.normalization
+            if self._a_kappa is None:
+                self._a_kappa = a_kappa(self.ctx, self.orders, wts)
+            wts *= self._a_kappa
             self._grid = (pts, wts)
         return self._grid
 

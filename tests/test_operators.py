@@ -546,6 +546,26 @@ def test_moment_series_reach_check_copies_no_points():
     assert peak < ys.nbytes / 2
 
 
+def test_tensor_route_builds_no_per_centre_copy_of_the_points():
+    # the pinned and active parts of <x, y> are built per chunk of points,
+    # so one step batch on 200000 points holds its (1, Q) output and chunk
+    # temporaries, not (Q, d) products of every point with the centre; kernel
+    # order 2 keeps the chunks few, as order 4 takes over 1 s under tracemalloc
+    ctx = DunklContext.create("zd2", 4, 1)
+    rng = np.random.default_rng(5)
+    ys = _unit_rows(rng, 200_000, 4)
+    x = _unit_rows(rng, 1, 4)[0]
+    g = parse_function("step 1/2")
+    kernel_translate_batch(ctx, g, x, ys[:10], 2)          # rules built and cached
+    tracemalloc.start()
+    try:
+        kernel_translate_batch(ctx, g, x, ys, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ys.nbytes / 2
+
+
 def test_moment_series_refuses_points_off_the_sphere():
     # |x_1 y_1| = 3 would put the series past its truncation bound; the
     # direct sum (cos 12) and the tensor grid hold for any points

@@ -11,6 +11,7 @@ from dunklsphere import (
     DunklContext,
     InvalidMultiplicityError,
     MultiPoly,
+    RootSystem,
     UnsupportedGroupError,
     builtin_root_system,
     constants,
@@ -162,6 +163,117 @@ def test_root_orbits_match_group_orbits(family, dim, order):
     assert [orb[0] for orb in got] == [orb[0] for orb in want]
     assert [sorted(map(_key, orb)) for orb in got] == \
         [sorted(map(_key, orb)) for orb in want]
+
+
+def _matrix_bfs_orbits(rs):
+    """root_orbits as it was first written: a BFS that applies each
+    reflection matrix s_v = I - 2 v v^T / <v, v> to every orbit member, keyed
+    by Fraction tuples (float roots: the 1e-10 quantization).  The oracle
+    for the reflection formula; integral matrix and root entries are ints,
+    which only makes the same products faster."""
+    def small(x):
+        return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+    def key(w):
+        if rs.exact:
+            return tuple(Fraction(x) for x in w)
+        return tuple(int(round(float(x) / 1e-10)) for x in w)
+
+    gens = [tuple(tuple(small(x) for x in row) for row in reflection_matrix(v))
+            for v in rs.positive]
+    key_to_root = {key(v): v for v in rs.roots}
+    assigned, orbits = set(), []
+    for v in rs.positive:
+        if key(v) in assigned:
+            continue
+        orbit = [v]
+        assigned.add(key(v))
+        for w in orbit:
+            w = tuple(small(x) for x in w)
+            for s in gens:
+                wk = key(tuple(sum(a * b for a, b in zip(row, w)) for row in s))
+                if wk not in assigned:
+                    assigned.add(wk)
+                    orbit.append(key_to_root[wk])
+        orbits.append(orbit)
+    return orbits
+
+
+def _system(pos):
+    """The root system of the positive roots pos (as Fractions) and their
+    negatives."""
+    pos = tuple(tuple(Fraction(c) for c in v) for v in pos)
+    return RootSystem(len(pos[0]), pos + tuple(tuple(-c for c in v) for v in pos), pos)
+
+
+def _rescaled_b2():
+    """B2 with long roots 3(e_1 +- e_2): 2 <v, w> / <v, v> = 1/3 for a long v
+    and a short w, so the reflection step leaves the integers."""
+    return _system([(1, 0), (0, 1), (3, -3), (3, 3)])
+
+
+@pytest.mark.parametrize("family,dim,order", [
+    *[("zd2", d, None) for d in range(2, 7)],
+    *[("a", d, None) for d in range(2, 7)],
+    *[("b", d, None) for d in range(2, 7)],
+    *[("d", d, None) for d in range(3, 7)],
+    *[("i2", 2, m) for m in range(3, 9)],
+])
+def test_root_orbits_match_matrix_bfs(family, dim, order):
+    rs = builtin_root_system(family, dim, order=order)
+    assert root_orbits(rs) == _matrix_bfs_orbits(rs)
+
+
+def test_root_orbits_of_rescaled_b2():
+    rs = _rescaled_b2()
+    validate_root_system(rs)
+    got = root_orbits(rs)
+    assert got == _matrix_bfs_orbits(rs)
+    assert [len(orb) for orb in got] == [4, 4]
+    assert all(type(c) is Fraction for orb in got for v in orb for c in v)
+    assert validate_multiplicity(rs, ["1/2", 2]).value((3, 3)) == 2
+
+
+@pytest.mark.parametrize("family,dim,order,sizes", [
+    *[("zd2", d, None, [2] * d) for d in range(1, 9)],
+    *[("a", d, None, [d * (d - 1)]) for d in range(2, 9)],
+    *[("b", d, None, [2 * d, 2 * d * (d - 1)]) for d in range(2, 9)],
+    *[("d", d, None, [2 * d * (d - 1)]) for d in range(3, 9)],
+    *[("i2", 2, m, [2 * m] if m % 2 else [m, m]) for m in range(3, 13)],
+])
+def test_root_orbit_sizes_closed_form(family, dim, order, sizes):
+    rs = builtin_root_system(family, dim, order=order)
+    assert [len(orb) for orb in root_orbits(rs)] == sizes
+
+
+@pytest.mark.parametrize("rs,message", [
+    (RootSystem(2, ((Fraction(1), Fraction(0)),) * 2, ((Fraction(1), Fraction(0)),)),
+     "duplicate roots"),
+    (RootSystem(2, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
+                ((Fraction(1), Fraction(0)),)),
+     "root set not symmetric: -(Fraction(1, 1), Fraction(0, 1)) missing"),
+    (_system([(1, 0), (2, 0)]),
+     "roots (Fraction(1, 1), Fraction(0, 1)) and (Fraction(2, 1), Fraction(0, 1)) "
+     "are collinear but not opposite"),
+    (_system([(1, 0), (1, 1)]),
+     "reflection through (Fraction(1, 1), Fraction(0, 1)) does not preserve the root set"),
+    (_system([(1, 0), (0, 1), (3, -2), (3, 2)]),
+     "reflection through (Fraction(3, 1), Fraction(-2, 1)) does not preserve the root set"),
+])
+def test_validate_root_system_rejects(rs, message):
+    with pytest.raises(ValueError) as err:
+        validate_root_system(rs)
+    assert str(err.value) == message
+
+
+def test_multiplicity_lookup_takes_int_roots():
+    ctx = DunklContext.create("b", 3, (1, 2))
+    for v in ctx.root_system.roots:
+        as_ints = tuple(int(c) for c in v)
+        assert ctx.kappa.value(as_ints) == ctx.kappa.value(v)
+    assert ctx.kappa.value((0, 1, -1)) == 2
+    with pytest.raises(KeyError):
+        ctx.kappa.value((1, 1, 1))
 
 
 @pytest.mark.parametrize("family,kappa,sizes,lam", [

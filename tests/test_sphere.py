@@ -30,6 +30,7 @@ from dunklsphere import (
     sphere_surface_area,
     weight_as_polynomial,
 )
+from dunklsphere import sphere
 from dunklsphere.sphere import _gamma_half, grid_size
 
 
@@ -339,6 +340,29 @@ def test_zd2_grid_holds_no_copies_of_itself():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * (pts.nbytes + wts.nbytes)
+
+
+def test_quad_points_builds_its_grid_once(monkeypatch):
+    # B3 at fractional kappa has no closed a_kappa: it is 1 / sum of the
+    # weights of the grid that quad_points builds anyway, not of a second one
+    ctx = DunklContext.create("b", 3, ("1/2", "1/2"))
+    _, raw = sphere._tensor_grid(ctx, 12)
+    norm = a_kappa(ctx, 12)
+    want = norm * raw
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return grid(*args)
+
+    grid = sphere._tensor_grid
+    monkeypatch.setattr(sphere, "_tensor_grid", counted)
+    measure = SphereMeasure(ctx, "tensor", orders=12)
+    _, wts = measure.quad_points()
+    assert len(calls) == 1
+    assert np.array_equal(wts, want)
+    assert measure.normalization == norm
+    assert len(calls) == 1
 
 
 def test_general_grid_rule_too_large_raises_at_once():
