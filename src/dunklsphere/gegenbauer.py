@@ -230,10 +230,6 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def integrate(self, fn: Callable):
         vals = np.asarray(fn(self.nodes))
         res = self.weights @ vals

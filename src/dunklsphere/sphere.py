@@ -2,7 +2,8 @@
 
 The normalized measure is d sigma = a_kappa * w_kappa * d omega with
 w_kappa(x) = prod |<v, x>|^(2 kappa(v)) over positive roots and a_kappa chosen
-so that sigma(S^{d-1}) = 1.  Three backends:
+so that sigma(S^{d-1}) = 1, in closed form on every built-in family (a grid
+sum only on a user root system at kappa != 0).  Three backends:
 
 * ``exact``          -- exact integrals of polynomials for every context:
                         a Horner pass of Dunkl Laplacians over the even
@@ -15,7 +16,8 @@ so that sigma(S^{d-1}) = 1.  Three backends:
                         symmetric Jacobi rules (machine precision for any
                         kappa >= 0).  Other groups fold w_kappa into the
                         integrand pointwise, which is spectrally accurate for
-                        polynomial weights but degrades for fractional kappa.
+                        polynomial weights but converges slowly at fractional
+                        kappa; sigma_mass() shows that error on the weight.
 * ``monte_carlo``    -- uniform sphere sampling (Gaussian normalization) with
                         importance weight a_kappa * w_kappa * area; a seed is
                         mandatory and runs are bit-reproducible.
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gegenbauer import check_size, jacobi_rule, symmetric_jacobi_rule
-from .multipoly import EXACT, FLOAT, MultiPoly
+from .multipoly import DEGREE_CAP, EXACT, FLOAT, MultiPoly
 from .operators import DunklContext, HarmonicBasis, dunkl_laplacian
 from .reflection import weight_as_polynomial, weight_values
 
@@ -69,30 +71,6 @@ def even_monomial_coeff(alpha, d: int) -> Fraction:
     return num / den
 
 
-def monomial_sphere_integral(alpha, d: int, absolute: bool = False) -> float:
-    """int_{S^{d-1}} prod x_i^{a_i} d omega (signed), or with |x_i| factors.
-
-    The absolute variant accepts any real exponents >= 0:
-        2 prod Gamma((a_i + 1)/2) / Gamma((d + sum a_i)/2).
-    The signed variant is zero when any exponent is odd.
-    """
-    if len(alpha) != d:
-        raise ValueError("exponent tuple length must equal the dimension")
-    if absolute:
-        if any(a < 0 for a in alpha):
-            raise ValueError("absolute variant needs nonnegative exponents")
-        num = 2.0
-        for a in alpha:
-            num *= math.gamma((float(a) + 1.0) / 2.0)
-        return num / math.gamma((d + float(sum(alpha))) / 2.0)
-    if any(int(a) != a for a in alpha):
-        raise ValueError("signed variant needs integer exponents")
-    if any(int(a) % 2 for a in alpha):
-        return 0.0
-    return float(even_monomial_coeff(tuple(int(a) for a in alpha), d)) \
-        * math.pi ** (d // 2)
-
-
 def sphere_surface_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
@@ -103,10 +81,9 @@ def sphere_surface_area(d: int) -> float:
 
 def _a_kappa_closed_zd2(ctx: DunklContext) -> float:
     """Zd2 closed form: 1 / int w = Gamma(gamma + d/2) / (2 prod Gamma(k_i + 1/2))."""
-    kappas = [float(k) for k in ctx.kappa_by_axis()]
     den = 2.0
-    for k in kappas:
-        den *= math.gamma(k + 0.5)
+    for k in ctx.axis_kappas:
+        den *= math.gamma(float(k) + 0.5)
     return math.gamma(float(ctx.gamma_kappa) + ctx.dim / 2.0) / den
 
 
@@ -119,32 +96,57 @@ def _weight_mass_rational(ctx: DunklContext) -> Fraction:
     return total
 
 
+def _a_kappa_closed(ctx: DunklContext) -> float | None:
+    """a_kappa in closed form; None on a user root system at kappa != 0.
+
+    Per axis where kappa factors over the coordinates; the Macdonald-Mehta-Opdam
+    mass (Etingof 2010) on a, b and d; a beta integral on I2.  Taken in 30-digit
+    mpmath; README's "Weighted sphere integration" section states each formula.
+    """
+    if ctx.axis_kappas is not None:
+        return _a_kappa_closed_zd2(ctx)
+    family, d = ctx.root_system.family, ctx.dim
+    if family not in ("a", "b", "d", "i2"):
+        return None
+    from mpmath import mp, mpf
+    with mp.workdps(30):
+        ks = [mpf(str(k)) for k in ctx.kappa.orbit_values]
+        if family == "i2":
+            m = len(ctx.root_system.positive)
+            k1, k2, scale = (0, ks[0], 2 * (m - 1)) if m % 2 else (*ks, m - 2)
+            mass = 2 * mp.beta(k1 + 0.5, k2 + 0.5) * mpf(2) ** (-scale * (k1 + k2))
+            return float(1 / mass)
+        if family == "a":
+            gauss = mp.fprod(mp.gamma(1 + j * ks[0]) / mp.gamma(1 + ks[0])
+                             for j in range(1, d + 1))
+        else:
+            k_s = mpf(str(ctx.kappa.value((1,) + (0,) * (d - 1)))) if family == "b" else 0
+            k_l = mpf(str(ctx.kappa.value((1, 1) + (0,) * (d - 2))))
+            gauss = mp.fprod(mp.gamma(1 + (j + 1) * k_l) * mp.gamma(0.5 + k_s + j * k_l)
+                             * mpf(2) ** (k_s + 2 * j * k_l)
+                             / (mp.gamma(1 + k_l) * mp.sqrt(mp.pi)) for j in range(d))
+        g = mpf(str(ctx.gamma_kappa)) + mpf(d) / 2
+        return float(mpf(2) ** (g - 1) * mp.gamma(g) / ((2 * mp.pi) ** (mpf(d) / 2) * gauss))
+
+
 def a_kappa_paths(ctx: DunklContext, order: int = 80) -> dict:
-    """Every independently available evaluation of a_kappa, for cross-checks."""
+    """Every independently available evaluation of a_kappa, for cross-checks:
+    "closed_form", "monomial" (the weight polynomial, at integer kappa on rational
+    roots while 2 gamma <= DEGREE_CAP) and "quadrature" (1 / the grid's sum)."""
     out = {}
-    if ctx.is_zd2:
-        out["closed_form"] = _a_kappa_closed_zd2(ctx)
-    if ctx.root_system.exact and ctx.kappa.is_integer:
-        mass = _weight_mass_rational(ctx)
-        out["monomial"] = 1.0 / (float(mass) * math.pi ** (ctx.dim // 2))
-    pts, wts = _tensor_grid(ctx, order)
-    out["quadrature"] = 1.0 / float(wts.sum())
+    if (closed := _a_kappa_closed(ctx)) is not None:
+        out["closed_form"] = closed
+    if ctx.root_system.exact and ctx.kappa.is_integer and 2 * ctx.gamma_kappa <= DEGREE_CAP:
+        out["monomial"] = 1.0 / (float(_weight_mass_rational(ctx)) * math.pi ** (ctx.dim // 2))
+    out["quadrature"] = 1.0 / float(_tensor_grid(ctx, order)[1].sum())
     return out
 
 
-def a_kappa(ctx: DunklContext, order: int = 80, weights=None) -> float:
-    """Normalization constant with a_kappa * int w_kappa d omega = 1.
-
-    Closed forms where they exist, else 1 / sum of the order-`order` tensor
-    grid's weights: those of `weights` when the caller has that grid built.
-    """
-    if ctx.is_zd2:
-        return _a_kappa_closed_zd2(ctx)
-    if ctx.root_system.exact and ctx.kappa.is_integer:
-        return 1.0 / (float(_weight_mass_rational(ctx)) * math.pi ** (ctx.dim // 2))
-    if weights is None:
-        _, weights = _tensor_grid(ctx, order)
-    return 1.0 / float(weights.sum())
+def a_kappa(ctx: DunklContext, order: int = 80) -> float:
+    """Normalization constant with a_kappa * int w_kappa d omega = 1: the
+    closed form on every built-in family and at kappa = 0, else 1 / sum of
+    the weights of the order-`order` tensor grid."""
+    return SphereMeasure(ctx, "tensor", orders=order).normalization
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +296,19 @@ class SphereMeasure:
 
     @property
     def normalization(self) -> float:
+        """a_kappa, or 1 / sum of this measure's grid weights if no closed form."""
         if self._a_kappa is None:
-            self._a_kappa = a_kappa(self.ctx, self.orders)
+            self._a_kappa = _a_kappa_closed(self.ctx)
+            if self._a_kappa is None:
+                self.quad_points()
         return self._a_kappa
 
     def quad_points(self):
-        """Tensor-grid (points, sigma-normalized weights); built lazily."""
+        """Tensor-grid (points, weights scaled by a_kappa); built lazily, once."""
         if self._grid is None:
             pts, wts = _tensor_grid(self.ctx, self.orders)
             if self._a_kappa is None:
-                self._a_kappa = a_kappa(self.ctx, self.orders, wts)
+                self._a_kappa = _a_kappa_closed(self.ctx) or 1.0 / float(wts.sum())
             wts *= self._a_kappa
             self._grid = (pts, wts)
         return self._grid
@@ -352,7 +357,7 @@ class SphereMeasure:
         return scale * mean, stderr
 
     def sigma_mass(self):
-        """sigma(S^{d-1}); equals 1 up to backend error."""
+        """sigma(S^{d-1}); 1 up to backend error (tensor: the grid's mass defect)."""
         one = MultiPoly.constant(self.ctx.dim, 1,
                                  EXACT if self.ctx.exact else FLOAT)
         if self.backend == "exact":

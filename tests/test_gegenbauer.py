@@ -143,7 +143,7 @@ def test_c_lambda_reference_values():
 def test_c_lambda_normalizes_weight():
     for lam in (0.5, 1.0, 2.5):
         rule = gauss_jacobi_rule(40, lam)
-        assert abs(c_lambda(lam) * rule.total_mass - 1.0) < 1e-13
+        assert abs(c_lambda(lam) * rule.weights.sum() - 1.0) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dunklsphere import (
     EXACT,
@@ -17,13 +16,13 @@ from dunklsphere import (
     DunklContext,
     Function1D,
     MultiPoly,
+    RootSystem,
     SphereMeasure,
     a_kappa,
     a_kappa_paths,
     even_monomial_coeff,
     exact_sigma_integral,
     harmonic_basis,
-    monomial_sphere_integral,
     monomials_of_degree,
     node_set,
     pochhammer,
@@ -31,7 +30,10 @@ from dunklsphere import (
     weight_as_polynomial,
 )
 from dunklsphere import sphere
-from dunklsphere.sphere import _gamma_half, grid_size
+from dunklsphere.sphere import _gamma_half, _weight_mass_rational, grid_size
+
+# a user root system, as in test_operators: no closed a_kappa at kappa != 0
+CUSTOM = RootSystem(2, ((1, 2), (-1, -2)), ((1, 2),), "custom")
 
 
 # ---------------------------------------------------------------------------
@@ -58,31 +60,6 @@ def test_even_monomial_coeff_reference():
     assert even_monomial_coeff((2, 2), 2) == Fraction(1, 4)
     # odd exponents vanish
     assert even_monomial_coeff((1, 2), 2) == 0
-
-
-def test_monomial_sphere_integral_signed():
-    assert abs(monomial_sphere_integral((2, 2), 2) - math.pi / 4) < 1e-14
-    assert monomial_sphere_integral((3, 2), 2) == 0.0
-    got = monomial_sphere_integral((2, 0, 0), 3)
-    assert abs(got - 4 * math.pi / 3) < 1e-13
-
-
-def test_monomial_sphere_integral_absolute_fractional():
-    # 2 Gamma(3/4) Gamma(1/2) / Gamma(5/4) on the circle for |x|^{1/2}
-    got = monomial_sphere_integral((0.5, 0.0), 2, absolute=True)
-    want = 2 * math.gamma(0.75) * math.gamma(0.5) / math.gamma(1.25)
-    assert abs(got - want) < 1e-13
-
-
-@given(st.lists(st.integers(0, 4), min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_monomial_integral_cross_check(alpha):
-    # signed even integral equals the absolute one for even exponents
-    d = len(alpha)
-    alpha = tuple(2 * a for a in alpha)
-    signed = monomial_sphere_integral(alpha, d)
-    absval = monomial_sphere_integral(alpha, d, absolute=True)
-    assert abs(signed - absval) <= 1e-12 * max(1.0, absval)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +93,89 @@ def test_a_kappa_paths_fractional():
     assert "monomial" not in paths          # not a polynomial weight
     ref = paths["closed_form"]
     assert abs(paths["quadrature"] - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("family,d,kappa", [
+    ("a", 3, 1), ("a", 4, 1), ("a", 4, 2), ("b", 3, (1, 2)), ("b", 4, (2, 1)),
+    ("d", 3, 2), ("d", 4, 1),
+])
+def test_a_kappa_closed_form_against_weight_polynomial(family, d, kappa):
+    ctx = DunklContext.create(family, d, kappa)
+    want = 1.0 / (float(_weight_mass_rational(ctx)) * math.pi ** (d // 2))
+    assert abs(a_kappa(ctx) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("family,d,kappa,want", [
+    ("b", 3, ("1/2", 1), 840), ("d", 4, "1/2", 420),
+])
+def test_a_kappa_closed_form_exact_rationals(family, d, kappa, want):
+    assert abs(a_kappa(DunklContext.create(family, d, kappa)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("m,kappa", [(4, ("1/3", 1)), (6, ("1/2", "3/2"))])
+def test_a_kappa_closed_form_i2_against_split_quadrature(m, kappa):
+    ctx = DunklContext.create("i2", kappa=kappa, order=m)
+    roots = [(mpmath.mpf(v[0]), mpmath.mpf(v[1]), float(ctx.kappa.value(v)))
+             for v in ctx.root_system.positive]
+
+    def w(t):
+        c, s = mpmath.cos(t), mpmath.sin(t)
+        return mpmath.fprod(abs(a * c + b * s) ** (2 * k) for a, b, k in roots)
+
+    # split at every multiple of pi / (2 m), where the mirrors lie
+    with mpmath.workdps(30):
+        mass = mpmath.quad(w, [mpmath.pi * j / (2 * m) for j in range(4 * m + 1)])
+        want = float(1 / mass)
+    assert abs(a_kappa(ctx) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("args", [
+    ("a", 4, 0), ("b", 3, 0), ("d", 4, 0),
+])
+def test_a_kappa_at_kappa_zero_is_inverse_area_on_every_family(args):
+    # Zd2 as above; I2 lives on the circle, where kappa = 0 makes lambda = 0
+    ctx = DunklContext.create(*args)
+    want = 1.0 / sphere_surface_area(ctx.dim)
+    assert abs(a_kappa(ctx) - want) <= 1e-13 * want
+
+
+def test_tensor_mass_defect_is_visible():
+    # the folded grid misses the weight's kinks on the mirrors, and its mass
+    # under the closed a_kappa shows it; the Zd2 Jacobi grid has no defect
+    b3 = DunklContext.create("b", 3, ("1/2", 1))
+    assert abs(SphereMeasure(b3, "tensor", orders=80).sigma_mass() - 1.0) > 1e-4
+    zd2 = DunklContext.create("zd2", 3, ("1/2", 1, "3/2"))
+    assert abs(SphereMeasure(zd2, "tensor", orders=80).sigma_mass() - 1.0) <= 1e-12
+
+
+def test_a_kappa_paths_above_the_degree_cap():
+    # D5 at kappa 2 has a weight of degree 80 > DEGREE_CAP: no monomial path
+    ctx = DunklContext.create("d", 5, 2)
+    paths = a_kappa_paths(ctx, order=12)
+    assert set(paths) == {"closed_form", "quadrature"}
+    assert paths["closed_form"] == a_kappa(ctx)
+
+
+@pytest.mark.parametrize("args", [
+    ("zd2", 3, ("1/2", 1, 2)), ("a", 5, "1/2"), ("b", 3, ("1/2", 1)),
+    ("d", 5, "1/2"), ("d", 5, 2), ("i2", 2, ("1/3", 1), 4), ("i2", 2, "1/2", 5),
+])
+def test_normalization_builds_no_grid_on_builtin_families(args, nothing_built,
+                                                          monkeypatch):
+    def expanded(*a, **k):
+        raise RuntimeError("the weight polynomial was expanded")
+    monkeypatch.setattr(sphere, "weight_as_polynomial", expanded)
+    ctx = DunklContext.create(*args)
+    assert SphereMeasure(ctx).normalization == a_kappa(ctx) > 0
+
+
+@pytest.mark.parametrize("family,kappa", [("d", "1/2"), ("a", "1/2"), ("d", 2)])
+def test_monte_carlo_mass_beyond_grid_limits(family, kappa):
+    ctx = DunklContext.create(family, 5, kappa)
+    m = SphereMeasure(ctx, "monte_carlo", mc_samples=20000, seed=1)
+    est, se = m.integrate_mc(lambda p: np.ones(p.shape[0]))
+    assert m.sigma_mass() == est
+    assert abs(est - 1.0) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +402,48 @@ def test_zd2_grid_holds_no_copies_of_itself():
     assert peak <= 1.5 * (pts.nbytes + wts.nbytes)
 
 
-def test_quad_points_builds_its_grid_once(monkeypatch):
-    # B3 at fractional kappa has no closed a_kappa: it is 1 / sum of the
-    # weights of the grid that quad_points builds anyway, not of a second one
-    ctx = DunklContext.create("b", 3, ("1/2", "1/2"))
-    _, raw = sphere._tensor_grid(ctx, 12)
-    norm = a_kappa(ctx, 12)
-    want = norm * raw
+def _count_grids(monkeypatch):
     calls = []
+    grid = sphere._tensor_grid
 
     def counted(*args):
         calls.append(args)
         return grid(*args)
 
-    grid = sphere._tensor_grid
     monkeypatch.setattr(sphere, "_tensor_grid", counted)
+    return calls
+
+
+def test_quad_points_builds_its_grid_once(monkeypatch):
+    # B3 has a closed a_kappa: normalization builds no grid, and quad_points
+    # builds one, scaled by the closed form
+    ctx = DunklContext.create("b", 3, ("1/2", "1/2"))
+    _, raw = sphere._tensor_grid(ctx, 12)
+    calls = _count_grids(monkeypatch)
+    measure = SphereMeasure(ctx, "tensor", orders=12)
+    assert measure.normalization == a_kappa(ctx)
+    assert calls == []
+    _, wts = measure.quad_points()
+    measure.quad_points()
+    assert len(calls) == 1
+    assert np.array_equal(wts, a_kappa(ctx) * raw)
+
+
+def test_user_root_system_normalizes_its_one_grid_by_its_sum(monkeypatch):
+    # a user root system at kappa != 0 has no closed a_kappa: the measure
+    # builds one grid and normalizes it by its own sum, in either call order
+    ctx = DunklContext.from_root_system(CUSTOM, 1)
+    _, raw = sphere._tensor_grid(ctx, 12)
+    calls = _count_grids(monkeypatch)
     measure = SphereMeasure(ctx, "tensor", orders=12)
     _, wts = measure.quad_points()
+    assert measure.normalization == 1.0 / raw.sum()
+    assert np.array_equal(wts, measure.normalization * raw)
     assert len(calls) == 1
-    assert np.array_equal(wts, want)
-    assert measure.normalization == norm
-    assert len(calls) == 1
+    other = SphereMeasure(ctx, "tensor", orders=12)
+    assert other.normalization == measure.normalization
+    other.quad_points()
+    assert len(calls) == 2
 
 
 def test_general_grid_rule_too_large_raises_at_once():
