@@ -15,17 +15,22 @@ Exit codes encode outcomes so shell pipelines can branch on them:
     11  INDETERMINATE
     12  funk-hecke residual above threshold
 
-Every JSON report carries one top-level ``config``: the command's own
-arguments, built by ``_config``.  A JSON config file (``--config``) is merged
-under explicit flags; passing a previously emitted report works too, its
-``config`` object is used and reproduces the report byte for byte.
-``--output`` writes to a file, resolved against $DUNKLSPHERE_OUTPUT_DIR when
-relative.
+The parser is built once per process (``build_parser``) with every option's
+default taken out of it, so a parse holds only the flags that were typed.
+Each option left out is then taken from the JSON file of ``--config``, and
+failing that from its declared default: explicit flags override the config,
+the config overrides defaults.  A config value that is text goes through the
+option's type, as a typed flag does; other values meet the same range checks.
+Every JSON report carries one top-level ``config``, the command's own
+arguments (``_config``); passing a report back through ``--config`` uses that
+object and reproduces the report byte for byte.  ``--output`` writes to a
+file, resolved against $DUNKLSPHERE_OUTPUT_DIR when relative.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -63,21 +68,6 @@ EXIT_UNSUPPORTED = 4
 EXIT_NOT_FUNDAMENTAL = 10
 EXIT_INDETERMINATE = 11
 EXIT_THRESHOLD = 12
-
-_CONTEXT_DESTS = {"family", "dimension", "order", "kappa"}
-_OUTPUT_DESTS = {"format", "output"}
-_COMMAND_DESTS = {
-    "coeffs": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "n_max", "eps", "precision"},
-    "fundamental": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "p", "n_max", "eps", "precision"},
-    "funk-hecke": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "degrees", "threshold", "orders", "kernel_order", "x_count",
-       "seed"},
-    "density": _CONTEXT_DESTS | _OUTPUT_DESTS
-    | {"g", "m_degree", "node_counts", "orders", "kernel_order", "ridge",
-       "scheme", "seed"},
-}
 
 # dest: (flag, least value, integer-valued); precision and ridge may also be
 # None, which lets the library choose
@@ -128,14 +118,18 @@ def _output_flags(sp) -> None:
                          "report with an embedded config also works)")
 
 
+@functools.cache
 def build_parser() -> tuple:
+    """(parser, {command: (subparser, options)}), built once per process and
+    never changed after; options maps each dest but help and config to its
+    (action, declared default), the defaults taken out of the parser so
+    that a parse holds only the flags that were typed."""
     parser = argparse.ArgumentParser(
         prog="dunklsphere",
         description="Dunkl harmonic analysis on spheres: coefficient "
                     "profiles, fundamentality verdicts, Funk-Hecke residuals "
                     "and density demonstrations.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
     sp = sub.add_parser("coeffs",
                         help="Gegenbauer coefficient profile Lambda_n(g)")
@@ -146,7 +140,6 @@ def build_parser() -> tuple:
                          "'sum w1*expr1 + w2*expr2'")
     _coefficient_flags(sp)
     _output_flags(sp)
-    commands["coeffs"] = sp
 
     sp = sub.add_parser("fundamental",
                         help="fundamentality verdict (union when --g is "
@@ -159,7 +152,6 @@ def build_parser() -> tuple:
                          "p-independent)")
     _coefficient_flags(sp)
     _output_flags(sp)
-    commands["fundamental"] = sp
 
     sp = sub.add_parser("funk-hecke",
                         help="residuals of int K(x,y) Y_n(y) dsigma = "
@@ -179,7 +171,6 @@ def build_parser() -> tuple:
     sp.add_argument("--seed", type=int, default=3,
                     help="seed for x points when d > 3")
     _output_flags(sp)
-    commands["funk-hecke"] = sp
 
     sp = sub.add_parser("density",
                         help="best L2 approximation of a degree-m harmonic "
@@ -201,8 +192,15 @@ def build_parser() -> tuple:
     sp.add_argument("--seed", type=int, default=None,
                     help="seed, required for uniform_random nodes")
     _output_flags(sp)
-    commands["density"] = sp
 
+    commands = {}
+    for name, sp in sub.choices.items():
+        options = {}
+        for action in sp._actions:
+            if action.dest not in ("help", "config"):
+                options[action.dest] = (action, action.default)
+                action.default = argparse.SUPPRESS
+        commands[name] = (sp, options)
     return parser, commands
 
 
@@ -210,22 +208,40 @@ def build_parser() -> tuple:
 # Config file handling
 # ---------------------------------------------------------------------------
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    if "config" in obj and isinstance(obj["config"], dict):
+def _load_config(path: str, commands: dict) -> dict:
+    """The options of a JSON config file, or of a report's embedded config;
+    ValueError when it cannot be read or names an option no command has."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
+    if isinstance(obj.get("config"), dict):
         obj = obj["config"]
+    known = set().union(*(options for _, options in commands.values()))
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return obj
 
 
-def _apply_config_defaults(commands: dict, cfg: dict) -> None:
-    # "g" is handled after parsing: its append action would extend a default
-    # list instead of letting explicit flags replace the config value
-    for name, sp in commands.items():
-        allowed = _COMMAND_DESTS[name] - {"g"}
-        sp.set_defaults(**{k: v for k, v in cfg.items() if k in allowed})
+def _merge(args, sp, options: dict, cfg: dict) -> None:
+    """Fill each option the command line left out from the config, else from
+    its declared default.  Text goes through the option's type= (and its
+    errors exit 2) as argparse's own string defaults do; other config values
+    are kept as they are for _check_numbers, and choices are not applied."""
+    for dest, (action, default) in options.items():
+        if hasattr(args, dest):
+            continue
+        val = cfg.get(dest, default)
+        if isinstance(val, str):
+            try:
+                val = sp._get_value(action, val)
+            except argparse.ArgumentError as exc:
+                sp.error(str(exc))
+        setattr(args, dest, val)
 
 
 def _comma_list(val):
@@ -295,8 +311,8 @@ def _config(args, ctx: DunklContext) -> dict:
     fed back through --config reproduces itself.  kappa becomes the orbit
     values as text, list options become int lists, and --g stays the text as
     typed: a string for one generator, a list for a union."""
-    cfg = {k: getattr(args, k)
-           for k in _COMMAND_DESTS[args.command] - _OUTPUT_DESTS}
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "config", "format", "output")}
     cfg["kappa"] = [str(v) for v in ctx.kappa.orbit_values]
     specs = _g_list(cfg["g"])
     cfg["g"] = specs[0] if len(specs) == 1 else specs
@@ -393,39 +409,22 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-
     parser, commands = build_parser()
-    cfg = {}
-    if known.config is not None:
-        try:
-            cfg = _load_config(known.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        unknown = sorted(set(cfg) - set().union(*_COMMAND_DESTS.values()))
-        if unknown:
-            print(f"error: unknown config keys: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        _apply_config_defaults(commands, cfg)
-
     try:
-        args = parser.parse_args(argv)
+        # argparse exits 2 on bad flags, which matches the protocol, and 0
+        # after --help
+        args = parser.parse_args(sys.argv[1:] if argv is None else argv)
+        sp, options = commands[args.command]
+        cfg = {} if args.config is None else _load_config(args.config, commands)
+        _merge(args, sp, options, cfg)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches the protocol; let
-        # --help exits pass through as 0
         return int(exc.code or 0)
-
-    if args.g in (None, []):
-        if "g" in cfg:
-            args.g = cfg["g"]
-        else:
-            print("error: --g is required", file=sys.stderr)
-            return EXIT_CONFIG
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.g is None:
+        print("error: --g is required", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         _check_numbers(args)

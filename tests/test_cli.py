@@ -14,8 +14,6 @@ from dunklsphere.cli import (
     EXIT_OK,
     EXIT_THRESHOLD,
     EXIT_UNSUPPORTED,
-    _COMMAND_DESTS,
-    _OUTPUT_DESTS,
     build_parser,
     main,
 )
@@ -460,17 +458,10 @@ def test_report_config_round_trip(tmp_path, capsys, argv):
     assert again == code
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert set(doc["config"]) == _COMMAND_DESTS[argv[0]] - _OUTPUT_DESTS
+    options = build_parser()[1][argv[0]][1]
+    assert set(doc["config"]) == set(options) - {"format", "output"}
     nested = doc.get("members", []) + doc.get("rows", []) + [doc.get("profile", {})]
     assert not any("config" in part for part in nested)
-
-
-def test_command_dests_match_parser():
-    _, commands = build_parser()
-    assert set(commands) == set(_COMMAND_DESTS)
-    for name, sp in commands.items():
-        dests = {a.dest for a in sp._actions} - {"help", "config"}
-        assert dests == _COMMAND_DESTS[name]
 
 
 def test_config_overridden_by_flags(tmp_path, capsys):
@@ -482,6 +473,49 @@ def test_config_overridden_by_flags(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["config"]["n_max"] == 7
     assert len(doc["entries"]) == 8
+
+
+@pytest.mark.parametrize("value, code", [("3", EXIT_OK), ("x", EXIT_CONFIG)])
+def test_config_text_goes_through_the_option_type(tmp_path, capsys, value, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": "exp", "kappa": "1,1", "n_max": value}))
+    got, out, err = run_cli(["coeffs", "--config", str(cfg)], capsys)
+    assert got == code
+    if code == EXIT_OK:
+        assert json.loads(out)["config"]["n_max"] == 3
+    else:
+        assert "argument -N/--n-max: invalid int value: 'x'" in err
+
+
+def test_config_does_not_outlive_its_call(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"g": "cosh", "kappa": "1,2", "n_max": 4,
+                               "format": "csv"}))
+    code, _, _ = run_cli(["coeffs", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(["coeffs", "--g", "exp", "-d", "3"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["config"]["n_max"] == 20 and doc["config"]["kappa"] == ["0"] * 3
+    assert doc["config"]["g"] == "exp"
+    code, _, err = run_cli(["coeffs"], capsys)
+    assert code == EXIT_CONFIG and "--g is required" in err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "fundamental", "funk-hecke", "density"])
+def test_help_leaves_the_parser_usable(capsys, command):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == EXIT_OK and out.startswith(f"usage: dunklsphere {command}")
+    code, out, _ = run_cli(["coeffs", "--g", "exp", "--kappa", "1,1", "-N", "3"], capsys)
+    assert code == EXIT_OK and len(json.loads(out)["entries"]) == 4
+
+
+def test_parser_is_built_once(capsys):
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(["coeffs", "--g", "exp", "--kappa", "1,1", "-N", "2"],
+                       capsys)[0] == EXIT_OK
+    assert build_parser.cache_info().misses == 1
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
