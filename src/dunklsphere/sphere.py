@@ -2,8 +2,10 @@
 
 The normalized measure is d sigma = a_kappa * w_kappa * d omega with
 w_kappa(x) = prod |<v, x>|^(2 kappa(v)) over positive roots and a_kappa chosen
-so that sigma(S^{d-1}) = 1, in closed form on every built-in family (a grid
-sum only on a user root system at kappa != 0).  Three backends:
+so that sigma(S^{d-1}) = 1, in closed form on every built-in family from the
+weight's Gaussian mass (per axis on Zd2 and at kappa = 0), taken in mpmath so
+that no Gamma value overflows; a grid sum only on a user root system at
+kappa != 0.  Three backends:
 
 * ``exact``          -- exact integrals of polynomials for every context:
                         a Horner pass of Dunkl Laplacians over the even
@@ -79,14 +81,6 @@ def sphere_surface_area(d: int) -> float:
 # a_kappa
 # ---------------------------------------------------------------------------
 
-def _a_kappa_closed_zd2(ctx: DunklContext) -> float:
-    """Zd2 closed form: 1 / int w = Gamma(gamma + d/2) / (2 prod Gamma(k_i + 1/2))."""
-    den = 2.0
-    for k in ctx.axis_kappas:
-        den *= math.gamma(float(k) + 0.5)
-    return math.gamma(float(ctx.gamma_kappa) + ctx.dim / 2.0) / den
-
-
 def _weight_mass_rational(ctx: DunklContext) -> Fraction:
     """int w d omega as (Fraction) * pi^(d//2), for integer multiplicities."""
     w = weight_as_polynomial(ctx.root_system, ctx.kappa)
@@ -99,24 +93,25 @@ def _weight_mass_rational(ctx: DunklContext) -> Fraction:
 def _a_kappa_closed(ctx: DunklContext) -> float | None:
     """a_kappa in closed form; None on a user root system at kappa != 0.
 
-    Per axis where kappa factors over the coordinates; the Macdonald-Mehta-Opdam
-    mass (Etingof 2010) on a, b and d; a beta integral on I2.  Taken in 30-digit
-    mpmath; README's "Weighted sphere integration" section states each formula.
+    The Gaussian mass of w over (2 pi)^(d/2): per axis where kappa factors over
+    the coordinates, the Macdonald-Mehta-Opdam mass (Etingof 2010) on a, b and
+    d; a beta integral on I2.  Taken in 30-digit mpmath, so no Gamma value
+    overflows; README's "Weighted sphere integration" section states each formula.
     """
-    if ctx.axis_kappas is not None:
-        return _a_kappa_closed_zd2(ctx)
     family, d = ctx.root_system.family, ctx.dim
-    if family not in ("a", "b", "d", "i2"):
+    if ctx.axis_kappas is None and family not in ("a", "b", "d", "i2"):
         return None
     from mpmath import mp, mpf
     with mp.workdps(30):
-        ks = [mpf(str(k)) for k in ctx.kappa.orbit_values]
-        if family == "i2":
+        ks = [mpf(str(k)) for k in ctx.axis_kappas or ctx.kappa.orbit_values]
+        if ctx.axis_kappas is not None:
+            gauss = mp.fprod(mpf(2) ** k * mp.gamma(k + 0.5) / mp.sqrt(mp.pi) for k in ks)
+        elif family == "i2":
             m = len(ctx.root_system.positive)
             k1, k2, scale = (0, ks[0], 2 * (m - 1)) if m % 2 else (*ks, m - 2)
             mass = 2 * mp.beta(k1 + 0.5, k2 + 0.5) * mpf(2) ** (-scale * (k1 + k2))
             return float(1 / mass)
-        if family == "a":
+        elif family == "a":
             gauss = mp.fprod(mp.gamma(1 + j * ks[0]) / mp.gamma(1 + ks[0])
                              for j in range(1, d + 1))
         else:

@@ -77,6 +77,20 @@ def test_a_kappa_zd2_11():
     assert abs(a_kappa(ctx) - 4.0 / math.pi) < 1e-14
 
 
+def test_a_kappa_zd2_half_integers_exact():
+    # Gamma(9/2) / (2 Gamma(1) Gamma(3/2) Gamma(2)) = 105/16
+    assert a_kappa(DunklContext.create("zd2", 3, ("1/2", 1, "3/2"))) == 6.5625
+
+
+def test_a_kappa_zd2_past_the_float_gamma_range():
+    # Gamma(gamma + d/2) = Gamma(301.5) is far beyond the largest double
+    ctx = DunklContext.create("zd2", 3, 100)
+    want = math.exp(math.lgamma(301.5) - math.log(2) - 3 * math.lgamma(100.5))
+    assert abs(a_kappa(ctx) / 3.277129281803594e144 - 1) <= 1e-12
+    assert abs(a_kappa(ctx) / want - 1) <= 1e-12
+    assert abs(SphereMeasure(ctx, "tensor").sigma_mass() - 1) <= 1e-12
+
+
 def test_a_kappa_paths_agree():
     for kappa in [(1, 1), (1, 2), (2, 3)]:
         ctx = DunklContext.create("zd2", 2, kappa)
