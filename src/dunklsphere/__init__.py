@@ -42,7 +42,6 @@ from .operators import (
     harmonic_space_dimension,
     intertwine,
     kernel_translate_batch,
-    kernel_translate_eval,
     translate_as_polynomial,
 )
 from .gegenbauer import (
@@ -89,7 +88,6 @@ from .fundamentality import (
     funk_hecke_residual,
     funk_hecke_table,
     is_fundamental,
-    kernel_symmetry_check,
     operator_norm_check,
     union_fundamental,
 )
@@ -106,8 +104,7 @@ __all__ = [
     "GroupOrderCapError", "UnsupportedGroupError", "InvalidMultiplicityError",
     "DunklContext", "dunkl_apply", "dunkl_laplacian",
     "harmonic_space_dimension", "harmonic_basis", "HarmonicBasis",
-    "intertwine", "kernel_translate_eval", "kernel_translate_batch",
-    "translate_as_polynomial",
+    "intertwine", "kernel_translate_batch", "translate_as_polynomial",
     "Function1D", "parse_function", "pochhammer", "c_lambda",
     "gegenbauer_eval", "gegenbauer_at_one", "gegenbauer_coefficients",
     "gauss_jacobi_rule", "symmetric_jacobi_rule", "QuadratureRule",
@@ -118,7 +115,7 @@ __all__ = [
     "even_monomial_coeff", "sphere_surface_area",
     "exact_sigma_integral", "node_set",
     "is_fundamental", "union_fundamental", "funk_hecke_residual",
-    "funk_hecke_table", "density_demo", "operator_norm_check", "kernel_symmetry_check",
+    "funk_hecke_table", "density_demo", "operator_norm_check",
     "FundamentalityReport", "UnionReport", "FunkHeckeReport",
     "FunkHeckeTable", "DensityReport", "OperatorNormReport",
     "FUNDAMENTAL", "NOT_FUNDAMENTAL", "INDETERMINATE_VERDICT",

@@ -40,7 +40,6 @@ from numpy.linalg import LinAlgError as _LinAlgError
 
 from .fundamentality import (
     FUNDAMENTAL,
-    INDETERMINATE_VERDICT,
     NOT_FUNDAMENTAL,
     FunkHeckeTable,
     density_demo,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .gegenbauer import (
     lambda_coefficient,
     lp_norm_segment,
 )
-from .multipoly import EXACT, MultiPoly
+from .multipoly import EXACT
 from .operators import (
     DunklContext,
     _check_kernel_rows,
@@ -405,25 +404,6 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
         ridges=tuple(ridges),
         scheme=scheme,
     )
-
-
-# ---------------------------------------------------------------------------
-# Structural sanity checks on the kernel
-# ---------------------------------------------------------------------------
-
-def kernel_symmetry_check(ctx: DunklContext, g: Function1D, pairs: int = 8,
-                          quad_order: int = 48, seed: int = 0) -> float:
-    """max |K(x, y) - K(y, x)| over random point pairs (should vanish)."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((2 * pairs, ctx.dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    worst = 0.0
-    for i in range(pairs):
-        x, y = z[2 * i], z[2 * i + 1]
-        kxy = kernel_translate_batch(ctx, g, x, y[None, :], quad_order)[0]
-        kyx = kernel_translate_batch(ctx, g, y, x[None, :], quad_order)[0]
-        worst = max(worst, abs(float(kxy) - float(kyx)))
-    return worst
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,6 @@ class DunklContext:
     root_system: RootSystem
     kappa: MultiplicityFunction
     const: DunklConstants
-    _roots_by_mode: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
     _laplacian_by_mode: dict = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
 
@@ -111,48 +109,38 @@ class DunklContext:
             "lambda": str(self.const.lam),
         }
 
-    def _positive_data(self, mode: str) -> tuple:
-        """(root, kappa(root), reflection matrix, <root, root>) in the poly's
-        mode for every positive root with kappa != 0; built once per mode."""
-        got = self._roots_by_mode.get(mode)
-        if got is None:
-            got = []
-            for v in self.root_system.positive:
-                kv = self.kappa.value(v)
-                if kv == 0:
-                    continue
-                if mode == FLOAT:
-                    v, kv = tuple(float(c) for c in v), float(kv)
-                got.append((v, kv, reflection_matrix(v), sum(c * c for c in v)))
-            got = tuple(got)
-            self._roots_by_mode[mode] = got
-        return got
-
     def _laplacian_data(self, mode: str) -> tuple:
-        """(scale, roots) for dunkl_laplacian in the poly's mode; built once.
+        """(scale, roots) for dunkl_apply and dunkl_laplacian in the poly's
+        mode; built once.
 
         roots holds (v, pivot, |v|^2, weight, images of the variables under
         s_v) for every positive root with kappa != 0, pivot being the
         coordinate of largest |v_i|.  Float mode keeps v as it is, with
         weight kappa(v) and scale None.  Exact mode divides v by its pivot
-        coordinate (the h-Laplacian's bracket does not change when v is
-        scaled) and takes weight = kappa(v) * scale, scale being the lcm of
-        the kappa denominators; every integral value becomes an int.
+        coordinate (neither the Dunkl operators' nor the h-Laplacian's
+        bracket changes when v is scaled) and takes weight = kappa(v) *
+        scale, scale being the lcm of the kappa denominators; every integral
+        value becomes an int.
         """
         got = self._laplacian_by_mode.get(mode)
         if got is None:
-            positive = self._positive_data(mode)
             exact = mode == EXACT
-            scale = lcm(*(kv.denominator for _, kv, _, _ in positive)) if exact else None
+            positive = [(v, kv) for v in self.root_system.positive
+                        if (kv := self.kappa.value(v)) != 0]
+            scale = lcm(*(kv.denominator for _, kv in positive)) if exact else None
             roots = []
-            for v, kv, s_v, vv in positive:
+            for v, kv in positive:
+                if not exact:
+                    v, kv = tuple(float(c) for c in v), float(kv)
+                s_v = reflection_matrix(v)
                 pivot = max(range(len(v)), key=lambda i: abs(v[i]))
                 if exact:
                     v = tuple(_integral(Fraction(c) / v[pivot]) for c in v)
-                    vv = _integral(sum(c * c for c in v))
                     kv = _integral(kv * scale)
                     s_v = [[_integral(x) for x in row] for row in s_v]
-                roots.append((v, pivot, vv, kv, LinearImages(s_v, 1 if exact else 1.0)))
+                vv = sum(c * c for c in v)
+                roots.append((v, pivot, _integral(vv) if exact else vv, kv,
+                              LinearImages(s_v, 1 if exact else 1.0)))
             got = self._laplacian_by_mode[mode] = (scale, tuple(roots))
         return got
 
@@ -170,21 +158,46 @@ def _check_poly(ctx: DunklContext, f: MultiPoly) -> None:
                          "convert with to_float() first")
 
 
+def _cleared(f: MultiPoly) -> tuple:
+    """(terms, den) with f = terms / den: an exact f's coefficients times
+    their common denominator, as ints; a float f's as they are, den 1."""
+    if f.mode != EXACT:
+        return f.terms, 1
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}, den
+
+
+def _restored(f: MultiPoly, out: dict, den) -> MultiPoly:
+    """The polynomial of out / den in f's dimension and mode."""
+    if f.mode == EXACT:
+        out = {e: Fraction(c, den) for e, c in out.items()}
+    return MultiPoly._trusted(f.dim, out, f.mode)
+
+
 def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
-    """Apply the i-th Dunkl operator (0-based coordinate) to f."""
+    """Apply the i-th Dunkl operator (0-based coordinate) to f.
+
+    Runs on term dicts with the context's root table, as dunkl_laplacian
+    does: each root adds kappa(v) v_i (f - f o s_v) / <v, x>, which does not
+    change when v is scaled, so exact mode works in integers on the
+    pivot-scaled roots and divides once per coefficient at the end.  Float
+    mode performs the float operations of d_i f + sum_v (kappa(v) v_i) q_v
+    one for one, q_v = (f - f o s_v) / <v, x>.
+    """
     _check_poly(ctx, f)
-    result = f.partial_derivative(i)
-    if f.is_zero():
-        return result
-    for v, kv, s_v, _ in ctx._positive_data(f.mode):
+    if not 0 <= i < f.dim:
+        raise IndexError(f"variable index {i} out of range for dim {f.dim}")
+    scale, roots = ctx._laplacian_data(f.mode)
+    terms, den = _cleared(f)
+    tol = None if f.mode == EXACT else DIVIDE_TOL
+    out = _add_terms({}, _derivative_terms(terms, i), scale)
+    for v, pivot, _, weight, images in roots:
         if v[i] == 0:
             continue
-        diff = f - f.substitute_linear(s_v)
-        if diff.is_zero():
-            continue
-        quot = diff.divide_by_linear_form(v)
-        result = result + quot.scale(kv * v[i])
-    return result
+        diff = _add_terms(dict(terms), images.compose(terms), -1)
+        if diff:
+            _add_terms(out, _divide_terms(diff, v, pivot, tol), weight * v[i])
+    return _restored(f, out, den * (scale or 1))
 
 
 def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
@@ -211,10 +224,7 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
     """
     _check_poly(ctx, f)
     scale, roots = ctx._laplacian_data(f.mode)
-    terms, den = f.terms, 1
-    if f.mode == EXACT:
-        den = lcm(*(c.denominator for c in terms.values()))
-        terms = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    terms, den = _cleared(f)
     tol = None if f.mode == EXACT else DIVIDE_TOL
     grad = [_derivative_terms(terms, i) for i in range(f.dim)]
     out: dict = {}
@@ -230,10 +240,7 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
             _add_terms(num, _divide_terms(diff, v, pivot, tol), -vv)
         if num:
             _add_terms(out, _divide_terms(num, v, pivot, tol), weight)
-    if f.mode == EXACT:
-        den *= scale
-        out = {e: Fraction(c, den) for e, c in out.items()}
-    return MultiPoly._trusted(f.dim, out, f.mode)
+    return _restored(f, out, den * (scale or 1))
 
 
 def harmonic_space_dimension(d: int, n: int) -> int:
@@ -529,12 +536,6 @@ def _abs_max(a: np.ndarray, cols) -> float:
                default=0.0)
 
 
-def _unit_check(x, tol=1e-8):
-    nrm = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"point must lie on the unit sphere (|x| = {nrm:.6f})")
-
-
 def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
                            ys: np.ndarray, quad_order: int = 48) -> np.ndarray:
     """K(x, y_q) = V_kappa[g(<x, .>)](y_q) for every row y_q of ys (Q rows).
@@ -634,15 +635,6 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
                     prod = prod * (np.exp(r * c[:, None] * t) @ w)
                 flat[sl] += prod.real
     return out if x.ndim == 2 else out[0]
-
-
-def kernel_translate_eval(ctx: DunklContext, g: Function1D, x, y,
-                          quad_order: int = 48) -> float:
-    """Scalar kernel translate K(x, y); both points must be unit vectors."""
-    _unit_check(x)
-    _unit_check(y)
-    return float(kernel_translate_batch(ctx, g, x, np.asarray(y, dtype=float)[None, :],
-                                        quad_order)[0])
 
 
 def translate_as_polynomial(ctx: DunklContext, g: Function1D, x) -> MultiPoly:

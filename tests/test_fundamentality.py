@@ -15,7 +15,6 @@ from dunklsphere import (
     funk_hecke_residual,
     funk_hecke_table,
     is_fundamental,
-    kernel_symmetry_check,
     lp_norm_segment,
     operator_norm_check,
     UnsupportedGroupError,
@@ -273,13 +272,8 @@ def test_density_report_csv():
 
 
 # ---------------------------------------------------------------------------
-# kernel symmetry and operator norms
+# operator norms
 # ---------------------------------------------------------------------------
-
-def test_kernel_symmetry_near_zero():
-    val = kernel_symmetry_check(CTX, parse_function("exp"), pairs=12, seed=5)
-    assert val <= 1e-11
-
 
 def test_operator_norm_bounded_by_one():
     for name in ("exp", "poly 0,0,1"):

@@ -20,7 +20,6 @@ from dunklsphere import (
     harmonic_space_dimension,
     intertwine,
     kernel_translate_batch,
-    kernel_translate_eval,
     monomials_of_degree,
     parse_function,
     translate_as_polynomial,
@@ -604,32 +603,33 @@ def test_kernel_rule_matrix_is_counted_before_it_is_built(kappa):
 
 
 def test_kernel_symmetric_in_arguments():
-    ctx = DunklContext.create("zd2", 2, ("1/2", "3/2"))
     g = Function1D.exponential()
     rng = np.random.default_rng(9)
-    for _ in range(4):
-        x, y = rng.standard_normal((2, 2))
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        kxy = kernel_translate_eval(ctx, g, x, y)
-        kyx = kernel_translate_eval(ctx, g, y, x)
-        assert abs(kxy - kyx) <= 1e-12 * max(1.0, abs(kxy))
+    for kappa, count in [(("1/2", "3/2"), 4), ((1, 1), 12)]:
+        ctx = DunklContext.create("zd2", 2, kappa)
+        z = rng.standard_normal((2 * count, 2))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        xs, ys = z[:count], z[count:]
+        kxy = kernel_translate_batch(ctx, g, xs, ys)
+        assert np.allclose(kxy, kernel_translate_batch(ctx, g, ys, xs).T,
+                           rtol=1e-12, atol=1e-12)
 
 
 def test_kernel_requires_unit_vectors():
+    # the moment series' reach check refuses |x_i y_i| > 1
     ctx = DunklContext.create("zd2", 2, (1, 1))
     g = Function1D.exponential()
-    with pytest.raises(ValueError):
-        kernel_translate_eval(ctx, g, np.array([2.0, 0.0]),
-                              np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="unit sphere"):
+        kernel_translate_batch(ctx, g, np.array([2.0, 0.0]),
+                               np.array([[1.0, 0.0]]))
 
 
 def test_kernel_unsupported_group():
     ctx = DunklContext.create("b", 2, (1, 1))
     g = Function1D.exponential()
     with pytest.raises(UnsupportedGroupError):
-        kernel_translate_eval(ctx, g, np.array([1.0, 0.0]),
-                              np.array([0.0, 1.0]))
+        kernel_translate_batch(ctx, g, np.array([1.0, 0.0]),
+                               np.array([[0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("family, dim", [("b", 3), ("a", 4), ("d", 4), ("zd2", 3)])
