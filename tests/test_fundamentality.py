@@ -15,6 +15,7 @@ from dunklsphere import (
     funk_hecke_residual,
     funk_hecke_table,
     is_fundamental,
+    kernel_translate_batch,
     lp_norm_segment,
     operator_norm_check,
     UnsupportedGroupError,
@@ -272,8 +273,21 @@ def test_density_report_csv():
 
 
 # ---------------------------------------------------------------------------
-# operator norms
+# kernel symmetry and operator norms
 # ---------------------------------------------------------------------------
+
+def test_kernel_symmetry_near_zero():
+    g = parse_function("exp")
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((2 * 12, CTX.dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    worst = 0.0
+    for x, y in zip(z[0::2], z[1::2]):
+        kxy = kernel_translate_batch(CTX, g, x, y[None, :])[0]
+        kyx = kernel_translate_batch(CTX, g, y, x[None, :])[0]
+        worst = max(worst, abs(float(kxy) - float(kyx)))
+    assert worst <= 1e-11
+
 
 def test_operator_norm_bounded_by_one():
     for name in ("exp", "poly 0,0,1"):
