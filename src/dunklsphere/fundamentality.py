@@ -31,7 +31,7 @@ from .gegenbauer import (
     lambda_coefficient,
     lp_norm_segment,
 )
-from .multipoly import EXACT
+from .multipoly import DEGREE_CAP, EXACT, eval_rows
 from .operators import (
     DunklContext,
     _check_kernel_rows,
@@ -252,19 +252,28 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     wts * K(x, .) of both routes are built once for all degrees, one
     (x_count, Q) matrix per route.  Before anything is built, a context
     without a kernel raises UnsupportedGroupError, and a grid or an
-    x_count x Q above the limit of check_size raises ValueError.  The basis
-    elements are evaluated on the grid in blocks of at most _ROW_BLOCK
-    values (one element when Q is larger).
+    x_count x Q above the limit of check_size, or a polynomial g whose
+    highest nonzero coefficient is past DEGREE_CAP, raises ValueError.  The
+    x_count translate polynomials are evaluated on the grid in one eval_rows
+    call, and the basis elements in blocks of at most _ROW_BLOCK values
+    (one element when Q is larger), so each block shares one table of
+    powers x_i^e per chunk of grid points.
     """
     ctx.kappa_by_axis()
     _check_kernel_rows(x_count, grid_size(ctx, orders))
+    coeffs = g.coefficients
+    if coeffs is not None:
+        degree = max((i for i, c in enumerate(coeffs) if c), default=0)
+        if degree > DEGREE_CAP:
+            raise ValueError(f"polynomial g of degree {degree} exceeds the degree cap "
+                             f"{DEGREE_CAP} of its translate polynomials")
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     xs = _default_x_points(ctx.dim, x_count, seed)
     rows = {"quadrature": kernel_translate_batch(ctx, g, xs, pts, quad_order)}
-    if g.poly_degree is not None:
-        rows["translate"] = np.stack([translate_as_polynomial(ctx, g, x).eval_many(pts)
-                                      for x in xs])
+    if coeffs is not None:
+        translates = [translate_as_polynomial(ctx, g, x) for x in xs]
+        rows["translate"] = eval_rows(translates, pts)
     for weighted in rows.values():
         weighted *= wts
 
@@ -277,8 +286,8 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
         routes = dict.fromkeys(rows, 0.0)
         for lo in range(0, len(elements), step):
             block = elements[lo:lo + step]
-            y_vals = np.stack([e.eval_many(pts) for e in block])      # (b, Q)
-            y_at_x = np.stack([e.eval_many(xs) for e in block])       # (b, X)
+            y_vals = eval_rows(block, pts)                            # (b, Q)
+            y_at_x = eval_rows(block, xs)                             # (b, X)
             scales = np.maximum(1.0, np.abs(y_vals).max(axis=1))      # (b,)
             for route, weighted in rows.items():
                 # one matrix-vector product per x: a single product over all

@@ -32,8 +32,9 @@ DEGREE_CAP = 64
 #: max(1, max |coefficient of the dividend|).
 DIVIDE_TOL = 1e-9
 
-#: Rows per chunk in eval_many: a float temporary of 16k rows stays under the
-#: 128 KiB at which glibc malloc maps fresh pages for every allocation.
+#: Rows per chunk in eval_rows: a float temporary of 16k rows stays under the
+#: 128 KiB at which glibc malloc maps fresh pages for every allocation.  The
+#: powers x_i^e of one chunk are shared by all polynomials of one call.
 EVAL_CHUNK_ROWS = 16_000
 
 
@@ -401,28 +402,9 @@ class MultiPoly:
     def eval_many(self, points):
         """Vectorized evaluation on an (N, d) float array; returns length-N array.
 
-        Points are taken in row chunks of at most EVAL_CHUNK_ROWS, and within
-        a chunk each power x_i^e is computed once and shared by every term.
+        The one-row case of eval_rows, bit for bit.
         """
-        import numpy as np
-
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise ValueError(f"expected points of shape (N, {self.dim})")
-        out = np.zeros(pts.shape[0], dtype=complex if self._is_complex() else float)
-        for lo in range(0, pts.shape[0], EVAL_CHUNK_ROWS):
-            chunk = pts[lo:lo + EVAL_CHUNK_ROWS]
-            powers = {}
-            for exps, c in self.terms.items():
-                coeff = c if isinstance(c, complex) else float(c)
-                v = np.full(chunk.shape[0], coeff, dtype=out.dtype)
-                for i, e in enumerate(exps):
-                    if e:
-                        if (i, e) not in powers:
-                            powers[i, e] = chunk[:, i] ** e
-                        v *= powers[i, e]
-                out[lo:lo + EVAL_CHUNK_ROWS] += v
-        return out
+        return eval_rows([self], points)[0]
 
     def _is_complex(self):
         return self.mode == FLOAT and any(isinstance(c, complex) for c in self.terms.values())
@@ -563,6 +545,41 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.dim}, {self.to_text()!r}, mode={self.mode!r})"
+
+
+def eval_rows(polys: Sequence[MultiPoly], points):
+    """Evaluate polynomials on one (N, d) float array; returns a (P, N) array.
+
+    Points are taken in row chunks of at most EVAL_CHUNK_ROWS.  Within a
+    chunk each power x_i^e is computed once and shared by every term of
+    every polynomial; each polynomial still sums its own terms in its own
+    order, so row p is bit-identical to evaluating polys[p] alone.  The
+    result is complex when any polynomial has a complex coefficient.
+    """
+    import numpy as np
+
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or any(p.dim != pts.shape[1] for p in polys):
+        dims = sorted({p.dim for p in polys})
+        raise ValueError(f"expected points of shape (N, d), d in {dims}, not {pts.shape}")
+    row_types = [complex if p._is_complex() else float for p in polys]
+    out = np.zeros((len(polys), pts.shape[0]),
+                   dtype=complex if complex in row_types else float)
+    for lo in range(0, pts.shape[0], EVAL_CHUNK_ROWS):
+        chunk = pts[lo:lo + EVAL_CHUNK_ROWS]
+        powers = {}
+        for poly, dtype, row in zip(polys, row_types, out):
+            acc = row[lo:lo + EVAL_CHUNK_ROWS]
+            for exps, c in poly.terms.items():
+                coeff = c if isinstance(c, complex) else float(c)
+                v = np.full(chunk.shape[0], coeff, dtype=dtype)
+                for i, e in enumerate(exps):
+                    if e:
+                        if (i, e) not in powers:
+                            powers[i, e] = chunk[:, i] ** e
+                        v *= powers[i, e]
+                acc += v
+    return out
 
 
 def monomials_of_degree(dim: int, n: int) -> list[tuple]:

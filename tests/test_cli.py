@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dunklsphere import DunklContext, funk_hecke_residual, parse_function
+from dunklsphere import DunklContext, SphereMeasure, funk_hecke_residual, parse_function
 from dunklsphere.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -260,6 +260,19 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
          "--orders", "80"], capsys)
     assert code == EXIT_CONFIG
     assert "81920000" in err
+
+
+def test_funk_hecke_degree_past_the_cap_exits_at_once(capsys, monkeypatch):
+    # the translate polynomials of a degree-69 g would pass DEGREE_CAP (64):
+    # refused before the sphere grid is built
+    def built(*args, **kwargs):
+        raise RuntimeError("the sphere grid was built")
+    monkeypatch.setattr(SphereMeasure, "quad_points", built)
+    code, out, err = run_cli(
+        ["funk-hecke", "--g", "poly " + ",".join(["1"] * 70), "-d", "3", "--kappa", "0",
+         "--degrees", "0", "--orders", "8"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert "degree 69 exceeds the degree cap 64" in err
 
 
 def _cli_under_address_cap(*argv):

@@ -227,6 +227,38 @@ def test_funk_hecke_basis_blocks_match_one_block(g, monkeypatch):
             assert abs(value - b.residual_by_route[route]) <= 1e-15
 
 
+@pytest.mark.parametrize("dim,kappa,g", [
+    (3, 0, "poly 1,1,1,1,1"),
+    (2, (1, 1), "poly 1,2,3"),           # translates go through intertwine
+])
+def test_funk_hecke_shared_powers_match_per_polynomial_evaluation(dim, kappa, g,
+                                                                   monkeypatch):
+    # one power table per chunk for all rows of an eval_rows call gives the
+    # residuals of evaluating every polynomial alone, to the last bit
+    ctx = DunklContext.create("zd2", dim, kappa)
+    fn = parse_function(g, ctx.lambda_kappa)
+    opts = dict(orders=24, x_count=6, quad_order=16)
+    shared = funk_hecke_table(ctx, fn, range(4), **opts)
+    monkeypatch.setattr(fundamentality, "eval_rows",
+                        lambda polys, pts: np.stack([p.eval_many(pts) for p in polys]))
+    alone = funk_hecke_table(ctx, fn, range(4), **opts)
+    assert set(shared[0].residual_by_route) == {"quadrature", "translate"}
+    assert [r.residual_by_route for r in shared] == [r.residual_by_route for r in alone]
+
+
+def test_funk_hecke_degree_cap_counts_nonzero_coefficients():
+    # the leading coefficients of this sum cancel: degree 69 on paper, 64 in
+    # fact, which the translate polynomials reach and do not pass
+    ones, tail = ",".join(["1"] * 70), ",".join(["0"] * 65 + ["-1"] * 5)
+    fn = parse_function(f"sum 1*poly {ones} + 1*poly {tail}")
+    assert fn.poly_degree == 69
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    (rep,) = funk_hecke_table(ctx, fn, (0,), orders=8, x_count=2, quad_order=8)
+    assert set(rep.residual_by_route) == {"quadrature", "translate"}
+    with pytest.raises(ValueError, match="degree 65 exceeds the degree cap 64"):
+        funk_hecke_table(ctx, parse_function("poly " + ",".join(["1"] * 66)), (0,))
+
+
 def test_funk_hecke_csv():
     rep = funk_hecke_residual(CTX, parse_function("poly 0,1"), 1,
                               orders=40, x_count=3, quad_order=30)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklsphere import EXACT, FLOAT, MultiPoly, monomials_of_degree
-from dunklsphere.multipoly import DegreeCapError, ModeError, NonDivisibleError
+from dunklsphere.multipoly import DegreeCapError, ModeError, NonDivisibleError, eval_rows
 
 
 def frac(a, b=1):
@@ -197,6 +197,19 @@ def test_reflection_difference_divisible(p):
     assert q * form == diff
 
 
+def _eval_term_by_term(p, pts):
+    """Reference evaluation: no chunks, and each term takes its own powers."""
+    dtype = complex if any(isinstance(c, complex) for c in p.terms.values()) else float
+    ref = np.zeros(pts.shape[0], dtype=dtype)
+    for exps, c in p.terms.items():
+        v = np.full(pts.shape[0], c if isinstance(c, complex) else float(c), dtype=dtype)
+        for i, e in enumerate(exps):
+            if e:
+                v = v * pts[:, i] ** e
+        ref += v
+    return ref
+
+
 @pytest.mark.parametrize("mode,coeff", [
     (FLOAT, lambda k: (-1.5) ** k / (k + 1)),
     (EXACT, lambda k: Fraction((-3) ** k, 7 * k + 2)),
@@ -209,17 +222,54 @@ def test_eval_many_chunks_match_per_term_reference(mode, coeff):
         e for deg in range(7) for e in monomials_of_degree(3, deg))}
     p = MultiPoly(3, terms, mode)
     pts = np.random.default_rng(3).uniform(-1.2, 1.2, size=(40_003, 3))
-    dtype = complex if any(isinstance(c, complex) for c in terms.values()) else float
-    ref = np.zeros(pts.shape[0], dtype=dtype)
-    for exps, c in p.terms.items():
-        v = np.full(pts.shape[0], c if isinstance(c, complex) else float(c), dtype=dtype)
-        for i, e in enumerate(exps):
-            if e:
-                v = v * pts[:, i] ** e
-        ref += v
+    ref = _eval_term_by_term(p, pts)
     got = p.eval_many(pts)
     assert got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
+
+
+def test_eval_rows_match_per_term_reference():
+    # the even and odd polynomials have disjoint exponent sets, so the power
+    # table of a chunk is their union; 40,003 points span two chunk
+    # boundaries, and no row may move a bit against its own reference
+    def degrees(*ns):
+        return enumerate(e for n in ns for e in monomials_of_degree(3, n))
+
+    even = MultiPoly(3, {e: (-1.5) ** k / (k + 1) for k, e in degrees(0, 2, 4, 6)}, FLOAT)
+    odd = MultiPoly(3, {e: Fraction((-3) ** k, 7 * k + 2) for k, e in degrees(1, 3, 5, 7)},
+                    EXACT)
+    cplx = MultiPoly(3, {(0, 0, 9): 1 + 2j, (2, 1, 0): -0.5, (0, 8, 1): 0.25j}, FLOAT)
+    assert not set(even.terms) & set(odd.terms)
+    pts = np.random.default_rng(5).uniform(-1.2, 1.2, size=(40_003, 3))
+
+    rows = eval_rows([even, odd], pts)
+    assert rows.dtype == float and rows.shape == (2, 40_003)
+    for row, p in zip(rows, (even, odd)):
+        assert row.tobytes() == _eval_term_by_term(p, pts).tobytes()
+
+    # one complex polynomial makes the array complex; the float rows keep
+    # their float values in the real part
+    rows = eval_rows([even, cplx, odd], pts)
+    assert rows.dtype == complex
+    assert rows[1].tobytes() == _eval_term_by_term(cplx, pts).tobytes()
+    for row, p in ((rows[0], even), (rows[2], odd)):
+        assert row.real.tobytes() == _eval_term_by_term(p, pts).tobytes()
+        assert not row.imag.any()
+
+
+def test_eval_rows_zero_empty_and_mismatch():
+    pts = np.random.default_rng(1).uniform(-1, 1, size=(7, 2))
+    x1 = MultiPoly.variable(2, 0, FLOAT)
+    rows = eval_rows([MultiPoly.zero(2, FLOAT), x1], pts)
+    assert rows.dtype == float and rows.shape == (2, 7)
+    assert not rows[0].any()
+    assert rows[1].tobytes() == pts[:, 0].tobytes()
+    empty = eval_rows([], pts)
+    assert empty.dtype == float and empty.shape == (0, 7)
+    with pytest.raises(ValueError, match="shape"):
+        eval_rows([x1, MultiPoly.variable(3, 0, FLOAT)], pts)
+    with pytest.raises(ValueError, match="shape"):
+        eval_rows([x1], pts[:, :1])
 
 
 # ---------------------------------------------------------------------------
