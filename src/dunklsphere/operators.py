@@ -113,14 +113,16 @@ class DunklContext:
         """(scale, roots) for dunkl_apply and dunkl_laplacian in the poly's
         mode; built once.
 
-        roots holds (v, pivot, |v|^2, weight, images of the variables under
-        s_v) for every positive root with kappa != 0, pivot being the
-        coordinate of largest |v_i|.  Float mode keeps v as it is, with
-        weight kappa(v) and scale None.  Exact mode divides v by its pivot
-        coordinate (neither the Dunkl operators' nor the h-Laplacian's
-        bracket changes when v is scaled) and takes weight = kappa(v) *
-        scale, scale being the lcm of the kappa denominators; every integral
-        value becomes an int.
+        roots holds (support, v_S, weight) for every positive root v with
+        kappa(v) != 0: support is the tuple of coordinates where v_i != 0
+        and v_S is v on them, the key of the per-shape caches _root_shape,
+        _quotient and _bracket.  Float mode keeps v as it is, with weight
+        kappa(v) and scale None.  Exact mode divides v by its coordinate of
+        largest |v_i| (neither the Dunkl operators' v_i (f - f o s_v) /
+        <v, x> nor the h-Laplacian's bracket changes when v is scaled) and
+        takes weight = kappa(v) * scale, scale being the lcm of the kappa
+        denominators; every integral value becomes an int.  kappa enters
+        the operators through weight only.
         """
         got = self._laplacian_by_mode.get(mode)
         if got is None:
@@ -130,17 +132,14 @@ class DunklContext:
             scale = lcm(*(kv.denominator for _, kv in positive)) if exact else None
             roots = []
             for v, kv in positive:
-                if not exact:
-                    v, kv = tuple(float(c) for c in v), float(kv)
-                s_v = reflection_matrix(v)
-                pivot = max(range(len(v)), key=lambda i: abs(v[i]))
                 if exact:
-                    v = tuple(_integral(Fraction(c) / v[pivot]) for c in v)
+                    top = max(v, key=abs)
+                    v = tuple(_integral(Fraction(c) / top) for c in v)
                     kv = _integral(kv * scale)
-                    s_v = [[_integral(x) for x in row] for row in s_v]
-                vv = sum(c * c for c in v)
-                roots.append((v, pivot, _integral(vv) if exact else vv, kv,
-                              LinearImages(s_v, 1 if exact else 1.0)))
+                else:
+                    v, kv = tuple(float(c) for c in v), float(kv)
+                support = tuple(j for j, c in enumerate(v) if c != 0)
+                roots.append((support, tuple(v[j] for j in support), kv))
             got = self._laplacian_by_mode[mode] = (scale, tuple(roots))
         return got
 
@@ -174,29 +173,94 @@ def _restored(f: MultiPoly, out: dict, den) -> MultiPoly:
     return MultiPoly._trusted(f.dim, out, f.mode)
 
 
+# Each root's part of the operators on one monomial, in the variables of the
+# root's support, cached for every context; mode is in each key, since
+# 1 == 1.0 == Fraction(1) hash alike.
+
+def _unit(mode: str):
+    return 1 if mode == EXACT else 1.0
+
+
+def _tol(mode: str):
+    return None if mode == EXACT else DIVIDE_TOL
+
+
+@lru_cache(maxsize=256)
+def _root_shape(v: tuple, mode: str) -> tuple:
+    """(images, pivot, |v|^2) for a root v with no zero coordinate: the
+    images of the variables under s_v (LinearImages, which keeps their
+    powers) and the first coordinate of largest |v_i|, by which every
+    quotient by <v, x> is taken."""
+    s_v = reflection_matrix(v)
+    vv = sum(c * c for c in v)
+    if mode == EXACT:
+        s_v = [[_integral(x) for x in row] for row in s_v]
+        vv = _integral(vv)
+    pivot = max(range(len(v)), key=lambda i: abs(v[i]))
+    return LinearImages(s_v, _unit(mode)), pivot, vv
+
+
+@lru_cache(maxsize=4096)
+def _quotient(v: tuple, alpha: tuple, mode: str) -> tuple:
+    """(x^alpha - x^alpha o s_v) / <v, x> as (exponents, coefficient) pairs,
+    for a root v with no zero coordinate."""
+    images, pivot, _ = _root_shape(v, mode)
+    mono = {alpha: _unit(mode)}
+    diff = _add_terms(dict(mono), images.compose(mono), -1)
+    return tuple(_divide_terms(diff, v, pivot, _tol(mode)).items()) if diff else ()
+
+
+@lru_cache(maxsize=4096)
+def _bracket(v: tuple, alpha: tuple, mode: str) -> tuple:
+    """[2 <grad x^alpha, v> <v, x> - |v|^2 (x^alpha - x^alpha o s_v)] / <v, x>^2
+    as (exponents, coefficient) pairs, for a root v with no zero coordinate.
+
+    The numerator is divisible by <v, x>^2, so this is (2 <grad x^alpha, v> -
+    |v|^2 q) / <v, x> with q = _quotient(v, alpha, mode): one more exact
+    division.
+    """
+    _, pivot, vv = _root_shape(v, mode)
+    mono = {alpha: _unit(mode)}
+    num: dict = {}
+    for i, vi in enumerate(v):
+        _add_terms(num, _derivative_terms(mono, i), 2 * vi)
+    _add_terms(num, dict(_quotient(v, alpha, mode)), -vv)
+    return tuple(_divide_terms(num, v, pivot, _tol(mode)).items()) if num else ()
+
+
+def _add_factored(out: dict, terms: dict, support: tuple, part, v: tuple, mode: str,
+                  weight) -> None:
+    """out += weight * sum over the terms c x^alpha of c x^(alpha off S)
+    part(v, alpha_S, mode), part giving pairs (exponents on S, coefficient)."""
+    for exps, c in terms.items():
+        placed = {}
+        for sub, b in part(v, tuple(exps[j] for j in support), mode):
+            e = list(exps)
+            for j, k in zip(support, sub):
+                e[j] = k
+            placed[tuple(e)] = b
+        _add_terms(out, placed, weight * c)
+
+
 def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
     """Apply the i-th Dunkl operator (0-based coordinate) to f.
 
-    Runs on term dicts with the context's root table, as dunkl_laplacian
-    does: each root adds kappa(v) v_i (f - f o s_v) / <v, x>, which does not
-    change when v is scaled, so exact mode works in integers on the
-    pivot-scaled roots and divides once per coefficient at the end.  Float
-    mode performs the float operations of d_i f + sum_v (kappa(v) v_i) q_v
-    one for one, q_v = (f - f o s_v) / <v, x>.
+    Each root v with v_i != 0 adds kappa(v) v_i (f - f o s_v) / <v, x>,
+    taken term by term as dunkl_laplacian takes its bracket: the quotient of
+    x_S^(alpha_S) over v's support S is cached per root shape and exponent
+    pattern (_quotient), and kappa(v) v_i is its weight.  In float mode a
+    multi-term result is the sum of the per-term quotients.
     """
     _check_poly(ctx, f)
     if not 0 <= i < f.dim:
         raise IndexError(f"variable index {i} out of range for dim {f.dim}")
     scale, roots = ctx._laplacian_data(f.mode)
     terms, den = _cleared(f)
-    tol = None if f.mode == EXACT else DIVIDE_TOL
     out = _add_terms({}, _derivative_terms(terms, i), scale)
-    for v, pivot, _, weight, images in roots:
-        if v[i] == 0:
-            continue
-        diff = _add_terms(dict(terms), images.compose(terms), -1)
-        if diff:
-            _add_terms(out, _divide_terms(diff, v, pivot, tol), weight * v[i])
+    for support, v, weight in roots:
+        if i in support:
+            _add_factored(out, terms, support, _quotient, v, f.mode,
+                          weight * v[support.index(i)])
     return _restored(f, out, den * (scale or 1))
 
 
@@ -210,36 +274,26 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
         Delta_kappa f = Delta f + sum over positive roots v of kappa(v) *
             [2 <grad f, v> <v, x> - |v|^2 (f - f o s_v)] / <v, x>^2 .
 
-    Each root's bracket is divisible by <v, x>^2, so it is taken as
-    (2 <grad f, v> - |v|^2 q) / <v, x> with q = (f - f o s_v) / <v, x>: two
-    exact divisions.  The work runs on term dicts; f o s_v multiplies the
-    context's cached images of the variables under s_v, one product per
-    factor (a single term each for the signed permutations of a, b, d and
-    zd2).  Exact mode clears f's denominators once, so with integer roots
-    all is integer arithmetic up to one final division per coefficient;
-    other rational roots carry Fractions through the same steps.  Float
-    mode performs the float operations of sum_v 2 kappa(v) (<grad f, v> -
-    |v|^2 q / 2) / <v, x> one for one; only the factor 2 moves, which is
-    exact, so float results are bit-for-bit those of that form.
+    s_v fixes the coordinates outside v's support S, so on a term c x^alpha
+    the bracket is c x^(alpha off S) times the bracket of x_S^(alpha_S) in
+    the |S| variables of S.  That factor depends on v_S and alpha_S only: it
+    is cached per root shape and exponent pattern (_bracket) in a bounded
+    cache that every context shares, and kappa(v) enters as its weight.
+    Exact mode clears f's denominators once, so with integer roots all is
+    integer arithmetic up to one final division per coefficient; other
+    rational roots carry Fractions through the same steps.  In float mode
+    the Laplacian of a monomial is bit-for-bit that of dividing it as a
+    whole, and a multi-term result is the sum of the per-term brackets,
+    which may differ from the whole-polynomial division in the last bits.
     """
     _check_poly(ctx, f)
     scale, roots = ctx._laplacian_data(f.mode)
     terms, den = _cleared(f)
-    tol = None if f.mode == EXACT else DIVIDE_TOL
-    grad = [_derivative_terms(terms, i) for i in range(f.dim)]
     out: dict = {}
-    for i, g in enumerate(grad):
-        _add_terms(out, _derivative_terms(g, i), scale)
-    for v, pivot, vv, weight, images in roots:
-        num: dict = {}
-        for g, vi in zip(grad, v):
-            if vi != 0:
-                _add_terms(num, g, 2 * vi)
-        diff = _add_terms(dict(terms), images.compose(terms), -1)
-        if diff:
-            _add_terms(num, _divide_terms(diff, v, pivot, tol), -vv)
-        if num:
-            _add_terms(out, _divide_terms(num, v, pivot, tol), weight)
+    for i in range(f.dim):
+        _add_terms(out, _derivative_terms(_derivative_terms(terms, i), i), scale)
+    for support, v, weight in roots:
+        _add_factored(out, terms, support, _bracket, v, f.mode, weight)
     return _restored(f, out, den * (scale or 1))
 
 

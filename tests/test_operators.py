@@ -24,8 +24,11 @@ from dunklsphere import (
     parse_function,
     translate_as_polynomial,
 )
-from dunklsphere.operators import SERIES_MAX_RATE, _nullspace_exact
-from dunklsphere.reflection import RootSystem
+from dunklsphere.multipoly import (DIVIDE_TOL, LinearImages, _add_terms, _derivative_terms,
+                                   _divide_terms)
+from dunklsphere.operators import (SERIES_MAX_RATE, _bracket, _nullspace_exact, _quotient,
+                                   _root_shape)
+from dunklsphere.reflection import RootSystem, reflection_matrix
 
 
 def xvar(d, i, mode=EXACT):
@@ -205,6 +208,90 @@ def test_laplacian_matches_squared_dunkl_operators_float_i2():
         got = dunkl_laplacian(ctx, f).eval_many(pts)
         want = _laplacian_by_definition(ctx, f).eval_many(pts)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+
+
+def _clear_shape_caches():
+    for cache in (_root_shape, _quotient, _bracket):
+        cache.cache_clear()
+
+
+def test_laplacian_of_every_monomial_matches_the_definition():
+    # contexts that share root shapes ((1, -1) for a4 and d4, (1,) for b3 and
+    # zd2) but not kappa take turns, degree by degree, from empty caches: a
+    # kappa kept in a cached bracket would show in the context read second
+    contexts = [_context("a", 4, 1), _context("a", 4, "1/2"), _context("b", 3, (1, 2)),
+                _context("b", 3, ("1/2", 1)), _context("d", 4, "1/2"),
+                _context("zd2", 3, ("1/2", 1, 2)), _context("custom", 2, 1)]
+    _clear_shape_caches()
+    for n in range(7):
+        for ctx in contexts:
+            for exps in monomials_of_degree(ctx.dim, n):
+                f = MultiPoly.monomial(ctx.dim, exps)
+                lap = dunkl_laplacian(ctx, f)
+                assert lap == _laplacian_by_definition(ctx, f)
+                assert all(type(c) is Fraction for c in lap.terms.values())
+
+
+def test_float_and_exact_monomials_keep_their_own_brackets():
+    # 1 == 1.0 and (1,) == (1.0,) hash alike: the mode keeps the entries apart
+    ctx = DunklContext.create("zd2", 3, ("1/2", 1, 2))
+    exps = (3, 2, 4)
+    _clear_shape_caches()
+    for mode in (FLOAT, EXACT, FLOAT, EXACT):
+        lap = dunkl_laplacian(ctx, MultiPoly.monomial(3, exps, 1, mode))
+        kind = float if mode == FLOAT else Fraction
+        assert lap.terms and all(type(c) is kind for c in lap.terms.values())
+        if mode == FLOAT:
+            floats = lap.terms
+        else:
+            assert floats.keys() == lap.terms.keys()
+            for e, c in lap.terms.items():
+                assert floats[e] == pytest.approx(float(c), rel=1e-15)
+
+
+def _laplacian_whole_polynomial(ctx, f):
+    """The float h-Laplacian with each root's bracket taken on f as a whole,
+    as (2 <grad f, v> - |v|^2 (f - f o s_v) / <v, x>) / <v, x>."""
+    terms = f.terms
+    grad = [_derivative_terms(terms, i) for i in range(f.dim)]
+    out: dict = {}
+    for i, g in enumerate(grad):
+        _add_terms(out, _derivative_terms(g, i))
+    for v in ctx.root_system.positive:
+        weight = float(ctx.kappa.value(v))
+        if weight == 0:
+            continue
+        v = tuple(float(c) for c in v)
+        pivot = max(range(len(v)), key=lambda i: abs(v[i]))
+        vv = sum(c * c for c in v)
+        images = LinearImages(reflection_matrix(v), 1.0)
+        num: dict = {}
+        for g, vi in zip(grad, v):
+            if vi != 0:
+                _add_terms(num, g, 2 * vi)
+        diff = _add_terms(dict(terms), images.compose(terms), -1)
+        if diff:
+            _add_terms(num, _divide_terms(diff, v, pivot, DIVIDE_TOL), -vv)
+        if num:
+            _add_terms(out, _divide_terms(num, v, pivot, DIVIDE_TOL), weight)
+    return out
+
+
+@pytest.mark.parametrize("m", [5, 4])
+def test_float_laplacian_matches_the_whole_polynomial_route(m):
+    ctx = DunklContext.create("i2", kappa=1, order=m)
+    for n in range(9):
+        for exps in monomials_of_degree(2, n):
+            f = MultiPoly.monomial(2, exps, 1, FLOAT)
+            assert dunkl_laplacian(ctx, f).terms == _laplacian_whole_polynomial(ctx, f)
+    # a sum of per-term brackets rounds differently from the whole division
+    rng = random.Random(f"i2-{m}")
+    for _ in range(8):
+        f = _random_poly(rng, 2, FLOAT, terms=6, max_deg=8)
+        got, want = dunkl_laplacian(ctx, f).terms, _laplacian_whole_polynomial(ctx, f)
+        top = max(map(abs, want.values()), default=0.0)
+        for e in got.keys() | want.keys():
+            assert abs(got.get(e, 0.0) - want.get(e, 0.0)) <= 1e-13 * top
 
 
 # ---------------------------------------------------------------------------
