@@ -20,7 +20,8 @@ default taken out of it, so a parse holds only the flags that were typed.
 Each option left out is then taken from the JSON file of ``--config``, and
 failing that from its declared default: explicit flags override the config,
 the config overrides defaults.  A config value that is text goes through the
-option's type, as a typed flag does; other values meet the same range checks.
+option's type, as a typed flag does; every value meets the option's choices
+and the same range checks (_NUMBER_BOUNDS) as a flag.
 Every JSON report carries one top-level ``config``, the command's own
 arguments (``_config``); passing a report back through ``--config`` uses that
 object and reproduces the report byte for byte.  ``--output`` writes to a
@@ -68,8 +69,8 @@ EXIT_NOT_FUNDAMENTAL = 10
 EXIT_INDETERMINATE = 11
 EXIT_THRESHOLD = 12
 
-# dest: (flag, least value, integer-valued); precision and ridge may also be
-# None, which lets the library choose
+# dest: (flag, least value, integer-valued); precision, ridge, order and seed
+# may also be None, which lets the library choose (or leaves the value unused)
 _NUMBER_BOUNDS = {
     "n_max": ("-N", 0, True),
     "m_degree": ("-m", 0, True),
@@ -81,6 +82,9 @@ _NUMBER_BOUNDS = {
     "eps": ("--epsilon", 0, False),
     "threshold": ("--threshold", 0, False),
     "ridge": ("--ridge", 0, False),
+    "dimension": ("-d", 1, True),
+    "order": ("--order", 1, True),
+    "seed": ("--seed", 0, True),
 }
 
 
@@ -228,18 +232,20 @@ def _load_config(path: str, commands: dict) -> dict:
 
 def _merge(args, sp, options: dict, cfg: dict) -> None:
     """Fill each option the command line left out from the config, else from
-    its declared default.  Text goes through the option's type= (and its
-    errors exit 2) as argparse's own string defaults do; other config values
-    are kept as they are for _check_numbers, and choices are not applied."""
+    its declared default.  Text goes through the option's type= as argparse's
+    own string defaults do, and every value meets the option's choices as a
+    typed flag's does; either error exits 2.  Non-text values keep their type
+    for _check_numbers."""
     for dest, (action, default) in options.items():
         if hasattr(args, dest):
             continue
         val = cfg.get(dest, default)
-        if isinstance(val, str):
-            try:
+        try:
+            if isinstance(val, str):
                 val = sp._get_value(action, val)
-            except argparse.ArgumentError as exc:
-                sp.error(str(exc))
+            sp._check_value(action, val)
+        except argparse.ArgumentError as exc:
+            sp.error(str(exc))
         setattr(args, dest, val)
 
 
@@ -255,7 +261,7 @@ def _check_numbers(args) -> None:
     non-text values bypass argparse's type=; the lists become int lists."""
     for dest, (flag, least, integral) in _NUMBER_BOUNDS.items():
         val = getattr(args, dest, None)
-        if val is None and (dest in ("precision", "ridge")
+        if val is None and (dest in ("precision", "ridge", "order", "seed")
                             or not hasattr(args, dest)):
             continue
         kinds = (int,) if integral else (int, float)

@@ -26,12 +26,13 @@ from .gegenbauer import (
     CoefficientProfile,
     Function1D,
     Report,
+    check_p,
     check_size,
     coefficient_profile,
     lambda_coefficient,
     lp_norm_segment,
 )
-from .multipoly import DEGREE_CAP, EXACT, eval_rows
+from .multipoly import DEGREE_CAP, eval_rows
 from .operators import (
     DunklContext,
     _check_kernel_rows,
@@ -95,8 +96,7 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
     complement of that harmonic space); otherwise any degree whose coefficient
     cannot be resolved at tolerance eps yields INDETERMINATE.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
+    check_p(p)
     profile = coefficient_profile(g, ctx.lambda_kappa, n_max, eps=eps,
                                   precision=precision)
     flags = [e.flag for e in profile.entries]
@@ -281,7 +281,7 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     reports = []
     for n in degrees:
         basis = harmonic_basis(ctx, n)
-        elements = [e.to_float() if e.mode == EXACT else e for e in basis.elements]
+        elements = [e.to_float() for e in basis.elements]
         lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
         routes = dict.fromkeys(rows, 0.0)
         for lo in range(0, len(elements), step):
@@ -379,8 +379,7 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     pts, wts = measure.quad_points()
 
     basis = harmonic_basis(ctx, m_degree)
-    y = basis.elements[0]
-    y = y.to_float() if y.mode == EXACT else y
+    y = basis.elements[0].to_float()
     norm = measure.lp_norm(y, 2)
     y = y.scale(1.0 / norm)
 
@@ -437,8 +436,7 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     The kernel rows are built in blocks of centres of at most _ROW_BLOCK
     values (one row when Q is larger), so x_count x Q is never refused.
     """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
+    check_p(p)
     ctx.kappa_by_axis()
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()

@@ -223,24 +223,12 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    lam: float
-    exact_degree: int          # integrates polynomials of this degree exactly
-
-    @property
-    def size(self) -> int:
-        return self.nodes.size
-
-    def integrate(self, fn: Callable):
-        vals = np.asarray(fn(self.nodes))
-        res = self.weights @ vals
-        return complex(res) if np.iscomplexobj(vals) else float(res)
 
 
 def gauss_jacobi_rule(m: int, lam) -> QuadratureRule:
     """m-point Gauss rule for (1-t^2)^(lambda-1/2); exact to degree 2m-1."""
     lam = float(lam)
-    nodes, weights = jacobi_rule(m, lam - 0.5, lam - 0.5)
-    return QuadratureRule(nodes, weights, lam, 2 * m - 1)
+    return QuadratureRule(*jacobi_rule(m, lam - 0.5, lam - 0.5))
 
 
 def symmetric_jacobi_rule(m: int, abs_exp: float, sym_exp: float):
@@ -567,7 +555,7 @@ def _quadrature_pair(g: Function1D, n_max: int, lam: float,
                      rule: QuadratureRule) -> tuple:
     """Lambda_0..n_max on the doubled rule, their bounds (spread to rule plus
     the round-off floor 1e-15 * max(1, ||g||_1)), and ||g||_1 on that rule."""
-    doubled = gauss_jacobi_rule(2 * rule.size, lam)
+    doubled = gauss_jacobi_rule(2 * rule.nodes.size, lam)
     v1 = _lambda_values_on_rule(g, n_max, lam, rule)
     v2 = _lambda_values_on_rule(g, n_max, lam, doubled)
     norm_g1 = lp_norm_segment(g, 1.0, lam, doubled)
@@ -591,11 +579,17 @@ def lambda_coefficient(g: Function1D, n: int, lam):
     return complex(values[n]), float(errors[n])
 
 
+def check_p(p) -> None:
+    """Refuse a Lebesgue exponent outside the paper's 1 <= p < infinity: the
+    one check of p in the package (NaN fails it too)."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
+
+
 def lp_norm_segment(g: Function1D, p: float, lam,
                     rule: QuadratureRule | None = None) -> float:
     """|| g ||_{lambda, p} = (c_lambda int |g|^p (1-t^2)^(lambda-1/2) dt)^(1/p)."""
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be a finite number >= 1, not {p!r}")
+    check_p(p)
     lam_f = float(lam)
     if rule is None:
         rule = gauss_jacobi_rule(RULE_SIZE, lam_f)

@@ -5,9 +5,9 @@ Vectors and matrices are plain tuples of scalars so that the rational families
 family I2(m) uses unit roots cos/sin(k*pi/m), which are irrational for every
 m >= 3, so it always lives in float coordinates; roots and matrices are then
 deduplicated by an entrywise 1e-10 quantization instead of exact comparison.
-Root walks (orbits and the permutation axiom) reflect vectors directly,
-s_v w = w - (2 <v, w> / <v, v>) v, on int coordinates wherever the roots are
-integral, so the rational families build no Fraction there.
+The one root walk (orbits and the root-system axioms) reflects vectors
+directly, s_v w = w - (2 <v, w> / <v, v>) v, on int coordinates wherever the
+roots are integral, so the rational families build no Fraction there.
 """
 
 from __future__ import annotations
@@ -208,38 +208,10 @@ def builtin_root_system(family: str, dimension: int | None = None,
 
 
 def validate_root_system(rs: RootSystem) -> None:
-    """Check the two root-system axioms; raise ValueError on failure.
-
-    (1) the only multiples of a root v in R are +-v;
-    (2) each reflection s_v permutes R.
-    """
-    keys = {_vec_key(v) for v in rs.roots}
-    if len(keys) != len(rs.roots):
-        raise ValueError("duplicate roots")
-    for v in rs.roots:
-        nv = _vec_key(tuple(-x for x in v))
-        if nv not in keys:
-            raise ValueError(f"root set not symmetric: -{v} missing")
-    # pairwise collinearity
-    n = len(rs.roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, w = rs.roots[i], rs.roots[j]
-            # u, w collinear iff all 2x2 minors vanish
-            coll = all(
-                abs(float(u[p]) * float(w[q]) - float(u[q]) * float(w[p])) <= DEDUP_TOL
-                for p in range(rs.dim) for q in range(p + 1, rs.dim)) \
-                if rs.dim > 1 else True
-            if coll:
-                same = all(abs(float(a) - float(b)) <= DEDUP_TOL for a, b in zip(u, w))
-                opp = all(abs(float(a) + float(b)) <= DEDUP_TOL for a, b in zip(u, w))
-                if not (same or opp):
-                    raise ValueError(f"roots {u} and {w} are collinear but not opposite")
-    roots = tuple(_int_coords(w) for w in rs.roots)
-    for v, (u, uu) in zip(rs.positive, _reflection_steps(rs)):
-        for w in roots:
-            if _vec_key(_reflect(u, uu, w)) not in keys:
-                raise ValueError(f"reflection through {v} does not preserve the root set")
+    """Check the root-system axioms, that each reflection s_v permutes R and
+    the only multiples of a root v in R are +-v; raise ValueError on failure.
+    This is root_orbits' own check, which every DunklContext passes."""
+    root_orbits(rs)
 
 
 @dataclass(frozen=True)
@@ -281,10 +253,16 @@ def generate_group(rs: RootSystem) -> ReflectionGroup:
 
 
 def root_orbits(rs: RootSystem) -> list[list]:
-    """Orbits of the full root set under the reflection group.
+    """Orbits of the full root set under the reflection group, found by the
+    one pass that also checks the root-system axioms (ValueError on failure).
 
-    Each orbit is the closure of a root under the positive-root reflections,
-    which generate G, so the group itself is never built.  Orbits are
+    The roots are indexed by key, which refuses duplicates and a missing
+    negative; the positive subsystem must hold one root per +- pair.  Each
+    positive root's reflection becomes one row of image indices, refused if
+    an image falls outside R.  Two positive roots with the same row give the
+    same reflection, so they are collinear, which a reduced system forbids.
+    Each orbit is then the closure of a root under these rows: the positive
+    reflections generate G, so the group itself is never built.  Orbits are
     ordered by, and start with, the first positive root (in the family's
     canonical enumeration order) they contain, which fixes the meaning of
     per-orbit multiplicity sequences.
@@ -294,27 +272,39 @@ def root_orbits(rs: RootSystem) -> list[list]:
     # images of exact roots are exact, so they key as they are
     exact = all(isinstance(x, (int, Fraction)) for v in rs.roots for x in v)
     key = tuple if exact else _vec_key
-    by_key = {}
-    for v in rs.roots:
-        w = _int_coords(v)
-        by_key[key(w)] = (v, w)
-    assigned: set = set()
+    roots = [_int_coords(v) for v in rs.roots]
+    index = {key(w): i for i, w in enumerate(roots)}
+    if len(index) != len(roots):
+        raise ValueError("duplicate roots")
+    neg = [index.get(key(tuple([-x for x in w]))) for w in roots]
+    if None in neg:
+        raise ValueError(f"root set not symmetric: -{rs.roots[neg.index(None)]} missing")
+    pos = [index.get(key(u)) for u, _ in steps]
+    if None in pos or len(set(pos).union([neg[i] for i in pos])) != len(roots):
+        raise ValueError("positive subsystem must contain one root per +- pair")
+    rows: dict = {}                  # image indices -> the positive root
+    for v, (u, uu) in zip(rs.positive, steps):
+        try:
+            row = tuple([index[key(_reflect(u, uu, w))] for w in roots])
+        except KeyError:
+            raise ValueError(
+                f"reflection through {v} does not preserve the root set") from None
+        if row in rows:
+            raise ValueError(f"roots {rows[row]} and {v} are collinear but not opposite")
+        rows[row] = v
+    assigned = [False] * len(roots)
     orbits: list[list] = []
-    for v in rs.positive:
-        w = _int_coords(v)
-        if key(w) in assigned:
+    for v, i in zip(rs.positive, pos):
+        if assigned[i]:
             continue
-        orbit = [(v, w)]
-        assigned.add(key(w))
-        for root, w in orbit:        # grows while it is walked: a BFS
-            for u, uu in steps:
-                wk = key(_reflect(u, uu, w))
-                if wk not in by_key:
-                    raise ValueError(f"reflection maps root {root} outside the root set")
-                if wk not in assigned:
-                    assigned.add(wk)
-                    orbit.append(by_key[wk])
-        orbits.append([root for root, _ in orbit])
+        assigned[i] = True
+        orbit = [i]
+        for j in orbit:              # grows while it is walked: a BFS
+            for row in rows:
+                if not assigned[row[j]]:
+                    assigned[row[j]] = True
+                    orbit.append(row[j])
+        orbits.append([v, *(rs.roots[k] for k in orbit[1:])])
     return orbits
 
 

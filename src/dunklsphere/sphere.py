@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gegenbauer import check_size, jacobi_rule, symmetric_jacobi_rule
+from .gegenbauer import check_p, check_size, jacobi_rule, symmetric_jacobi_rule
 from .multipoly import DEGREE_CAP, EXACT, FLOAT, MultiPoly
 from .operators import DunklContext, HarmonicBasis, dunkl_laplacian
 from .reflection import weight_as_polynomial, weight_values
@@ -378,11 +378,12 @@ class SphereMeasure:
             lambda pts: np.asarray(ff(pts)) * np.conjugate(np.asarray(fh(pts))))
 
     def lp_norm(self, f, p) -> float:
-        """|| f ||_{kappa, p} on the sphere.  Exact backend handles even
-        integer p for polynomials; anything else falls back to the tensor
-        grid of the same order."""
-        if p < 1:
-            raise ValueError("p must be >= 1")
+        """|| f ||_{kappa, p} on the sphere, for 1 <= p < infinity (check_p).
+        Exact backend handles even integer p for polynomials; anything else
+        falls back to the tensor grid of the same order.  Monte Carlo
+        integrates |f|^p by integrate_mc under the measure's seed, so it
+        needs no grid."""
+        check_p(p)
         if self.backend == "exact" and isinstance(f, MultiPoly) \
                 and float(p) == int(p) and int(p) % 2 == 0:
             k = int(p) // 2
@@ -392,9 +393,17 @@ class SphereMeasure:
                 acc = acc * prod
             val = self.integrate(acc)
             return float(val.real) ** (1.0 / float(p))
-        pts, wts = self.quad_points()
-        vals = np.abs(np.asarray(_point_fn(f)(pts))) ** float(p)
-        return float(wts @ vals) ** (1.0 / float(p))
+        fn = _point_fn(f)
+
+        def power(pts):
+            return np.abs(np.asarray(fn(pts))) ** float(p)
+
+        if self.backend == "monte_carlo":
+            total, _ = self.integrate_mc(power)
+        else:
+            pts, wts = self.quad_points()
+            total = float(wts @ power(pts))
+        return total ** (1.0 / float(p))
 
     def gram(self, elements) -> tuple:
         """Pairwise inner-product matrix as a tuple of row tuples."""

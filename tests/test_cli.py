@@ -136,6 +136,8 @@ def test_bad_generator_or_kappa_is_config_error(capsys, g, kappa, message):
     (["coeffs"], {"n_max": 2.5}, "-N"),
     (["funk-hecke"], {"degrees": []}, "--degrees"),
     (["density"], {"node_counts": [6, 1.5]}, "--nodes"),
+    (["coeffs"], {"dimension": 3.5}, "-d"),
+    (["density"], {"scheme": "uniform_random", "seed": 1.5}, "--seed"),
 ])
 def test_numeric_option_out_of_range(tmp_path, capsys, argv, cfg, flag):
     path = tmp_path / "cfg.json"
@@ -143,6 +145,21 @@ def test_numeric_option_out_of_range(tmp_path, capsys, argv, cfg, flag):
     code, out, err = run_cli([*argv, "--config", str(path)], capsys)
     assert code == EXIT_CONFIG
     assert out == "" and f"error: {flag} must be" in err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("coeffs", {"family": "e8"}),
+    ("coeffs", {"format": "xml"}),
+    ("density", {"scheme": "bogus"}),
+])
+def test_config_value_outside_choices(tmp_path, capsys, command, cfg):
+    """Config values meet an option's choices as a typed flag does, before
+    anything is built."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"g": "exp", "kappa": "1,1", **cfg}))
+    code, out, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and "invalid choice" in err
 
 
 # ---------------------------------------------------------------------------

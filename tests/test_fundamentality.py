@@ -11,6 +11,8 @@ from dunklsphere import (
     DunklContext,
     Function1D,
     FunkHeckeTable,
+    MultiPoly,
+    SphereMeasure,
     density_demo,
     funk_hecke_residual,
     funk_hecke_table,
@@ -78,6 +80,10 @@ def test_library_refuses_p_outside_one_to_infinity(p):
         operator_norm_check(CTX, g, p=p)
     with pytest.raises(ValueError, match="p must"):
         lp_norm_segment(g, p, CTX.lambda_kappa)
+    y = MultiPoly.monomial(2, (2, 0), 3)
+    for backend in ("tensor", "exact"):
+        with pytest.raises(ValueError, match="p must"):
+            SphereMeasure(CTX, backend).lp_norm(y, p)
 
 
 def test_report_serialization():

@@ -259,11 +259,23 @@ def test_root_orbit_sizes_closed_form(family, dim, order, sizes):
      "reflection through (Fraction(1, 1), Fraction(0, 1)) does not preserve the root set"),
     (_system([(1, 0), (0, 1), (3, -2), (3, 2)]),
      "reflection through (Fraction(3, 1), Fraction(-2, 1)) does not preserve the root set"),
+    (RootSystem(2, _system([(1, 0), (0, 1)]).roots, ((1, 0), (-1, 0))),
+     "positive subsystem must contain one root per +- pair"),
 ])
 def test_validate_root_system_rejects(rs, message):
     with pytest.raises(ValueError) as err:
         validate_root_system(rs)
     assert str(err.value) == message
+
+
+def test_contexts_refuse_a_non_reduced_system():
+    """{+-e1, +-2e1, +-e2} permutes under its reflections but is not reduced,
+    so it has no Dunkl operators; every context runs the root-system check."""
+    with pytest.raises(ValueError) as err:
+        DunklContext.from_root_system(_system([(1, 0), (2, 0), (0, 1)]), 1)
+    assert str(err.value) == (
+        "roots (Fraction(1, 1), Fraction(0, 1)) and (Fraction(2, 1), Fraction(0, 1)) "
+        "are collinear but not opposite")
 
 
 def test_multiplicity_lookup_takes_int_roots():

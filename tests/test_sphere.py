@@ -491,6 +491,18 @@ def test_monte_carlo_mass_and_determinism():
     assert est == est2 and se == se2
 
 
+def test_monte_carlo_lp_norm_needs_no_grid():
+    """Z_2^6 has no tensor grid at the default order, and Monte Carlo needs
+    none: ||x1^2||_2^2 = int x1^4 d sigma, within 4 standard errors of the
+    exact integral."""
+    ctx = DunklContext.create("zd2", 6, 1)
+    m = SphereMeasure(ctx, "monte_carlo", mc_samples=100_000, seed=1)
+    quartic = MultiPoly.monomial(6, (4, 0, 0, 0, 0, 0))
+    got = m.lp_norm(MultiPoly.monomial(6, (2, 0, 0, 0, 0, 0)), 2) ** 2
+    _, se = m.integrate_mc(quartic)
+    assert abs(got - float(exact_sigma_integral(ctx, quartic))) <= 4.0 * se
+
+
 def test_monte_carlo_requires_seed():
     ctx = DunklContext.create("zd2", 2, (1, 1))
     with pytest.raises(ValueError):
