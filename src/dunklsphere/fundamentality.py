@@ -13,7 +13,6 @@ runs small least-squares density demonstrations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -337,16 +336,6 @@ class DensityReport(Report):
         return zip(self.node_counts, self.ridges, self.residuals)
 
 
-def _weighted_gram(rows: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """(rows * wts) @ rows.T, built in blocks of rows of at most _ROW_BLOCK
-    values so that no second (J, Q) array is made."""
-    gram = np.empty((rows.shape[0], rows.shape[0]))
-    step = max(1, _ROW_BLOCK // rows.shape[1])
-    for lo in range(0, rows.shape[0], step):
-        gram[lo:lo + step] = (rows[lo:lo + step] * wts) @ rows.T
-    return gram
-
-
 def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
                  node_counts, orders: int = 80, ridge: float | None = None,
                  scheme: str = "spiral", kernel_order: int = 48,
@@ -354,20 +343,21 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     """Best L2(sigma) approximation of a degree-m harmonic by kernel translates.
 
     Solves min_a || Y_m - sum_j a_j K(x_j, .) ||_{L2(sigma)} over node sets of
-    increasing size.  With b_j = Lambda_m(g) Y_m(x_j) and Gram matrix
-    G_ij = <K(x_i, .), K(x_j, .)> the squared residual is
-    1 - 2 a.b + a.G.a for the L2-normalized target.  When Lambda_m(g) = 0
-    the translates are orthogonal to the whole degree-m space and the
-    residual is exactly 1, as it is with no solve when the Gram matrix is
-    zero (a zero kernel), where a = 0 is the minimiser.  Before anything is
-    built, a context without a kernel raises UnsupportedGroupError, and the
-    largest set's J x J Gram matrix, the grid and that set's J x Q kernel
-    rows are counted in that order and raise ValueError above the limit of
-    check_size.
-
-    Each node set's kernel rows K(x_j, .) on the Q grid points come from one
-    kernel_translate_batch call, and G is built from them in node blocks
-    (_weighted_gram), so one (J, Q) array is held at a time.
+    increasing size, on the Q points of the tensor grid, whose weights w are
+    positive on every grid (a negative one raises ValueError before sqrt(w)
+    is taken).  Each node set's kernel rows K(x_j, .) come from one
+    kernel_translate_batch call and are scaled in place to R = sqrt(w) K, so
+    one (J, Q) array is held at a time, and the Gram matrix G = R R^T is one
+    symmetric product.  With Y normalized on the same grid and b_j =
+    Lambda_m(g) Y(x_j), a solves (G + ridge I) a = b, and the residual is
+    || sqrt(w) Y - a R ||, the grid norm of the residual vector, which keeps
+    its digits where 1 - 2 a.b + a.G.a would cancel.  When Lambda_m(g) = 0
+    the translates are orthogonal to the whole degree-m space, and when
+    G = 0 (a zero kernel) a = 0 is the minimiser: both take no solve and
+    report exactly 1.  Before anything is built, a context without a kernel
+    raises UnsupportedGroupError, and the largest set's J x J Gram matrix,
+    the grid and that set's J x Q kernel rows are counted in that order and
+    raise ValueError above the limit of check_size.
     """
     ctx.kappa_by_axis()
     counts = tuple(int(c) for c in node_counts)
@@ -375,13 +365,16 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     check_size(most * most, f"a density node set of {most} nodes builds a {most} x "
                f"{most} Gram matrix", "lower the node count")
     _check_kernel_rows(most, grid_size(ctx, orders))
-    measure = SphereMeasure(ctx, "tensor", orders=orders)
-    pts, wts = measure.quad_points()
+    pts, wts = SphereMeasure(ctx, "tensor", orders=orders).quad_points()
+    if (wts < 0).any():
+        raise ValueError("the density grid has a negative weight")
+    root_w = np.sqrt(wts)
 
     basis = harmonic_basis(ctx, m_degree)
     y = basis.elements[0].to_float()
-    norm = measure.lp_norm(y, 2)
-    y = y.scale(1.0 / norm)
+    target = root_w * y.eval_many(pts)
+    norm = float(np.linalg.norm(target))                # || Y ||_{L2(sigma)}
+    y, target = y.scale(1.0 / norm), target / norm
 
     value, _ = lambda_coefficient(g, m_degree, ctx.lambda_kappa)
     lam_val = float(np.real(value))
@@ -390,17 +383,18 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     ridges = []
     for count in counts:
         nodes = node_set(ctx.dim, count, scheme, seed=seed)
-        gram = _weighted_gram(kernel_translate_batch(ctx, g, nodes, pts, kernel_order),
-                              wts)
+        rows = kernel_translate_batch(ctx, g, nodes, pts, kernel_order)
+        rows *= root_w
+        gram = rows @ rows.T
         b = lam_val * y.eval_many(nodes)
         rid = ridge
         if rid is None:
             rid = 1e-10 * float(np.trace(gram)) / gram.shape[0]
-        sq = 1.0
-        if gram.any():
+        res = 1.0
+        if gram.any() and b.any():
             a = np.linalg.solve(gram + rid * np.eye(gram.shape[0]), b)
-            sq = 1.0 - 2.0 * float(a @ b) + float(a @ gram @ a)
-        residuals.append(math.sqrt(max(0.0, sq)))
+            res = float(np.linalg.norm(target - a @ rows))
+        residuals.append(res)
         ridges.append(float(rid))
 
     return DensityReport(

@@ -604,15 +604,15 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     nu_{kappa_1} x ... x nu_{kappa_d} over the context's per-axis kappas
     (kappa_by_axis, which raises UnsupportedGroupError elsewhere), with
     kappa_i = 0 axes pinned at t_i = 1, on quad_order nodes per axis; at
-    kappa = 0 every axis is pinned and K(x, y) = g(<x, y>), evaluated in
-    blocks of centres.  When g is a sum of exponentials a e^(r s) (exp,
-    cosh, sinh, cos w and sums of them, see Function1D.exponential_terms)
-    that rule factors into one sum per active axis, sum_j w_j e^(r c t_j)
-    with c = x_i y_i.  For |r| <= SERIES_MAX_RATE that sum is the moment
-    series sum_n p_n x_i^n y_i^n (_series_coefficients): one BLAS product
-    per axis for all centres, on power tables of y built in chunks of
-    points.  Faster rates keep the sum over the nodes, in chunks of the
-    flattened centre-point pairs.  Every other g is summed over the
+    kappa = 0 every axis is pinned and K(x, y) = g(<x, y>), one product for
+    all centres per chunk of points.  When g is a sum of exponentials
+    a e^(r s) (exp, cosh, sinh, cos w and sums of them, see
+    Function1D.exponential_terms) that rule factors into one sum per active
+    axis, sum_j w_j e^(r c t_j) with c = x_i y_i.  For |r| <= SERIES_MAX_RATE
+    that sum is the moment series sum_n p_n x_i^n y_i^n (_series_coefficients):
+    one BLAS product per axis for all centres, on power tables of y built in
+    chunks of points.  Faster rates keep the sum over the nodes, in chunks of
+    the flattened centre-point pairs.  Every other g is summed over the
     quad_order^active tensor grid in chunks of points, one centre at a time
     within each chunk; the grid is counted before it is built, and above
     MAX_GRID_POINTS it raises ValueError, as does a quad_order^2 Jacobi
@@ -640,9 +640,9 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     rules = [_nu_rule(kappas[i], quad_order) for i in active]
     out = np.zeros((len(xs), len(ys)))
     if not active:
-        step = max(1, EVAL_CHUNK_ROWS // max(1, len(ys)))
-        for lo in range(0, len(xs), step):
-            out[lo:lo + step] = g(xs[lo:lo + step] @ ys.T)
+        step = max(1, EVAL_CHUNK_ROWS // max(1, len(xs)))
+        for lo in range(0, len(ys), step):
+            out[:, lo:lo + step] = g(xs @ ys[lo:lo + step].T)
     elif terms is None:
         grids = np.meshgrid(*[r[0] for r in rules], indexing="ij")
         tmat = np.stack([gr.ravel() for gr in grids], axis=1)   # (G, n_active)

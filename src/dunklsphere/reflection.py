@@ -163,6 +163,8 @@ def builtin_root_system(family: str, dimension: int | None = None,
     dimension: ambient dimension d (zd2: d >= 1; a: d >= 2 for A_{d-1};
                b: d >= 2; d: d >= 3).  i2 ignores it (always 2).
     order:     m >= 3 for i2(m) only.
+    An unknown family raises UnsupportedGroupError; a dimension or order
+    outside these ranges names no group and raises a plain ValueError.
     """
     fam = family.lower()
     if fam not in FAMILIES:
@@ -176,7 +178,7 @@ def builtin_root_system(family: str, dimension: int | None = None,
 
     if fam == "i2":
         if order is None or order < 3:
-            raise UnsupportedGroupError("i2 requires order m >= 3")
+            raise ValueError("i2 requires order m >= 3")
         roots = tuple(
             (math.cos(k * math.pi / order), math.sin(k * math.pi / order))
             for k in range(2 * order))
@@ -184,21 +186,21 @@ def builtin_root_system(family: str, dimension: int | None = None,
 
     d = dimension
     if d is None:
-        raise UnsupportedGroupError(f"family {fam!r} requires a dimension")
+        raise ValueError(f"family {fam!r} requires a dimension")
 
     if fam == "zd2":
         if d < 1:
-            raise UnsupportedGroupError("zd2 requires d >= 1")
+            raise ValueError("zd2 requires d >= 1")
         pos = tuple(e(i, d) for i in range(d))
     elif fam == "a":
         if d < 2:
-            raise UnsupportedGroupError("a requires ambient dimension d >= 2")
+            raise ValueError("a requires ambient dimension d >= 2")
         pos = tuple(tuple(a - b for a, b in zip(e(i, d), e(j, d)))
                     for i in range(d) for j in range(d) if i < j)
     else:  # fam in ("b", "d"): e_i -+ e_j, and for b the axes e_i first
         least = 2 if fam == "b" else 3
         if d < least:
-            raise UnsupportedGroupError(f"{fam} requires d >= {least}")
+            raise ValueError(f"{fam} requires d >= {least}")
         axes = [e(i, d) for i in range(d)]
         pos = tuple(axes) if fam == "b" else ()
         pos += tuple(tuple(a + sign * b for a, b in zip(axes[i], axes[j]))

@@ -162,6 +162,18 @@ def test_config_value_outside_choices(tmp_path, capsys, command, cfg):
     assert out == "" and "invalid choice" in err
 
 
+@pytest.mark.parametrize("group", [
+    ["--family", "a", "-d", "1"],
+    ["--family", "i2", "--order", "2"],
+    ["--family", "b", "-d", "1"],
+    ["--family", "d", "-d", "2"],
+])
+def test_parameters_that_name_no_group_exit_two(capsys, group):
+    code, out, err = run_cli(["coeffs", "--g", "exp", *group], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # fundamental
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dunklsphere import (
     union_fundamental,
 )
 from dunklsphere import fundamentality
-from dunklsphere.fundamentality import _weighted_gram
 
 CTX = DunklContext.create("zd2", 2, (1, 1))
 
@@ -291,13 +290,39 @@ def test_density_residual_decreases():
     assert rep.residuals[2] < 0.05
 
 
-def test_weighted_gram_in_node_blocks_equals_the_direct_product():
-    # 300 rows of 2000 values are taken in node blocks of 131 rows
-    rng = np.random.default_rng(4)
-    rows, wts = rng.standard_normal((300, 2000)), rng.random(2000)
-    want = (rows * wts) @ rows.T
-    got = _weighted_gram(rows, wts)
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+def _cos3_residuals():
+    # Z_2^2 at (2, 2), cos 3, m = 2: residuals near 1e-7, where the
+    # difference 1 - 2 a.b + a.G.a kept about one digit
+    ctx = DunklContext.create("zd2", 2, (2, 2))
+    return density_demo(ctx, parse_function("cos 3", ctx.lambda_kappa), 2, (16, 64)).residuals
+
+
+def test_density_residuals_are_grid_norms_of_the_residual_vector():
+    # the grid norms || sqrt(w) Y - a R || of the residual vectors, as
+    # measured apart from the library with the same coefficients a
+    assert np.allclose(_cos3_residuals(), (4.275e-7, 1.069e-7), rtol=1e-3, atol=0)
+
+
+def test_density_residuals_keep_their_digits_when_the_nodes_are_reordered(monkeypatch):
+    # the same node set in reverse order sums G and K w Y in another order:
+    # residuals taken from the residual vector move in their sixth digit at
+    # most (the cancelling formula moved them by 2.9e-4)
+    straight = _cos3_residuals()
+    node_set = fundamentality.node_set
+    monkeypatch.setattr(fundamentality, "node_set",
+                        lambda *args, **kwargs: node_set(*args, **kwargs)[::-1].copy())
+    assert np.allclose(_cos3_residuals(), straight, rtol=1e-5, atol=0)
+
+
+def test_density_refuses_a_negative_grid_weight(monkeypatch):
+    quad_points = SphereMeasure.quad_points
+
+    def signed(self):
+        pts, wts = quad_points(self)
+        return pts, np.where(np.arange(len(wts)) == 3, -wts, wts)
+    monkeypatch.setattr(SphereMeasure, "quad_points", signed)
+    with pytest.raises(ValueError, match="negative weight"):
+        density_demo(CTX, parse_function("exp"), 1, (6,), orders=8)
 
 
 def test_density_report_csv():

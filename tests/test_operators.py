@@ -24,8 +24,8 @@ from dunklsphere import (
     parse_function,
     translate_as_polynomial,
 )
-from dunklsphere.multipoly import (DIVIDE_TOL, LinearImages, _add_terms, _derivative_terms,
-                                   _divide_terms)
+from dunklsphere.multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, LinearImages, _add_terms,
+                                   _derivative_terms, _divide_terms)
 from dunklsphere.operators import (SERIES_MAX_RATE, _bracket, _nullspace_exact, _quotient,
                                    _root_shape)
 from dunklsphere.reflection import RootSystem, reflection_matrix
@@ -630,6 +630,33 @@ def test_moment_series_reach_check_copies_no_points():
     finally:
         tracemalloc.stop()
     assert peak < ys.nbytes / 2
+
+
+def test_kappa_zero_rows_match_across_point_chunks():
+    # 5 centres take chunks of 3200 points: 6407 points cross two chunk
+    # boundaries, and a GEMM per chunk matches one product of all of them
+    ctx = DunklContext.create("zd2", 3, 0)
+    rng = np.random.default_rng(11)
+    xs, ys = _unit_rows(rng, 5, 3), _unit_rows(rng, 2 * EVAL_CHUNK_ROWS // 5 + 7, 3)
+    got = kernel_translate_batch(ctx, Function1D.exponential(), xs, ys)
+    assert np.allclose(got, np.exp(xs @ ys.T), rtol=1e-15, atol=0)
+    empty = kernel_translate_batch(ctx, Function1D.exponential(), np.empty((0, 3)), ys)
+    assert empty.shape == (0, len(ys))
+
+
+def test_kappa_zero_rows_hold_no_copy_of_the_points():
+    # 8 centres on 200000 points: beyond the (8, Q) output, chunks of
+    # EVAL_CHUNK_ROWS // 8 points hold the products and kernel values
+    ctx = DunklContext.create("zd2", 4, 0)
+    rng = np.random.default_rng(5)
+    ys, xs = _unit_rows(rng, 200_000, 4), _unit_rows(rng, 8, 4)
+    tracemalloc.start()
+    try:
+        out = kernel_translate_batch(ctx, Function1D.exponential(), xs, ys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < ys.nbytes / 2
 
 
 def test_tensor_route_builds_no_per_centre_copy_of_the_points():

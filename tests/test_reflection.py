@@ -102,6 +102,18 @@ def test_i2_requires_order():
         builtin_root_system("i2", 2, order=None)
 
 
+@pytest.mark.parametrize("family, dim, order", [
+    ("i2", 2, None), ("i2", 2, 2), ("a", 1, None), ("b", 1, None), ("d", 2, None),
+    ("zd2", 0, None), ("zd2", None, None),
+])
+def test_parameters_that_name_no_group_are_configuration_errors(family, dim, order):
+    # a known family outside its range is a plain ValueError, not an
+    # unsupported group
+    with pytest.raises(ValueError) as info:
+        builtin_root_system(family, dim, order=order)
+    assert not isinstance(info.value, UnsupportedGroupError)
+
+
 def test_missing_negatives_rejected_at_construction():
     rs = builtin_root_system("zd2", 2)
     with pytest.raises(ValueError):
