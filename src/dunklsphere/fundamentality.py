@@ -25,6 +25,7 @@ from .gegenbauer import (
     CoefficientProfile,
     Function1D,
     Report,
+    _lambda_entries,
     check_p,
     check_size,
     coefficient_profile,
@@ -249,7 +250,9 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     basis element by max(1, sup |Y| on the grid).  The kernel does not
     depend on n, so the grid, the x points and the weighted kernel rows
     wts * K(x, .) of both routes are built once for all degrees, one
-    (x_count, Q) matrix per route.  Before anything is built, a context
+    (x_count, Q) matrix per route, and the coefficients Lambda_n(g) of all
+    degrees come from one call of the route selector behind
+    lambda_coefficient.  Before anything is built, a context
     without a kernel raises UnsupportedGroupError, and a grid or an
     x_count x Q above the limit of check_size, or a polynomial g whose
     highest nonzero coefficient is past DEGREE_CAP, raises ValueError.  The
@@ -278,10 +281,11 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
 
     step = max(1, _ROW_BLOCK // len(pts))
     reports = []
-    for n in degrees:
+    entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
+    for entry in entries:
+        n, lam_val, lam_err = entry.n, entry.value, entry.error_bound
         basis = harmonic_basis(ctx, n)
         elements = [e.to_float() for e in basis.elements]
-        lam_val, lam_err = lambda_coefficient(g, n, ctx.lambda_kappa)
         routes = dict.fromkeys(rows, 0.0)
         for lo in range(0, len(elements), step):
             block = elements[lo:lo + step]

@@ -15,6 +15,7 @@ callables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -313,12 +314,8 @@ class Function1D:
         return cls("gegenbauer", n=int(n), lam=lam)
 
     @classmethod
-    def from_callable(cls, fn: Callable, label: str = "user",
-                      parity: str | None = None) -> "Function1D":
-        f = cls("user", fn=fn, label=label)
-        if parity is not None:
-            object.__setattr__(f, "_forced_parity", parity)
-        return f
+    def from_callable(cls, fn: Callable, label: str = "user") -> "Function1D":
+        return cls("user", fn=fn, label=label)
 
     @classmethod
     def weighted_sum(cls, parts) -> "Function1D":
@@ -359,9 +356,6 @@ class Function1D:
 
     @property
     def parity(self) -> str | None:
-        forced = getattr(self, "_forced_parity", None)
-        if forced is not None:
-            return forced
         if self.kind == "poly":
             ev = all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 1)
             od = all(c == 0 for i, c in enumerate(self.coeffs) if i % 2 == 0)
@@ -471,11 +465,15 @@ class Function1D:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator reported as bad input."""
+    """Fraction(text), with a zero denominator or a magnitude above the
+    largest double reported as bad input."""
     try:
-        return Fraction(text)
+        q = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+    if abs(q) > sys.float_info.max:
+        raise ValueError(f"{text!r} is outside the double range")
+    return q
 
 
 def parse_function(text: str, lam=None) -> Function1D:
@@ -543,40 +541,25 @@ MIN_PRECISION = 6
 
 
 def _lambda_values_on_rule(g: Function1D, n_max: int, lam: float,
-                           rule: QuadratureRule) -> np.ndarray:
-    gv = np.asarray(g(rule.nodes))
-    cmat = np.stack(list(_gegenbauer_rows(n_max, lam, rule.nodes)))
-    raw = cmat @ (rule.weights * gv)
-    at_one = np.array([gegenbauer_at_one(n, lam) for n in range(n_max + 1)])
-    return c_lambda(lam) * raw / at_one
+                           rule: QuadratureRule) -> list:
+    """Lambda_0..n_max on rule, one dot product per Gegenbauer row, so each
+    value is the same whatever n_max is."""
+    gw = rule.weights * np.asarray(g(rule.nodes))
+    scale = c_lambda(lam)
+    return [scale * (row @ gw) / gegenbauer_at_one(n, lam)
+            for n, row in enumerate(_gegenbauer_rows(n_max, lam, rule.nodes))]
 
 
-def _quadrature_pair(g: Function1D, n_max: int, lam: float,
-                     rule: QuadratureRule) -> tuple:
-    """Lambda_0..n_max on the doubled rule, their bounds (spread to rule plus
-    the round-off floor 1e-15 * max(1, ||g||_1)), and ||g||_1 on that rule."""
-    doubled = gauss_jacobi_rule(2 * rule.nodes.size, lam)
-    v1 = _lambda_values_on_rule(g, n_max, lam, rule)
+def _quadrature_pair(g: Function1D, n_max: int, lam: float) -> tuple:
+    """Lambda_0..n_max on the Gauss-Jacobi rule of 2 RULE_SIZE nodes, their
+    bounds (spread to the RULE_SIZE-node rule plus the round-off floor
+    1e-15 * max(1, ||g||_1)), and ||g||_1 on the larger rule."""
+    doubled = gauss_jacobi_rule(2 * RULE_SIZE, lam)
+    v1 = _lambda_values_on_rule(g, n_max, lam, gauss_jacobi_rule(RULE_SIZE, lam))
     v2 = _lambda_values_on_rule(g, n_max, lam, doubled)
     norm_g1 = lp_norm_segment(g, 1.0, lam, doubled)
-    return v2, np.abs(v1 - v2) + 1e-15 * max(1.0, norm_g1), norm_g1
-
-
-def lambda_coefficient(g: Function1D, n: int, lam):
-    """(value, error_bound) for Lambda_n(g), by the same routes as
-    coefficient_profile: exactly (0, 0) for a structural zero, the closed
-    form at PRECISION digits for grammar kinds, and for user callables the
-    value on the doubled rule with its spread to the RULE_SIZE-node rule
-    plus a round-off floor as the bound.
-    """
-    if _structural_flag(g, n, lam):
-        return 0j, 0.0
-    if _has_closed_form(g):
-        value, err, _ = _closed_form(g, lam, [n], PRECISION)[n]
-        return value, err
-    lam_f = float(lam)
-    values, errors, _ = _quadrature_pair(g, n, lam_f, gauss_jacobi_rule(RULE_SIZE, lam_f))
-    return complex(values[n]), float(errors[n])
+    floor = 1e-15 * max(1.0, norm_g1)
+    return v2, [abs(a - b) + floor for a, b in zip(v1, v2)], norm_g1
 
 
 def check_p(p) -> None:
@@ -793,29 +776,48 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
     and rule_size are None.  A user callable, or a sum holding one, runs on
     the Gauss-Jacobi pair of RULE_SIZE and twice as many nodes, whose own
     accuracy bounds what can be certified; there eps is relative to
-    max(1, ||g||_1), with the norm taken on the larger rule.
+    max(1, ||g||_1), with the norm taken on the larger rule.  The entries
+    are _lambda_entries over the degrees 0..n_max.
     """
     if precision is not None and precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} digits, "
                          f"not {precision!r}")
-    lam_f = float(lam)
-    structural = [_structural_flag(g, n, lam) for n in range(n_max + 1)]
+    entries, norm_g1, rule_size = _lambda_entries(
+        g, lam, range(n_max + 1), eps, PRECISION if precision is None else precision)
+    return CoefficientProfile(g.describe(), float(lam), eps, norm_g1, rule_size,
+                              precision, entries)
+
+
+def lambda_coefficient(g: Function1D, n: int, lam):
+    """(value, error_bound) for Lambda_n(g): the one-degree view of
+    _lambda_entries at PRECISION digits, so it equals coefficient_profile's
+    entry n bit for bit, (0, 0) for a structural zero included."""
+    (entry,), _, _ = _lambda_entries(g, lam, (n,))
+    return entry.value, entry.error_bound
+
+
+def _lambda_entries(g: Function1D, lam, degrees, eps: float = DEFAULT_EPS,
+                    precision: int = PRECISION) -> tuple:
+    """(entries, norm_g1, rule_size): one ProfileEntry per degree in degrees,
+    in their order.  The one place that picks how Lambda_n(g) is computed:
+    structural zeros are flagged first, and the other degrees take one
+    _closed_form call at precision digits when g has a closed form
+    (norm_g1 and rule_size None), else one _quadrature_pair up to the
+    largest degree, classified against eps * max(1, ||g||_1)."""
+    structural = [_structural_flag(g, n, lam) for n in degrees]
     if _has_closed_form(g):
-        degrees = [n for n in range(n_max + 1) if not structural[n]]
-        data = _closed_form(g, lam, degrees,
-                            PRECISION if precision is None else precision, eps)
-        norm_g1 = m = None
+        data = _closed_form(g, lam, [n for n, s in zip(degrees, structural) if not s],
+                            precision, eps)
+        norm_g1 = rule_size = None
     else:
-        m = RULE_SIZE
-        values, errors, norm_g1 = _quadrature_pair(g, n_max, lam_f,
-                                                   gauss_jacobi_rule(m, lam_f))
+        rule_size = RULE_SIZE
+        values, errors, norm_g1 = _quadrature_pair(g, max(degrees, default=0), float(lam))
+        thresh = eps * max(1.0, norm_g1)
         data = {}
-        for n in range(n_max + 1):
+        for n in degrees:
             val, err = complex(values[n]), float(errors[n])
-            data[n] = (val, err, _classify(abs(val), err, eps * max(1.0, norm_g1)))
-    entries = tuple(
-        ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if structural[n]
-        else ProfileEntry(n, *data[n])
-        for n in range(n_max + 1))
-    return CoefficientProfile(g.describe(), lam_f, eps, norm_g1, m, precision,
-                              entries)
+            data[n] = (val, err, _classify(abs(val), err, thresh))
+    entries = tuple(ProfileEntry(n, 0.0 + 0.0j, 0.0, ZERO, True) if s
+                    else ProfileEntry(n, *data[n])
+                    for n, s in zip(degrees, structural))
+    return entries, norm_g1, rule_size

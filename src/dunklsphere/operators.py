@@ -311,26 +311,15 @@ class HarmonicBasis:
     """Nullspace basis of the Dunkl Laplacian on homogeneous degree n.
 
     Elements are ordered deterministically (graded-lex monomials, first free
-    column first); they are not orthogonalized.  ``gram`` is None unless one
-    is passed in, as in HarmonicBasis(b.degree, b.elements, measure.gram(b)).
+    column first); they are not orthogonalized.  Their Gram matrix under
+    sigma_kappa is SphereMeasure.gram(basis).
     """
 
     degree: int
     elements: tuple
-    gram: tuple | None = None
 
     def __len__(self):
         return len(self.elements)
-
-    def to_text(self) -> str:
-        lines = [f"degree: {self.degree}"]
-        for k, p in enumerate(self.elements):
-            lines.append(f"element {k}: {p.to_text()}")
-        if self.gram is not None:
-            lines.append("gram:")
-            for row in self.gram:
-                lines.append("  " + ", ".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
 
 
 def _primitive(row: dict) -> dict:

@@ -107,12 +107,19 @@ def test_bad_kappa_count(capsys):
     ("exp", "1/0,1", "zero denominator"),
     # n < 0 would make every degree a structural zero
     ("gegen -1", "1,1", "gegen degree must be >= 0"),
+    # numbers past the largest double, which no float can hold
+    ("sum 1e400*exp", "1,1", "'1e400' is outside the double range"),
+    ("exp", "1e400,1", "'1e400' is outside the double range"),
+    ("poly 1e400", "1,1", "'1e400' is outside the double range"),
+    ("poly 1,-1e400", "1,1", "'-1e400' is outside the double range"),
+    ("cos 1e400", "1,1", "'1e400' is outside the double range"),
 ])
 def test_bad_generator_or_kappa_is_config_error(capsys, g, kappa, message):
-    code, out, err = run_cli(
-        ["fundamental", "--g", g, "--kappa", kappa, "-N", "3"], capsys)
-    assert code == EXIT_CONFIG
-    assert out == "" and message in err
+    # every command parses --g and --kappa the same way
+    for command in ("coeffs", "fundamental", "funk-hecke", "density"):
+        code, out, err = run_cli([command, "--g", g, "--kappa", kappa], capsys)
+        assert code == EXIT_CONFIG, command
+        assert out == "" and message in err, command
 
 
 @pytest.mark.parametrize("argv, cfg, flag", [

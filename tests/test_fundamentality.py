@@ -18,13 +18,14 @@ from dunklsphere import (
     funk_hecke_table,
     is_fundamental,
     kernel_translate_batch,
+    lambda_coefficient,
     lp_norm_segment,
     operator_norm_check,
     UnsupportedGroupError,
     parse_function,
     union_fundamental,
 )
-from dunklsphere import fundamentality
+from dunklsphere import fundamentality, gegenbauer
 
 CTX = DunklContext.create("zd2", 2, (1, 1))
 
@@ -185,6 +186,25 @@ def test_funk_hecke_table_matches_per_degree_calls(family, dim, kappa, g, routes
     for n, rep in enumerate(table):
         assert rep == funk_hecke_residual(ctx, fn, n, **opts)
         assert set(rep.residual_by_route) == routes
+
+
+def test_funk_hecke_table_takes_its_coefficients_from_one_call(monkeypatch):
+    # one closed-form pass serves every degree of the table, with the values
+    # lambda_coefficient gives degree by degree
+    calls = []
+    closed_form = gegenbauer._closed_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(gegenbauer, "_closed_form", counted)
+    g = parse_function("exp")
+    table = funk_hecke_table(CTX, g, range(7), orders=16, x_count=2, quad_order=12)
+    assert len(calls) == 1
+    for rep in table:
+        assert (rep.coefficient, rep.coefficient_error) == lambda_coefficient(
+            g, rep.n, CTX.lambda_kappa)
 
 
 @pytest.mark.parametrize("call", [

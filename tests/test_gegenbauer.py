@@ -422,9 +422,15 @@ def test_user_callable_error_bound_covers_closed_form(lam):
     prof = coefficient_profile(user, lam, 40)
     for e, t in zip(prof.entries, truth.entries):
         assert abs(e.value - t.value) <= e.error_bound, (lam, e.n)
-    for n in (0, 7, 40):
-        value, err = lambda_coefficient(user, n, lam)
-        assert abs(value - truth.entry(n).value) <= err, (lam, n)
+    # lambda_coefficient views the profile's route selector one degree at a
+    # time: on every route (Gauss pair, closed form, structural zero) it
+    # gives the profile entry to the last bit
+    mixed = Function1D.weighted_sum([(0.5, user), (2.0, Function1D.cosh_fn())])
+    for g, n_max in ((user, 40), (mixed, 12), (Function1D.cosh_fn(), 12),
+                     (Function1D.gegenbauer_poly(3, lam), 6)):
+        for e in coefficient_profile(g, lam, n_max).entries:
+            assert lambda_coefficient(g, e.n, lam) == (e.value, e.error_bound), (
+                g.describe(), lam, e.n)
 
 
 def test_profile_noisy_function_indeterminate():
