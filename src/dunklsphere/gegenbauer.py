@@ -464,9 +464,12 @@ class Function1D:
         raise ValueError(f"unknown kind {k!r}")
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator or a magnitude above the
-    largest double reported as bad input."""
+def parse_fraction(text: str, what: str = "value") -> Fraction:
+    """Fraction(text), with a zero denominator, an infinity or NaN (what
+    names the number in that message), or a magnitude above the largest
+    double reported as bad input."""
+    if text.strip().lstrip("+-").lower() in ("inf", "infinity", "nan"):
+        raise ValueError(f"{what} must be a finite number, not {text!r}")
     try:
         q = Fraction(text)
     except ZeroDivisionError:
@@ -494,8 +497,10 @@ def parse_function(text: str, lam=None) -> Function1D:
             if "*" not in chunk:
                 raise ValueError(f"sum term {chunk!r} needs the form weight*expr")
             ws, expr = chunk.split("*", 1)
-            parts.append((float(parse_fraction(ws.strip())),
-                          parse_function(expr, lam)))
+            w = parse_fraction(ws.strip())
+            if w and not float(w):
+                raise ValueError(f"sum weight {ws.strip()!r} is below the double range")
+            parts.append((float(w), parse_function(expr, lam)))
         return Function1D.weighted_sum(parts)
     tokens = text.split(None, 1)
     if not tokens:
@@ -693,10 +698,14 @@ def _polynomial_coefficient(g: Function1D, n: int, lam: Fraction) -> Fraction:
     return raw / gegenbauer_at_one(n, lam)
 
 
+_GUARD_DIGITS = 15   # extra digits the Bessel I recurrence runs at
+
+
 def _closed_form(g: Function1D, lam, degrees, dps: int,
                  eps: float = DEFAULT_EPS) -> dict:
     """{n: (value, error_bound, flag)} of Lambda_n(g) for a g with a closed
-    form (DLMF 18.17, 10.25), worked at dps digits:
+    form (DLMF 18.17, 10.25), worked at dps digits from one table per part
+    of g over all the degrees:
 
         poly, gegen   exact Fractions (_polynomial_coefficient)
         exp           Gamma(lam + 1) 2^lam I_{n+lam}(1); cosh and sinh are
@@ -707,15 +716,20 @@ def _closed_form(g: Function1D, lam, degrees, dps: int,
                       c_lam (1 - a^2)^(lam + 1/2) times the rational
                       2 lam C_{n-1}^{lam+1}(a) / (n (n + 2 lam) C_n(1))
 
-    The step form integrates d/dt[(1-t^2)^(lam+1/2) C_{n-1}^{lam+1}(t)] =
-    -n (n + 2 lam) / (2 lam) (1-t^2)^(lam-1/2) C_n(t) over [a, 1], so its
-    zeros are decided in Fraction arithmetic.  A sum adds its weighted
-    terms.  The error bound is 10^(5-dps) times the sum of |terms|, far above
-    the few ulps each special function loses at dps digits, and the flag is
-    classified at dps digits before anything is rounded to a double.  That
-    bound is relative, so no absolute noise floor is added: a value far below
-    10^-dps (exp has Lambda_40 ~ 1e-63 at lambda 2) that clears its bound is
-    nonzero, and eps is compared unscaled.
+    I_{n+lam}(1) comes from two direct values at the largest degree and the
+    downward recurrence I_{nu-1} = 2 nu I_nu + I_{nu+1} (DLMF 10.29.1), run
+    at _GUARD_DIGITS more digits and rounded to dps; its terms are positive,
+    so nothing cancels.  J_{n+lam} is taken per degree, since its recurrence
+    can cancel near a zero of J.  The step form integrates
+    d/dt[(1-t^2)^(lam+1/2) C_{n-1}^{lam+1}(t)] = -n (n + 2 lam) / (2 lam)
+    (1-t^2)^(lam-1/2) C_n(t) over [a, 1]; its rationals come from one exact
+    _gegenbauer_rows pass, so its zeros are decided in Fraction arithmetic.
+    A sum adds its weighted terms.  The error bound is 10^(5-dps) times the
+    sum of |terms|, far above the few ulps each special function loses at
+    dps digits, and the flag is classified at dps digits before anything is
+    rounded to a double.  That bound is relative, so no absolute noise floor
+    is added: a value far below 10^-dps (exp has Lambda_40 ~ 1e-63 at lambda
+    2) that clears its bound is nonzero, and eps is compared unscaled.
     """
     from mpmath import mp
 
@@ -730,36 +744,54 @@ def _closed_form(g: Function1D, lam, degrees, dps: int,
         half = lam_mp + mp.mpf(1) / 2
         front = mp.gamma(lam_mp + 1) * mp.power(2, lam_mp)
         c_lam = mp.gamma(lam_mp + 1) / (mp.sqrt(mp.pi) * mp.gamma(half))
+        bessel_i = {}
 
-        def term(f: Function1D, n: int):
+        def table(f: Function1D) -> dict:
+            """{n: Lambda_n(f)} over the degrees where f is no structural zero."""
+            live = [n for n in degrees if not _structural_flag(f, n, lam)]
             k = f.kind
-            if _structural_flag(f, n, lam):
-                return mp.zero
-            if k in ("poly", "gegenbauer"):
-                return mpq(_polynomial_coefficient(f, n, lam))
+            if not live or k in ("poly", "gegenbauer"):
+                return {n: mpq(_polynomial_coefficient(f, n, lam)) for n in live}
             if k in ("exp", "cosh", "sinh"):
-                return front * mp.besseli(n + lam_mp, 1)
+                if not bessel_i:                  # shared by every part
+                    lo, top = min(degrees), max(degrees)
+                    with mp.workdps(dps + _GUARD_DIGITS):
+                        lam_g = mpq(lam)
+                        for n in range(top, lo - 1, -1):
+                            bessel_i[n] = (mp.besseli(n + lam_g, 1) if n > top - 2
+                                           else 2 * (n + 1 + lam_g) * bessel_i[n + 1]
+                                           + bessel_i[n + 2])
+                return {n: front * mp.mpf(bessel_i[n]) for n in live}
             if k == "cos":
                 w = mpq(abs(f.omega))
                 if w == 0:                                    # g = 1
-                    return mp.mpf(1 if n == 0 else 0)
-                return (front * (-1) ** (n // 2) * mp.power(w, -lam_mp)
-                        * mp.besselj(n + lam_mp, w))
+                    return {n: mp.mpf(1 if n == 0 else 0) for n in live}
+                scale = mp.power(w, -lam_mp)
+                return {n: front * (-1) ** (n // 2) * scale
+                        * mp.besselj(n + lam_mp, w) for n in live}
             if k == "step":
-                if n == 0:
-                    return mp.betainc(half, half, mpq((1 + f.a) / 2), 1,
-                                      regularized=True)
-                ratio = (2 * lam * gegenbauer_eval(n - 1, lam + 1, f.a)
-                         / (n * (n + 2 * lam) * gegenbauer_at_one(n, lam)))
-                return c_lam * mpq(ratio) * mp.power(mpq(1 - f.a * f.a), half)
+                a, at_one, vals = f.a, Fraction(1), {}
+                power = mp.power(mpq(1 - a * a), half)
+                for n, c in enumerate(_gegenbauer_rows(max(live) - 1, lam + 1, a), 1):
+                    at_one = at_one * (2 * lam + n - 1) / n           # C_n(1)
+                    ratio = 2 * lam * c / (n * (n + 2 * lam) * at_one)
+                    vals[n] = c_lam * mpq(ratio) * power
+                if 0 in live:
+                    vals[0] = mp.betainc(half, half, mpq((1 + a) / 2), 1,
+                                         regularized=True)
+                return {n: vals[n] for n in live}
             raise ValueError(f"{k} has no closed form")
 
+        tables = [table(f) for _, f in parts]
         tol = mp.mpf(10) ** (5 - dps)
         thresh = mp.mpf(eps)
         for n in degrees:
-            terms = [mp.mpf(w) * term(f, n) for w, f in parts]
-            value = mp.fsum(terms)
-            err = tol * mp.fsum(abs(x) for x in terms)
+            terms = [mp.mpf(w) * t.get(n, mp.zero) for (w, _), t in zip(parts, tables)]
+            if len(terms) == 1:
+                value, err = terms[0], tol * abs(terms[0])
+            else:
+                value = mp.fsum(terms)
+                err = tol * mp.fsum(abs(x) for x in terms)
             out[n] = (complex(value), float(err),
                       _classify(abs(value), err, thresh))
     return out

@@ -315,12 +315,10 @@ def _as_kappa_scalar(x):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return parse_fraction(x)
-    if isinstance(x, float):
-        # floats come in from CLI defaults and numpy; shortest-repr keeps
+    if isinstance(x, (str, float)):
+        # floats come in from configs and numpy; shortest-repr keeps
         # human-entered decimals exact (0.5 -> 1/2)
-        return Fraction(str(x))
+        return parse_fraction(str(x), "multiplicity")
     raise InvalidMultiplicityError(f"cannot interpret multiplicity value {x!r}")
 
 

@@ -113,6 +113,10 @@ def test_bad_kappa_count(capsys):
     ("poly 1e400", "1,1", "'1e400' is outside the double range"),
     ("poly 1,-1e400", "1,1", "'-1e400' is outside the double range"),
     ("cos 1e400", "1,1", "'1e400' is outside the double range"),
+    # a nonzero weight whose double is 0.0 would change g silently
+    ("sum 1e-400*exp", "1,1", "sum weight '1e-400' is below the double range"),
+    ("sum 1e-400*exp + 1*cosh", "1,1", "sum weight '1e-400' is below the double range"),
+    ("exp", "inf,1", "multiplicity must be a finite number, not 'inf'"),
 ])
 def test_bad_generator_or_kappa_is_config_error(capsys, g, kappa, message):
     # every command parses --g and --kappa the same way
@@ -152,6 +156,23 @@ def test_numeric_option_out_of_range(tmp_path, capsys, argv, cfg, flag):
     code, out, err = run_cli([*argv, "--config", str(path)], capsys)
     assert code == EXIT_CONFIG
     assert out == "" and f"error: {flag} must be" in err
+
+
+@pytest.mark.parametrize("text, shown", [("[1e400, 1]", "'inf'"), ("[NaN, 1]", "'nan'")])
+def test_config_kappa_must_be_finite(tmp_path, capsys, text, shown):
+    # json reads 1e400 as inf and NaN as nan
+    path = tmp_path / "cfg.json"
+    path.write_text('{"g": "exp", "kappa": %s}' % text)
+    code, out, err = run_cli(["coeffs", "--config", str(path)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and f"multiplicity must be a finite number, not {shown}" in err
+
+
+def test_zero_sum_weight_is_allowed(capsys):
+    # an exact 0 weight drops its part: cosh alone has its odd degrees zero
+    code, _, _ = run_cli(["fundamental", "--g", "sum 0*exp + 1*cosh", "--kappa", "1,1",
+                          "-N", "3"], capsys)
+    assert code == EXIT_NOT_FUNDAMENTAL
 
 
 @pytest.mark.parametrize("command, cfg", [

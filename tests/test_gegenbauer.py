@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from fractions import Fraction
@@ -26,7 +27,14 @@ from dunklsphere import (
     pochhammer,
     symmetric_jacobi_rule,
 )
-from dunklsphere.gegenbauer import jacobi_rule
+from dunklsphere import gegenbauer
+from dunklsphere.gegenbauer import (
+    _classify,
+    _lambda_entries,
+    _polynomial_coefficient,
+    _structural_flag,
+    jacobi_rule,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,128 @@ def test_step_values_against_quadrature_truth():
                 err = abs(mp.mpf(e.value.real) - truth)
                 assert err <= (e.error_bound + math.ulp(e.value.real) / 2
                                + mp.mpf(10) ** -50), (k, e.n)
+
+
+def _closed_form_per_degree(g, lam, degrees, dps, eps=DEFAULT_EPS):
+    """{n: (value, error_bound, flag)} from one special function or one exact
+    Gegenbauer evaluation per degree and term: the oracle that _closed_form's
+    per-profile tables must match bit for bit."""
+    from mpmath import mp
+
+    lam = Fraction(lam)
+    parts = g.parts if g.kind == "sum" else ((1.0, g),)
+    out = {}
+    with mp.workdps(dps):
+        def mpq(q):
+            return mp.mpf(q.numerator) / q.denominator
+
+        lam_mp = mpq(lam)
+        half = lam_mp + mp.mpf(1) / 2
+        front = mp.gamma(lam_mp + 1) * mp.power(2, lam_mp)
+        c_lam = mp.gamma(lam_mp + 1) / (mp.sqrt(mp.pi) * mp.gamma(half))
+
+        def term(f, n):
+            k = f.kind
+            if _structural_flag(f, n, lam):
+                return mp.zero
+            if k in ("poly", "gegenbauer"):
+                return mpq(_polynomial_coefficient(f, n, lam))
+            if k in ("exp", "cosh", "sinh"):
+                return front * mp.besseli(n + lam_mp, 1)
+            if k == "cos":
+                w = mpq(abs(f.omega))
+                if w == 0:
+                    return mp.mpf(1 if n == 0 else 0)
+                return (front * (-1) ** (n // 2) * mp.power(w, -lam_mp)
+                        * mp.besselj(n + lam_mp, w))
+            if n == 0:                                    # step
+                return mp.betainc(half, half, mpq((1 + f.a) / 2), 1,
+                                  regularized=True)
+            return (c_lam * mpq(_step_ratio(n, lam, f.a))
+                    * mp.power(mpq(1 - f.a * f.a), half))
+
+        tol = mp.mpf(10) ** (5 - dps)
+        for n in degrees:
+            terms = [mp.mpf(w) * term(f, n) for w, f in parts]
+            value = mp.fsum(terms)
+            err = tol * mp.fsum(abs(x) for x in terms)
+            out[n] = (complex(value), float(err), _classify(abs(value), err, mp.mpf(eps)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _step_ratio(n, lam, a):
+    # exact, so the same at every precision: computed once per (n, lam, a)
+    return (2 * lam * gegenbauer_eval(n - 1, lam + 1, a)
+            / (n * (n + 2 * lam) * gegenbauer_at_one(n, lam)))
+
+
+ORACLE_GENERATORS = ("exp", "cosh", "sinh", "step 0", "step 1/5", "step -1/2",
+                     "step 3/4", "step -9/10", "cos 3", "cos 1/2",
+                     "sum 1*exp + 1/2*step 1/5", "sum 1*cosh + -2*sinh + 1/3*cos 3",
+                     "sum 1/2*cos 1/2 + 1*step -9/10 + 3*poly 1,0,1")
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5),
+                                 Fraction(7, 2), Fraction(10)], ids=str)
+def test_closed_form_tables_match_the_per_degree_oracle(lam):
+    # the oracle's value at n does not depend on N, so one oracle run up to
+    # N = 60 serves the profiles at N = 12, 40 and 60
+    for text in ORACLE_GENERATORS:
+        g = parse_function(text, lam)
+        live = [n for n in range(61) if not _structural_flag(g, n, lam)]
+        for precision in (6, 15, 50, 80):
+            want = _closed_form_per_degree(g, lam, live, precision)
+            for n_max in (12, 40, 60):
+                entries, _, _ = _lambda_entries(g, lam, range(n_max + 1),
+                                                DEFAULT_EPS, precision)
+                for e in entries:
+                    got = (repr(e.value), repr(e.error_bound), e.flag)
+                    expect = ((repr(0j), repr(0.0), ZERO) if e.structural
+                              else tuple(map(repr, want[e.n][:2])) + (want[e.n][2],))
+                    assert got == expect, (text, precision, n_max, e.n)
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2), Fraction(7, 3),
+                                 Fraction(10)], ids=str)
+def test_bessel_i_recurrence_against_direct_truth(lam):
+    # truth: Gamma(lam + 1) 2^lam I_{n+lam}(1) from one direct besseli per
+    # degree at 20 digits more than the profile
+    from mpmath import mp
+
+    for precision in (6, 15, 50, 80):
+        with mp.workdps(precision + 20):
+            lam_mp = mp.mpf(lam.numerator) / lam.denominator
+            front = mp.gamma(lam_mp + 1) * mp.power(2, lam_mp)
+            truth = [front * mp.besseli(n + lam_mp, 1) for n in range(61)]
+            for text, live in (("exp", (0, 1)), ("cosh", (0,)), ("sinh", (1,))):
+                prof = coefficient_profile(parse_function(text), lam, 60,
+                                           precision=precision)
+                for e in prof.entries:
+                    want = truth[e.n] if e.n % 2 in live else 0
+                    err = abs(mp.mpf(e.value.real) - want)
+                    assert err <= e.error_bound + math.ulp(e.value.real) / 2, (
+                        text, precision, e.n)
+
+
+def test_bessel_and_step_work_is_per_profile(monkeypatch):
+    from mpmath import mp
+
+    calls = []
+    besseli = mp.besseli
+    monkeypatch.setattr(mp, "besseli",
+                        lambda *a, **k: calls.append(a) or besseli(*a, **k))
+    for text in ("exp", "cosh", "sinh"):
+        calls.clear()
+        coefficient_profile(parse_function(text), Fraction(2), 40)
+        assert 1 <= len(calls) <= 2, text    # one per degree would be 41 for exp
+
+    def no_eval(*args):
+        raise AssertionError("gegenbauer_eval called per degree")
+
+    monkeypatch.setattr(gegenbauer, "gegenbauer_eval", no_eval)
+    prof = coefficient_profile(Function1D.step(Fraction(1, 5)), Fraction(2), 12)
+    assert prof.nonzero_degrees()
 
 
 # ---------------------------------------------------------------------------
