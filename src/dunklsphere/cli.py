@@ -176,8 +176,9 @@ def build_parser() -> tuple:
     _output_flags(sp)
 
     sp = sub.add_parser("density",
-                        help="best L2 approximation of a degree-m harmonic "
-                             "by kernel translates; CSV columns "
+                        help="grid residual of a degree-m harmonic against "
+                             "a computed combination of kernel translates, an "
+                             "upper bound on the best one; CSV columns "
                              "nodes,ridge,residual")
     _context_flags(sp)
     sp.add_argument("--g", default=None)

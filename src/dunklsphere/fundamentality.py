@@ -53,24 +53,9 @@ def _default_x_points(d: int, count: int, seed: int = 3) -> np.ndarray:
     return node_set(d, count, "uniform_random", seed=seed)
 
 
-def _verdict_from_flags(flags) -> tuple:
-    """(verdict, zero_witnesses, indeterminate_degrees) from per-degree flags."""
-    zeros = tuple(n for n, f in enumerate(flags) if f == ZERO)
-    indet = tuple(n for n, f in enumerate(flags) if f == INDETERMINATE)
-    if zeros:
-        return NOT_FUNDAMENTAL, zeros, indet
-    if indet:
-        return INDETERMINATE_VERDICT, zeros, indet
-    return FUNDAMENTAL, zeros, indet
-
-
-# ---------------------------------------------------------------------------
-# Fundamentality of a single generator
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
-class FundamentalityReport(Report):
-    KIND = "fundamentality"
+class _VerdictReport(Report):
+    """The fields both verdict reports share, in their JSON order."""
 
     verdict: str
     n_max: int
@@ -79,6 +64,27 @@ class FundamentalityReport(Report):
     eps: float
     zero_witnesses: tuple
     indeterminate_degrees: tuple
+
+
+def _verdict_fields(ctx: DunklContext, flags, p, eps) -> dict:
+    """The _VerdictReport fields for per-degree flags of degrees 0..n_max."""
+    zeros = tuple(n for n, f in enumerate(flags) if f == ZERO)
+    indet = tuple(n for n, f in enumerate(flags) if f == INDETERMINATE)
+    verdict = (NOT_FUNDAMENTAL if zeros else INDETERMINATE_VERDICT if indet
+               else FUNDAMENTAL)
+    return dict(verdict=verdict, n_max=len(flags) - 1, p=float(p),
+                lambda_value=float(ctx.lambda_kappa), eps=eps,
+                zero_witnesses=zeros, indeterminate_degrees=indet)
+
+
+# ---------------------------------------------------------------------------
+# Fundamentality of a single generator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FundamentalityReport(_VerdictReport):
+    KIND = "fundamentality"
+
     profile: CoefficientProfile
 
     def to_csv_text(self) -> str:
@@ -100,17 +106,7 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
     profile = coefficient_profile(g, ctx.lambda_kappa, n_max, eps=eps,
                                   precision=precision)
     flags = [e.flag for e in profile.entries]
-    verdict, zeros, indet = _verdict_from_flags(flags)
-    return FundamentalityReport(
-        verdict=verdict,
-        n_max=n_max,
-        p=float(p),
-        lambda_value=float(ctx.lambda_kappa),
-        eps=eps,
-        zero_witnesses=zeros,
-        indeterminate_degrees=indet,
-        profile=profile,
-    )
+    return FundamentalityReport(**_verdict_fields(ctx, flags, p, eps), profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +114,10 @@ def is_fundamental(ctx: DunklContext, g: Function1D, p: float = 2.0,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnionReport(Report):
+class UnionReport(_VerdictReport):
     KIND = "union_fundamentality"
     CSV_HEADER = "n,aggregate_abs,aggregate_error,flag"
 
-    verdict: str
-    n_max: int
-    p: float
-    lambda_value: float = field(metadata={"json": "lambda"})
-    eps: float
-    zero_witnesses: tuple
-    indeterminate_degrees: tuple
     aggregate_abs: tuple
     aggregate_error: tuple
     member_reports: tuple = field(metadata={"json": "members"})
@@ -173,21 +162,13 @@ def union_fundamental(ctx: DunklContext, gs, p: float = 2.0, n_max: int = 20,
         is_fundamental(ctx, g, p=p, n_max=n_max, eps=eps, precision=precision)
         for g in gs
     )
-    flags = _union_flags(members)
-    verdict, zeros, indet = _verdict_from_flags(flags)
     agg_abs = []
     agg_err = []
     for n in range(n_max + 1):
         agg_abs.append(float(sum(abs(r.profile.entry(n).value) for r in members)))
         agg_err.append(float(sum(r.profile.entry(n).error_bound for r in members)))
     return UnionReport(
-        verdict=verdict,
-        n_max=n_max,
-        p=float(p),
-        lambda_value=float(ctx.lambda_kappa),
-        eps=eps,
-        zero_witnesses=zeros,
-        indeterminate_degrees=indet,
+        **_verdict_fields(ctx, _union_flags(members), p, eps),
         aggregate_abs=tuple(agg_abs),
         aggregate_error=tuple(agg_err),
         member_reports=members,
@@ -344,9 +325,10 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
                  node_counts, orders: int = 80, ridge: float | None = None,
                  scheme: str = "spiral", kernel_order: int = 48,
                  seed: int | None = None) -> DensityReport:
-    """Best L2(sigma) approximation of a degree-m harmonic by kernel translates.
+    """Grid residuals of a degree-m harmonic against combinations of kernel
+    translates.
 
-    Solves min_a || Y_m - sum_j a_j K(x_j, .) ||_{L2(sigma)} over node sets of
+    Fits sum_j a_j K(x_j, .) to Y_m in L2(sigma) for node sets of
     increasing size, on the Q points of the tensor grid, whose weights w are
     positive on every grid (a negative one raises ValueError before sqrt(w)
     is taken).  Each node set's kernel rows K(x_j, .) come from one
@@ -355,7 +337,9 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     symmetric product.  With Y normalized on the same grid and b_j =
     Lambda_m(g) Y(x_j), a solves (G + ridge I) a = b, and the residual is
     || sqrt(w) Y - a R ||, the grid norm of the residual vector, which keeps
-    its digits where 1 - 2 a.b + a.G.a would cancel.  When Lambda_m(g) = 0
+    its digits where 1 - 2 a.b + a.G.a would cancel.  It is the residual of
+    the computed combination, so it bounds the best grid residual from
+    above; it is not the best approximation error.  When Lambda_m(g) = 0
     the translates are orthogonal to the whole degree-m space, and when
     G = 0 (a zero kernel) a = 0 is the minimiser: both take no solve and
     report exactly 1.  Before anything is built, a context without a kernel
@@ -431,6 +415,7 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     The translate operator is an average of values of g (the defining
     integral is against probability measures), so the ratio never exceeds 1;
     at kappa = 0 the kernel is g(<x, y>) itself and the ratio is 1 exactly.
+    A g of norm 0 has the kernel 0, and every ratio is reported as 0.
     The kernel rows are built in blocks of centres of at most _ROW_BLOCK
     values (one row when Q is larger), so x_count x Q is never refused.
     """
@@ -444,7 +429,8 @@ def operator_norm_check(ctx: DunklContext, g: Function1D, p: float = 2.0,
     powered = np.concatenate([
         np.abs(kernel_translate_batch(ctx, g, xs[lo:lo + step], pts, kernel_order))
         ** float(p) @ wts for lo in range(0, len(xs), step)])
-    ratios = powered ** (1.0 / float(p)) / seg
+    # g = 0 has K = 0 and ||g|| = 0: its ratios are 0, not 0 / 0
+    ratios = powered ** (1.0 / float(p)) / seg if seg else np.zeros(len(xs))
     return OperatorNormReport(
         p=float(p),
         max_ratio=float(max(ratios)),

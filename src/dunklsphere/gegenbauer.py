@@ -15,6 +15,7 @@ callables.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -479,6 +480,10 @@ def parse_fraction(text: str, what: str = "value") -> Fraction:
     return q
 
 
+# a + between sum terms; not one in an exponent (1e+3) or after a list's comma
+_SUM_PLUS = re.compile(r"(?<![,\s])(?<![\d.][eE])\s*\+")
+
+
 def parse_function(text: str, lam=None) -> Function1D:
     """Parse the CLI grammar:
 
@@ -492,7 +497,7 @@ def parse_function(text: str, lam=None) -> Function1D:
     text = text.strip()
     if text.startswith("sum "):
         parts = []
-        for chunk in text[4:].split("+"):
+        for chunk in _SUM_PLUS.split(text[4:]):
             chunk = chunk.strip()
             if "*" not in chunk:
                 raise ValueError(f"sum term {chunk!r} needs the form weight*expr")
@@ -614,10 +619,6 @@ class ProfileEntry:
     flag: str                 # zero | nonzero | indeterminate
     structural: bool = False  # exact zero by degree, parity or orthogonality
 
-    @property
-    def is_zero(self) -> bool:
-        return self.flag == ZERO
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "re": self.value.real, "im": self.value.imag,
                 "error_bound": self.error_bound, "flag": self.flag,
@@ -641,9 +642,6 @@ class CoefficientProfile(Report):
 
     def entry(self, n: int) -> ProfileEntry:
         return self.entries[n]
-
-    def values(self) -> list[complex]:
-        return [e.value for e in self.entries]
 
     def zero_degrees(self) -> list[int]:
         return [e.n for e in self.entries if e.flag == ZERO]

@@ -16,16 +16,15 @@ Variables are indexed 0..d-1 in the API; the text format names them x1..xd.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 EXACT = "exact"
 FLOAT = "float"
 
 #: Products whose total degree would exceed this raise DegreeCapError.  Guards
-#: against runaway symbolic growth; pass max_degree to mul() to override.
+#: against runaway symbolic growth.
 DEGREE_CAP = 64
 
 #: Float remainders of a division by a linear form may reach this times
@@ -141,40 +140,34 @@ def _divide_terms(terms: Mapping, v: Sequence, pivot: int, tol=None) -> dict:
     coefficient may reach tol * max(1, max |coefficient of terms|).  A pivot
     coefficient of 1 divides nothing, so integer terms stay integers.
 
-    The remainder is kept in one dict per x_pivot exponent k, filled in one
-    pass over terms.  Subtracting t x^qe <v, x> for a term of slice k touches
-    that term and slice k - 1 only, and each slice keeps the order its terms
-    were inserted in, so slices are processed in the order of a single
-    remainder dict scanned per k.
+    The remainder is one dict, scanned once per x_pivot exponent k from the
+    highest down.  Subtracting t x^qe <v, x> for a term of exponent k
+    changes that term and terms of exponent k - 1 only, so each scan meets
+    every term of exponent k, in the order the dict holds them.
     """
     vp = v[pivot]
     form = [(j, vj) for j, vj in enumerate(v) if vj != 0]
-    slices: dict = {}
-    for e, c in terms.items():
-        slices.setdefault(e[pivot], {})[e] = c
+    rem = dict(terms)
     quot: dict = {}
-    for k in range(max(slices, default=0), 0, -1):
-        here, below = slices.get(k, {}), slices.setdefault(k - 1, {})
-        for e, c in list(here.items()):
+    for k in range(max((e[pivot] for e in rem), default=0), 0, -1):
+        for e, c in [(e, c) for e, c in rem.items() if e[pivot] == k]:
             t = c if vp == 1 else c / vp
             qe = e[:pivot] + (k - 1,) + e[pivot + 1:]
             if t != 0:
                 quot[qe] = t
             # subtract t * x^qe * <v, x>
             for j, vj in form:
-                into = here if j == pivot else below
                 ne = qe[:j] + (qe[j] + 1,) + qe[j + 1:]
-                s = into.get(ne, 0) - t * vj
+                s = rem.get(ne, 0) - t * vj
                 if s == 0:
-                    into.pop(ne, None)
+                    rem.pop(ne, None)
                 else:
-                    into[ne] = s
-    rem = [c for part in slices.values() for c in part.values()]
+                    rem[ne] = s
     if rem:
         if tol is None:
             raise NonDivisibleError("polynomial is not divisible by the form")
         scale = max(1.0, max(abs(c) for c in terms.values()))
-        worst = max(abs(c) for c in rem)
+        worst = max(abs(c) for c in rem.values())
         if worst > tol * scale:
             raise NonDivisibleError(
                 f"remainder {worst:.3e} exceeds tolerance {tol:.3e} (scaled)")
@@ -350,23 +343,21 @@ class MultiPoly:
     def __rmul__(self, other):
         return self.scale(other)
 
-    def mul(self, other, max_degree: int | None = None):
+    def mul(self, other):
         """Polynomial product, guarded by the degree cap."""
         self._require_same(other)
         if self.is_zero() or other.is_zero():
             return MultiPoly.zero(self.dim, self.mode)
-        cap = DEGREE_CAP if max_degree is None else max_degree
-        if self.degree() + other.degree() > cap:
-            raise DegreeCapError(
-                f"product degree {self.degree() + other.degree()} exceeds cap {cap}")
+        if self.degree() + other.degree() > DEGREE_CAP:
+            raise DegreeCapError(f"product degree {self.degree() + other.degree()} "
+                                 f"exceeds cap {DEGREE_CAP}")
         return MultiPoly._trusted(self.dim, _mul_terms(self.terms, other.terms), self.mode)
 
-    def power(self, k: int, max_degree: int | None = None):
+    def power(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        cap = DEGREE_CAP if max_degree is None else max_degree
-        if k and self.degree() * k > cap:
-            raise DegreeCapError(f"product degree {self.degree() * k} exceeds cap {cap}")
+        if k and self.degree() * k > DEGREE_CAP:
+            raise DegreeCapError(f"product degree {self.degree() * k} exceeds cap {DEGREE_CAP}")
         unit = {(0,) * self.dim: _coerce_scalar(1, self.mode)}
         return MultiPoly._trusted(self.dim, _power_terms(self.terms, k, unit), self.mode)
 
@@ -465,11 +456,11 @@ class MultiPoly:
     # -- text serialization --------------------------------------------------
 
     def to_text(self) -> str:
-        """Deterministic text form, e.g. ``3/2 * x1^2*x2 + -1 * x3``.
+        """Deterministic text form, e.g. ``-1 * x3 + 3/2 * x1^2*x2``.
 
         Terms are ordered by ascending total degree, then descending
-        lexicographic exponent order.  Round-trips bit-exactly in exact mode;
-        float coefficients use repr (shortest round-trip form).
+        lexicographic exponent order.  Fractions print as str, floats and
+        complex numbers as repr.
         """
         if not self.terms:
             return "0"
@@ -487,43 +478,6 @@ class MultiPoly:
                 for i, e in enumerate(exps) if e > 0)
             parts.append(f"{cs} * {mono}" if mono else cs)
         return " + ".join(parts)
-
-    _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-    @classmethod
-    def from_text(cls, text: str, dim: int, mode: str = EXACT) -> "MultiPoly":
-        """Parse the format produced by to_text."""
-        _check_mode(mode)
-        text = text.strip()
-        if text in ("", "0"):
-            return cls.zero(dim, mode)
-        terms: dict = {}
-        for raw in text.split(" + "):
-            raw = raw.strip()
-            if not raw:
-                continue
-            if " * " in raw:
-                cs, mono = raw.split(" * ", 1)
-            else:
-                cs, mono = raw, ""
-            cs = cs.strip()
-            if mode == EXACT:
-                coeff = Fraction(cs)
-            else:
-                coeff = complex(cs) if ("j" in cs or "(" in cs) else float(cs)
-            exps = [0] * dim
-            if mono:
-                for factor in mono.split("*"):
-                    m = cls._TERM_RE.match(factor.strip())
-                    if not m:
-                        raise ValueError(f"bad monomial factor {factor!r}")
-                    idx = int(m.group(1)) - 1
-                    if not 0 <= idx < dim:
-                        raise ValueError(f"variable x{idx + 1} out of range for dim {dim}")
-                    exps[idx] += int(m.group(2) or 1)
-            e = tuple(exps)
-            terms[e] = terms.get(e, 0) + coeff
-        return cls(dim, terms, mode)
 
     # -- dunders -------------------------------------------------------------
 

@@ -117,6 +117,8 @@ def test_bad_kappa_count(capsys):
     ("sum 1e-400*exp", "1,1", "sum weight '1e-400' is below the double range"),
     ("sum 1e-400*exp + 1*cosh", "1,1", "sum weight '1e-400' is below the double range"),
     ("exp", "inf,1", "multiplicity must be a finite number, not 'inf'"),
+    # a + after a term's end still splits, so a lone sign leaves an empty term
+    ("sum 1*exp + +1*cosh", "1,1", "sum term '' needs the form weight*expr"),
 ])
 def test_bad_generator_or_kappa_is_config_error(capsys, g, kappa, message):
     # every command parses --g and --kappa the same way
@@ -166,6 +168,16 @@ def test_config_kappa_must_be_finite(tmp_path, capsys, text, shown):
     code, out, err = run_cli(["coeffs", "--config", str(path)], capsys)
     assert code == EXIT_CONFIG
     assert out == "" and f"multiplicity must be a finite number, not {shown}" in err
+
+
+@pytest.mark.parametrize("g, spelled", [("sum 1e+3*exp", "sum 1000*exp"),
+                                        ("sum 1*poly 1,+2", "sum 1*poly 1,2")])
+def test_sum_with_a_signed_number_matches_its_spelled_out_form(capsys, g, spelled):
+    runs = [run_cli(["coeffs", "--kappa", "1,1", "--g", text, "-N", "6"], capsys)
+            for text in (g, spelled)]
+    assert runs[0][0] == runs[1][0] == 0
+    got, want = (json.loads(out) for _, out, _ in runs)
+    assert got["g"] == want["g"] and got["entries"] == want["entries"]
 
 
 def test_zero_sum_weight_is_allowed(capsys):

@@ -396,6 +396,15 @@ def test_operator_norm_blocks_centres_instead_of_refusing():
     assert max(abs(r - 1.0) for r in rep.ratios) <= 1e-9
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_operator_norm_of_zero_g_is_zero(p):
+    # K = 0 and ||g|| = 0: every ratio is 0, not 0 / 0 (pytest turns a
+    # RuntimeWarning into an error)
+    rep = operator_norm_check(CTX, parse_function("poly 0"), p=p, x_count=5)
+    assert rep.segment_norm == 0.0
+    assert rep.ratios == (0.0,) * 5 and rep.max_ratio == 0.0
+
+
 def test_operator_norm_equality_positive_g_p1():
     rep = operator_norm_check(CTX, parse_function("exp"), p=1.0,
                               x_count=10, seed=2)

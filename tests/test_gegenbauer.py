@@ -476,6 +476,18 @@ def test_parse_round_trip():
             == "sum 100000000000000000000*exp + 1/10*cosh")
 
 
+@pytest.mark.parametrize("text, spelled", [
+    ("sum 1e+3*exp", "sum 1000*exp"),
+    ("sum 1*poly 1,+2", "sum 1*poly 1,2"),
+    ("sum 1*poly 1, +2 + 1E+1*step 1e-1", "sum 1*poly 1,2 + 10*step 1/10"),
+    # a + with no space around it still ends a term
+    ("sum 1/2*exp+1/2*cosh", "sum 1/2*exp + 1/2*cosh"),
+])
+def test_sum_splits_only_between_terms(text, spelled):
+    # a + in an exponent or after a coefficient list's comma is a sign
+    assert parse_function(text) == parse_function(spelled)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_function("spline 3", Fraction(1))
@@ -605,7 +617,7 @@ def test_profile_deterministic():
     g = Function1D.exponential()
     a = coefficient_profile(g, Fraction(2), 10)
     b = coefficient_profile(g, Fraction(2), 10)
-    assert a.values() == b.values()
+    assert a.entries == b.entries
 
 
 # ---------------------------------------------------------------------------
