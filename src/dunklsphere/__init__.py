@@ -29,7 +29,6 @@ from .reflection import (
     reflection_matrix,
     root_orbits,
     validate_multiplicity,
-    validate_root_system,
     weight_as_polynomial,
     weight_values,
 )
@@ -97,7 +96,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EXACT", "FLOAT", "MultiPoly", "monomials_of_degree",
     "DegreeCapError", "ModeError", "NonDivisibleError",
-    "FAMILIES", "RootSystem", "builtin_root_system", "validate_root_system",
+    "FAMILIES", "RootSystem", "builtin_root_system",
     "reflection_matrix", "ReflectionGroup", "generate_group", "root_orbits",
     "MultiplicityFunction", "validate_multiplicity", "DunklConstants",
     "constants", "weight_values", "weight_as_polynomial",

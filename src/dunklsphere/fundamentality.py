@@ -13,6 +13,7 @@ runs small least-squares density demonstrations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,8 +236,9 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     degrees come from one call of the route selector behind
     lambda_coefficient.  Before anything is built, a context
     without a kernel raises UnsupportedGroupError, and a grid or an
-    x_count x Q above the limit of check_size, or a polynomial g whose
-    highest nonzero coefficient is past DEGREE_CAP, raises ValueError.  The
+    x_count x Q above the limit of check_size, a polynomial g whose
+    highest nonzero coefficient is past DEGREE_CAP, or no degree or a
+    negative one (_lambda_entries) raises ValueError.  The
     x_count translate polynomials are evaluated on the grid in one eval_rows
     call, and the basis elements in blocks of at most _ROW_BLOCK values
     (one element when Q is larger), so each block shares one table of
@@ -250,6 +252,7 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
         if degree > DEGREE_CAP:
             raise ValueError(f"polynomial g of degree {degree} exceeds the degree cap "
                              f"{DEGREE_CAP} of its translate polynomials")
+    entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
     xs = _default_x_points(ctx.dim, x_count, seed)
@@ -262,7 +265,6 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
 
     step = max(1, _ROW_BLOCK // len(pts))
     reports = []
-    entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
     for entry in entries:
         n, lam_val, lam_err = entry.n, entry.value, entry.error_bound
         basis = harmonic_basis(ctx, n)
@@ -343,11 +345,14 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     the translates are orthogonal to the whole degree-m space, and when
     G = 0 (a zero kernel) a = 0 is the minimiser: both take no solve and
     report exactly 1.  Before anything is built, a context without a kernel
-    raises UnsupportedGroupError, and the largest set's J x J Gram matrix,
-    the grid and that set's J x Q kernel rows are counted in that order and
-    raise ValueError above the limit of check_size.
+    raises UnsupportedGroupError, a ridge that is negative or not finite
+    raises ValueError, and the largest set's J x J Gram matrix, the grid and
+    that set's J x Q kernel rows are counted in that order and raise
+    ValueError above the limit of check_size.
     """
     ctx.kappa_by_axis()
+    if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be a finite number >= 0, not {ridge!r}")
     counts = tuple(int(c) for c in node_counts)
     most = max(counts, default=0)
     check_size(most * most, f"a density node set of {most} nodes builds a {most} x "

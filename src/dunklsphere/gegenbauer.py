@@ -643,15 +643,6 @@ class CoefficientProfile(Report):
     def entry(self, n: int) -> ProfileEntry:
         return self.entries[n]
 
-    def zero_degrees(self) -> list[int]:
-        return [e.n for e in self.entries if e.flag == ZERO]
-
-    def nonzero_degrees(self) -> list[int]:
-        return [e.n for e in self.entries if e.flag == NONZERO]
-
-    def indeterminate_degrees(self) -> list[int]:
-        return [e.n for e in self.entries if e.flag == INDETERMINATE]
-
     def csv_rows(self):
         return [(e.n, e.value.real, e.value.imag, e.error_bound, e.flag)
                 for e in self.entries]
@@ -809,9 +800,6 @@ def coefficient_profile(g: Function1D, lam, n_max: int, eps: float = DEFAULT_EPS
     max(1, ||g||_1), with the norm taken on the larger rule.  The entries
     are _lambda_entries over the degrees 0..n_max.
     """
-    if precision is not None and precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION} digits, "
-                         f"not {precision!r}")
     entries, norm_g1, rule_size = _lambda_entries(
         g, lam, range(n_max + 1), eps, PRECISION if precision is None else precision)
     return CoefficientProfile(g.describe(), float(lam), eps, norm_g1, rule_size,
@@ -833,7 +821,16 @@ def _lambda_entries(g: Function1D, lam, degrees, eps: float = DEFAULT_EPS,
     structural zeros are flagged first, and the other degrees take one
     _closed_form call at precision digits when g has a closed form
     (norm_g1 and rule_size None), else one _quadrature_pair up to the
-    largest degree, classified against eps * max(1, ||g||_1)."""
+    largest degree, classified against eps * max(1, ||g||_1).  No degree,
+    a negative one, an eps that is negative or not finite, or a precision
+    below MIN_PRECISION digits raises ValueError."""
+    if not degrees or min(degrees) < 0:
+        raise ValueError(f"degrees must be nonempty and >= 0, not {list(degrees)}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be a finite number >= 0, not {eps!r}")
+    if precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION} digits, "
+                         f"not {precision!r}")
     structural = [_structural_flag(g, n, lam) for n in degrees]
     if _has_closed_form(g):
         data = _closed_form(g, lam, [n for n, s in zip(degrees, structural) if not s],
@@ -841,7 +838,7 @@ def _lambda_entries(g: Function1D, lam, degrees, eps: float = DEFAULT_EPS,
         norm_g1 = rule_size = None
     else:
         rule_size = RULE_SIZE
-        values, errors, norm_g1 = _quadrature_pair(g, max(degrees, default=0), float(lam))
+        values, errors, norm_g1 = _quadrature_pair(g, max(degrees), float(lam))
         thresh = eps * max(1.0, norm_g1)
         data = {}
         for n in degrees:

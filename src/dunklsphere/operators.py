@@ -25,8 +25,8 @@ from .gegenbauer import Function1D, check_size, jacobi_rule
 from .multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, EXACT, FLOAT, LinearImages, MultiPoly,
                         _add_terms, _derivative_terms, _divide_terms, monomials_of_degree)
 from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
-                         UnsupportedGroupError, builtin_root_system, constants,
-                         reflection_matrix, validate_multiplicity)
+                         UnsupportedGroupError, _integral, builtin_root_system,
+                         constants, reflection_matrix, validate_multiplicity)
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class DunklContext:
         return self.const.lam
 
     @property
-    def is_zd2(self) -> bool:
-        return self.root_system.family == "zd2"
-
-    @property
     def kappa_is_zero(self) -> bool:
         return self.kappa.is_zero
 
@@ -80,7 +76,7 @@ class DunklContext:
         coordinates (Zd2 at any kappa, every family at kappa = 0), else None;
         computed once per context."""
         d = self.dim
-        if self.is_zd2:
+        if self.root_system.family == "zd2":
             return tuple(self.kappa.value(tuple(int(i == j) for j in range(d)))
                          for i in range(d))
         return (Fraction(0),) * d if self.kappa_is_zero else None
@@ -142,11 +138,6 @@ class DunklContext:
                 roots.append((support, tuple(v[j] for j in support), kv))
             got = self._laplacian_by_mode[mode] = (scale, tuple(roots))
         return got
-
-
-def _integral(x):
-    """x as an int when it is one, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
 
 
 def _check_poly(ctx: DunklContext, f: MultiPoly) -> None:
@@ -410,9 +401,6 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     one = Fraction(1) if mode == EXACT else 1.0
     d = ctx.dim
     source = monomials_of_degree(d, n)
-    if n < 2:
-        elems = tuple(MultiPoly._trusted(d, {e: one}, mode) for e in source)
-        return HarmonicBasis(n, elems)
     tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
     rows: list[dict] = [{} for _ in tindex]
     for col, exps in enumerate(source):
@@ -585,9 +573,11 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
 
     x is one centre of shape (d,), giving shape (Q,), or J centres of shape
     (J, d), giving (J, Q); the J x Q output is counted against
-    MAX_GRID_POINTS before it is allocated.  The centres and the rows of ys
-    are points of the unit sphere: the moment series below needs
-    |x_i y_i| <= 1 and raises ValueError for inputs that break it.
+    MAX_GRID_POINTS before it is allocated.  Centres and points with other
+    than ctx.dim coordinates raise ValueError before anything is built.
+    The centres and the rows of ys are points of the unit sphere: the
+    moment series below needs |x_i y_i| <= 1 and raises ValueError for
+    inputs that break it.
 
     The translate is a tensor integral of g(sum_i x_i y_i t_i) against
     nu_{kappa_1} x ... x nu_{kappa_d} over the context's per-axis kappas
@@ -607,9 +597,12 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     MAX_GRID_POINTS it raises ValueError, as does a quad_order^2 Jacobi
     matrix of the axis rules on either route.
     """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    x = np.asarray(x, dtype=float)
-    xs = np.atleast_2d(x)
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+    if not (x.ndim in (1, 2) and ys.ndim in (1, 2)
+            and x.shape[-1] == ys.shape[-1] == ctx.dim):
+        raise ValueError(f"kernel centres and points need ctx.dim = {ctx.dim} coordinates, "
+                         f"not centres of shape {x.shape} and points of shape {ys.shape}")
+    xs, ys = np.atleast_2d(x), np.atleast_2d(ys)
     kappas = [float(k) for k in ctx.kappa_by_axis()]
     active = [i for i, k in enumerate(kappas) if k > 0]
     pinned = [i for i, k in enumerate(kappas) if k == 0]      # t_i = 1 axes

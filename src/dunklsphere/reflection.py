@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .gegenbauer import parse_fraction
 from .multipoly import EXACT, FLOAT, MultiPoly
@@ -70,10 +70,9 @@ def _vec_key(v):
     return tuple(int(round(float(x) / DEDUP_TOL)) for x in v)
 
 
-def _int_coords(v):
-    """v with every integral Fraction coordinate as an int; others unchanged."""
-    return tuple(x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-                 for x in v)
+def _integral(x):
+    """x as an int when it is an integral Fraction, else unchanged."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _reflect(v, vv, w):
@@ -98,7 +97,7 @@ def _reflection_steps(rs: RootSystem) -> tuple:
     """(v, <v, v>) per positive root, in int coordinates where integral."""
     steps = []
     for v in rs.positive:
-        v = _int_coords(v)
+        v = tuple(map(_integral, v))
         vv = _dot(v, v)
         if vv == 0:
             raise ValueError("cannot reflect through the zero vector")
@@ -146,8 +145,7 @@ def _positive_filter(roots, dim):
     u = [POSITIVE_EPS ** i for i in range(dim)]
     pos = []
     for v in roots:
-        s = _dot(u, v) if all(isinstance(x, (int, Fraction)) for x in v) \
-            else sum(float(a) * float(b) for a, b in zip(u, v))
+        s = _dot(u, v)          # a Fraction times a float is a float
         if s == 0:
             raise ValueError(f"root {v} is orthogonal to the generic direction")
         if s > 0:
@@ -209,13 +207,6 @@ def builtin_root_system(family: str, dimension: int | None = None,
     return RootSystem(d, roots, pos, fam, exact=True)
 
 
-def validate_root_system(rs: RootSystem) -> None:
-    """Check the root-system axioms, that each reflection s_v permutes R and
-    the only multiples of a root v in R are +-v; raise ValueError on failure.
-    This is root_orbits' own check, which every DunklContext passes."""
-    root_orbits(rs)
-
-
 @dataclass(frozen=True)
 class ReflectionGroup:
     elements: tuple          # all group elements as row-tuple matrices
@@ -274,7 +265,7 @@ def root_orbits(rs: RootSystem) -> list[list]:
     # images of exact roots are exact, so they key as they are
     exact = all(isinstance(x, (int, Fraction)) for v in rs.roots for x in v)
     key = tuple if exact else _vec_key
-    roots = [_int_coords(v) for v in rs.roots]
+    roots = [tuple(map(_integral, v)) for v in rs.roots]
     index = {key(w): i for i, w in enumerate(roots)}
     if len(index) != len(roots):
         raise ValueError("duplicate roots")
@@ -344,39 +335,22 @@ class MultiplicityFunction:
         """Integer values: the weight prod |<v, x>|^(2 kappa(v)) is a polynomial."""
         return all(v.denominator == 1 for v in self.orbit_values)
 
-    def __iter__(self):
-        return iter(self.orbit_values)
-
 
 def validate_multiplicity(rs: RootSystem, kappa) -> MultiplicityFunction:
-    """Build a MultiplicityFunction from per-orbit values or a root->value map.
+    """Build a MultiplicityFunction from per-orbit values.
 
-    kappa may be: a single scalar (applied to every orbit), a sequence with
-    one value per orbit (orbit order from root_orbits), or a mapping from
-    root tuples to values defined on all positive roots.  Values must be
-    nonnegative and constant on orbits.
+    kappa may be a single scalar (applied to every orbit) or a sequence with
+    one value per orbit, in root_orbits order, so it is constant on orbits
+    by construction.  Values must be nonnegative.
     """
     orbits = root_orbits(rs)
-    if isinstance(kappa, Mapping):
-        given = {_vec_key(root): _as_kappa_scalar(v) for root, v in kappa.items()}
-        values = []
-        for orb in orbits:
-            seen_vals = {given[_vec_key(v)] for v in orb if _vec_key(v) in given}
-            if not seen_vals:
-                raise InvalidMultiplicityError(
-                    f"no multiplicity given for orbit of {orb[0]}")
-            if len(seen_vals) > 1:
-                raise InvalidMultiplicityError(
-                    f"multiplicity not constant on the orbit of {orb[0]}: {sorted(seen_vals)}")
-            values.append(seen_vals.pop())
-    else:
-        if isinstance(kappa, (int, float, str, Fraction)):
-            kappa = [kappa] * len(orbits)
-        values = [_as_kappa_scalar(v) for v in kappa]
-        if len(values) != len(orbits):
-            raise InvalidMultiplicityError(
-                f"expected {len(orbits)} multiplicity values "
-                f"(one per root orbit), got {len(values)}")
+    if isinstance(kappa, (int, float, str, Fraction)):
+        kappa = [kappa] * len(orbits)
+    values = [_as_kappa_scalar(v) for v in kappa]
+    if len(values) != len(orbits):
+        raise InvalidMultiplicityError(
+            f"expected {len(orbits)} multiplicity values "
+            f"(one per root orbit), got {len(values)}")
     for v in values:
         if v < 0:
             raise InvalidMultiplicityError(f"multiplicity {v} is negative")
@@ -418,25 +392,20 @@ def weight_values(rs: RootSystem, kappa: MultiplicityFunction, points):
     return acc
 
 
-def weight_as_polynomial(rs: RootSystem, kappa: MultiplicityFunction,
-                         mode: str | None = None) -> MultiPoly:
-    """w as a polynomial: prod <v, x>^(2 kappa(v)).
+def weight_as_polynomial(rs: RootSystem, kappa: MultiplicityFunction) -> MultiPoly:
+    """w as a polynomial: prod <v, x>^(2 kappa(v)), exact on rational roots
+    and float otherwise (to_float() gives the float form of an exact one).
 
     Requires every kappa(v) to be a nonnegative integer so that the absolute
-    value is redundant.  Exact mode needs rational roots.
+    value is redundant.
     """
     if not kappa.is_integer:
         raise ValueError("weight is polynomial only for integer multiplicities, "
                          f"got {', '.join(map(str, kappa.orbit_values))}")
-    if mode is None:
-        mode = EXACT if rs.exact else FLOAT
-    if mode == EXACT and not rs.exact:
-        raise ValueError("exact weight polynomial needs rational roots")
+    mode = EXACT if rs.exact else FLOAT
     w = MultiPoly.constant(rs.dim, 1, mode)
     for v in rs.positive:
         k = int(kappa.value(v))
         if k:
-            form = MultiPoly.linear_form(
-                [c if mode == EXACT else float(c) for c in v], mode)
-            w = w * form.power(2 * k)
+            w = w * MultiPoly.linear_form(v, mode).power(2 * k)
     return w

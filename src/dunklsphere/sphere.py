@@ -235,11 +235,13 @@ def _tensor_grid_general(ctx: DunklContext, order: int):
 def grid_size(ctx: DunklContext, order: int) -> int:
     """Points of the order-`order` tensor grid of ctx, counted without building
     it: 2 (2 max(2, order // 2))^(d-1) with per-axis kappas, order^(d-1) on
-    the angle grid of other groups.  A grid above the limit of check_size, or
-    d < 2, raises ValueError."""
+    the angle grid of other groups.  A grid above the limit of check_size,
+    d < 2 or an order below 1 raises ValueError."""
     d = ctx.dim
     if d < 2:
         raise ValueError("sphere quadrature needs d >= 2")
+    if order < 1:
+        raise ValueError(f"a tensor grid needs order >= 1, not {order!r}")
     size = (order ** (d - 1) if ctx.axis_kappas is None
             else 2 * (2 * max(2, order // 2)) ** (d - 1))
     check_size(size, f"a d = {d} tensor grid of order {order} has {size} points",

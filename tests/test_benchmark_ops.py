@@ -1,15 +1,19 @@
 """The benchmark compares each pass's report bytes with the first pass's, in
-one process per pass.  Here every ``verdicts`` op runs twice in one process,
-with gegenbauer's caches cleared between the runs, and must print the same
-bytes and exit with the same code both times.  perfbench/workloads.py is
-loaded by path; nothing under perfbench/ is imported as a package."""
+one process per pass.  Here every ``verdicts``, ``funk-hecke`` and
+``density`` CLI op runs twice in one process, with every lru_cache of the
+package cleared before each run, and must print the same bytes to stdout and
+stderr and exit with the same code both times.  This also guards the
+read-only arrays that jacobi_rule, _nu_rule and _series_coefficients hand
+out from their caches.  perfbench/workloads.py is loaded by path; nothing
+under perfbench/ is imported as a package."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from dunklsphere import cli, gegenbauer
+from dunklsphere import cli
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -21,23 +25,35 @@ def _workloads():
     return module
 
 
-def _clear_gegenbauer_caches():
-    for value in vars(gegenbauer).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dunklsphere":
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def _runs_twice(capsys, workload, seed):
+    ops = [op for op in _workloads().build(workload, seed) if op["kind"] == "cli"]
+    assert ops
+    runs = []
+    for _ in range(2):
+        _clear_package_caches()
+        run = []
+        for op in ops:
+            code = cli.main(op["argv"])
+            run.append((op["id"], code, *capsys.readouterr()))
+        runs.append(run)
+    assert all(out or err for _, _, out, err in runs[0])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("seed", [1, 41])
 def test_verdicts_reports_repeat_in_one_process(capsys, seed):
-    ops = [op for op in _workloads().build("verdicts", seed) if op["kind"] == "cli"]
-    assert ops
-    runs = []
-    for _ in range(2):
-        _clear_gegenbauer_caches()
-        run = []
-        for op in ops:
-            code = cli.main(op["argv"])
-            run.append((op["id"], code, capsys.readouterr().out))
-        runs.append(run)
-    assert all(out for _, _, out in runs[0])
-    assert runs[0] == runs[1]
+    _runs_twice(capsys, "verdicts", seed)
+
+
+@pytest.mark.parametrize("seed", [1, 41])
+@pytest.mark.parametrize("workload", ["funk-hecke", "density"])
+def test_kernel_reports_repeat_in_one_process(capsys, workload, seed):
+    _runs_twice(capsys, workload, seed)

@@ -271,6 +271,31 @@ def test_funk_hecke_shared_powers_match_per_polynomial_evaluation(dim, kappa, g,
     assert [r.residual_by_route for r in shared] == [r.residual_by_route for r in alone]
 
 
+@pytest.mark.parametrize("call,message", [
+    # is_fundamental at n_max -3 was FUNDAMENTAL_UP_TO_N from an empty profile
+    (lambda g: is_fundamental(CTX, g, n_max=-3),
+     "degrees must be nonempty and >= 0, not []"),
+    (lambda g: union_fundamental(CTX, [g, parse_function("cosh")], n_max=-1),
+     "degrees must be nonempty and >= 0, not []"),
+    (lambda g: is_fundamental(CTX, g, eps=-1e-12),
+     "eps must be a finite number >= 0, not -1e-12"),
+    (lambda g: union_fundamental(CTX, [g], eps=math.inf),
+     "eps must be a finite number >= 0, not inf"),
+], ids=["n_max-3", "union-n_max-1", "eps-neg", "union-eps-inf"])
+def test_verdicts_refuse_missing_degrees_and_bad_eps(call, message):
+    with pytest.raises(ValueError) as err:
+        call(parse_function("exp"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("degrees,shown", [((), "[]"), ((2, -1), "[2, -1]")],
+                         ids=["none", "negative"])
+def test_funk_hecke_refuses_bad_degrees_before_building(degrees, shown, nothing_built):
+    with pytest.raises(ValueError) as err:
+        funk_hecke_table(CTX, parse_function("exp"), degrees)
+    assert str(err.value) == f"degrees must be nonempty and >= 0, not {shown}"
+
+
 def test_funk_hecke_degree_cap_counts_nonzero_coefficients():
     # the leading coefficients of this sum cancel: degree 69 on paper, 64 in
     # fact, which the translate polynomials reach and do not pass
@@ -343,6 +368,14 @@ def test_density_refuses_a_negative_grid_weight(monkeypatch):
     monkeypatch.setattr(SphereMeasure, "quad_points", signed)
     with pytest.raises(ValueError, match="negative weight"):
         density_demo(CTX, parse_function("exp"), 1, (6,), orders=8)
+
+
+@pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+def test_density_refuses_a_bad_ridge_before_building(ridge, nothing_built):
+    # ridge -1 reported a residual of 1.14, above the empty combination's 1
+    with pytest.raises(ValueError) as err:
+        density_demo(CTX, parse_function("exp"), 1, (6, 12), ridge=ridge)
+    assert str(err.value) == f"ridge must be a finite number >= 0, not {ridge!r}"
 
 
 def test_density_report_csv():

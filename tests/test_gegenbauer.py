@@ -37,6 +37,11 @@ from dunklsphere.gegenbauer import (
 )
 
 
+def _degrees(prof, flag):
+    """The degrees of a profile's entries that carry flag."""
+    return [e.n for e in prof.entries if e.flag == flag]
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -429,7 +434,7 @@ def test_bessel_and_step_work_is_per_profile(monkeypatch):
 
     monkeypatch.setattr(gegenbauer, "gegenbauer_eval", no_eval)
     prof = coefficient_profile(Function1D.step(Fraction(1, 5)), Fraction(2), 12)
-    assert prof.nonzero_degrees()
+    assert _degrees(prof, NONZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +507,23 @@ def test_parse_rejects_garbage():
 def test_profile_constant_generator():
     prof = coefficient_profile(Function1D.polynomial([1]), Fraction(2), 6)
     assert prof.entry(0).flag == NONZERO
-    assert prof.zero_degrees() == [1, 2, 3, 4, 5, 6]
+    assert _degrees(prof, ZERO) == [1, 2, 3, 4, 5, 6]
     assert all(prof.entry(n).structural for n in range(1, 7))
 
 
 def test_profile_pure_gegenbauer():
     lam = Fraction(2)
     prof = coefficient_profile(Function1D.gegenbauer_poly(3, lam), lam, 8)
-    assert prof.nonzero_degrees() == [3]
-    assert set(prof.zero_degrees()) == {0, 1, 2, 4, 5, 6, 7, 8}
+    assert _degrees(prof, NONZERO) == [3]
+    assert set(_degrees(prof, ZERO)) == {0, 1, 2, 4, 5, 6, 7, 8}
 
 
 def test_profile_resolves_tiny_smooth_coefficients():
     # exp has no vanishing coefficients; n = 20 sits near 1e-27 and must
     # still come out nonzero from its 50-digit closed form
     prof = coefficient_profile(Function1D.exponential(), Fraction(2), 20)
-    assert prof.indeterminate_degrees() == []
-    assert prof.zero_degrees() == []
+    assert _degrees(prof, INDETERMINATE) == []
+    assert _degrees(prof, ZERO) == []
 
 
 @pytest.mark.parametrize("text", ["exp", "step 1/5", "sum 1*exp + 1/2*step 1/5"])
@@ -526,15 +531,42 @@ def test_profile_closed_form_has_no_absolute_floor(text):
     # exp's Lambda_40 at lambda 2 is ~1e-63, far below 10^-dps, yet known to
     # ~45 relative digits: every I_{n+lambda}(1) > 0, so nothing is zero
     prof = coefficient_profile(parse_function(text), Fraction(2), 40)
-    assert prof.zero_degrees() == []
-    assert prof.indeterminate_degrees() == []
+    assert _degrees(prof, ZERO) == []
+    assert _degrees(prof, INDETERMINATE) == []
 
 
 def test_profile_explicit_precision():
     prof = coefficient_profile(Function1D.exponential(), Fraction(2), 12,
                                eps=1e-40, precision=40)
-    assert prof.zero_degrees() == []
+    assert _degrees(prof, ZERO) == []
     assert prof.precision == 40
+
+
+@pytest.mark.parametrize("call,message", [
+    # lambda_coefficient(exp, -1, 2) was 4.52, cos 2 a structural zero
+    (lambda: lambda_coefficient(parse_function("exp"), -1, 2),
+     "degrees must be nonempty and >= 0, not [-1]"),
+    (lambda: lambda_coefficient(parse_function("cos 2"), -1, 2),
+     "degrees must be nonempty and >= 0, not [-1]"),
+    (lambda: coefficient_profile(parse_function("exp"), 2, -3),
+     "degrees must be nonempty and >= 0, not []"),
+    (lambda: _lambda_entries(Function1D.from_callable(np.exp), 2, (0, -2)),
+     "degrees must be nonempty and >= 0, not [0, -2]"),
+    # poly 0 flagged its exact zero at n = 0 as indeterminate at eps -1
+    (lambda: coefficient_profile(parse_function("poly 0"), 2, 2, eps=-1),
+     "eps must be a finite number >= 0, not -1"),
+    (lambda: coefficient_profile(parse_function("exp"), 2, 2, eps=math.nan),
+     "eps must be a finite number >= 0, not nan"),
+    (lambda: _lambda_entries(Function1D.from_callable(np.exp), 2, (0,), math.inf),
+     "eps must be a finite number >= 0, not inf"),
+    (lambda: _lambda_entries(parse_function("exp"), 2, (0,), precision=5),
+     "precision must be >= 6 digits, not 5"),
+], ids=["exp-n-1", "cos-n-1", "n_max-3", "user-n-2", "eps-1", "eps-nan", "user-eps-inf",
+        "precision-5"])
+def test_route_selector_refuses_missing_degrees_and_bad_eps(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("precision", [5, 0])
@@ -551,7 +583,7 @@ def test_profile_user_function_double_only():
     # (value and error both under eps), unlike the grammar exp generator
     g = Function1D.from_callable(np.exp, label="exp-blackbox")
     prof = coefficient_profile(g, Fraction(2), 20)
-    assert 20 in prof.zero_degrees()
+    assert 20 in _degrees(prof, ZERO)
     assert prof.entry(20).error_bound <= 1e-9
 
 
@@ -585,7 +617,7 @@ def test_profile_noisy_function_indeterminate():
 
     g = Function1D.from_callable(noisy, label="noisy-exp")
     prof = coefficient_profile(g, Fraction(2), 20)
-    assert len(prof.indeterminate_degrees()) > 0
+    assert len(_degrees(prof, INDETERMINATE)) > 0
 
 
 def test_profile_serialization_shapes():

@@ -24,6 +24,7 @@ from dunklsphere import (
     parse_function,
     translate_as_polynomial,
 )
+from dunklsphere import operators
 from dunklsphere.multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, LinearImages, _add_terms,
                                    _derivative_terms, _divide_terms)
 from dunklsphere.operators import (SERIES_MAX_RATE, _bracket, _nullspace_exact, _quotient,
@@ -737,6 +738,27 @@ def test_kernel_requires_unit_vectors():
                                np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dim,kappa,text,x,ys", [
+    (3, 0, "exp", [1.0, 0.0, 0.0], np.eye(2)),                  # g(<x, y>)
+    (2, (1, 1), "exp", [1.0, 0.0], np.eye(3)),                  # moment series
+    (2, (1, 1), "step 0", [1.0, 0.0, 0.0], np.eye(2)),          # tensor grid
+    (2, (1, 1), "cos 5", np.eye(2), np.eye(3)[:, :1]),          # direct sum
+], ids=["kappa-0", "series", "grid", "direct"])
+def test_kernel_refuses_points_of_another_dimension(dim, kappa, text, x, ys, monkeypatch):
+    def built(*args, **kwargs):
+        raise RuntimeError("a rule or an output was sized")
+
+    for name in ("_nu_rule", "check_size", "_check_kernel_rows"):
+        monkeypatch.setattr(operators, name, built)
+    ctx = DunklContext.create("zd2", dim, kappa)
+    x, ys = np.asarray(x, dtype=float), np.asarray(ys, dtype=float)
+    with pytest.raises(ValueError) as err:
+        kernel_translate_batch(ctx, parse_function(text), x, ys)
+    assert str(err.value) == (
+        f"kernel centres and points need ctx.dim = {dim} coordinates, "
+        f"not centres of shape {x.shape} and points of shape {ys.shape}")
+
+
 def test_kernel_unsupported_group():
     ctx = DunklContext.create("b", 2, (1, 1))
     g = Function1D.exponential()
@@ -765,7 +787,7 @@ def test_kappa_zero_factors_by_axis_on_every_family(family, dim):
 
 def test_context_describe_and_properties():
     ctx = DunklContext.create("zd2", 2, (1, 2))
-    assert ctx.is_zd2 and not ctx.kappa_is_zero and ctx.exact
+    assert ctx.root_system.family == "zd2" and not ctx.kappa_is_zero and ctx.exact
     assert ctx.gamma_kappa == 3
     assert list(ctx.kappa_by_axis()) == [Fraction(1), Fraction(2)]
     info = ctx.describe()

@@ -21,7 +21,6 @@ from dunklsphere import (
     reflection_matrix,
     root_orbits,
     validate_multiplicity,
-    validate_root_system,
     weight_as_polynomial,
     weight_values,
 )
@@ -82,8 +81,7 @@ def test_group_orders(family, dim, order, expected):
 def test_builtin_systems_validate():
     for family, dim, order in [("zd2", 3, None), ("a", 3, None),
                                ("b", 3, None), ("d", 4, None), ("i2", 2, 4)]:
-        rs = builtin_root_system(family, dim, order=order)
-        validate_root_system(rs)
+        root_orbits(builtin_root_system(family, dim, order=order))
 
 
 def test_positive_roots_closed_under_group():
@@ -238,7 +236,6 @@ def test_root_orbits_match_matrix_bfs(family, dim, order):
 
 def test_root_orbits_of_rescaled_b2():
     rs = _rescaled_b2()
-    validate_root_system(rs)
     got = root_orbits(rs)
     assert got == _matrix_bfs_orbits(rs)
     assert [len(orb) for orb in got] == [4, 4]
@@ -275,8 +272,9 @@ def test_root_orbit_sizes_closed_form(family, dim, order, sizes):
      "positive subsystem must contain one root per +- pair"),
 ])
 def test_validate_root_system_rejects(rs, message):
+    """root_orbits checks the root-system axioms as it walks the orbits."""
     with pytest.raises(ValueError) as err:
-        validate_root_system(rs)
+        root_orbits(rs)
     assert str(err.value) == message
 
 
@@ -336,6 +334,15 @@ def test_multiplicity_forms():
     assert k_scalar.orbit_values == k_seq.orbit_values
     k_frac = _mult(rs, ["1/2", "3/2"])
     assert k_frac.orbit_values == (Fraction(1, 2), Fraction(3, 2))
+
+
+def test_multiplicity_mapping_is_not_a_form():
+    # values come as one scalar or one per orbit in root_orbits order; a
+    # root-keyed mapping iterates as its keys, which are not numbers
+    rs = builtin_root_system("b", 2)
+    with pytest.raises(InvalidMultiplicityError,
+                       match=r"cannot interpret multiplicity value \(Fraction\(1, 1\)"):
+        _mult(rs, {rs.positive[0]: 1, rs.positive[2]: 2})
 
 
 def test_multiplicity_negative_rejected():

@@ -395,6 +395,19 @@ def test_grid_size_counts_the_built_grid(args, order):
     assert grid_size(ctx, order) == len(pts) == len(wts)
 
 
+@pytest.mark.parametrize("family,dim,kappa", [("zd2", 2, (1, 1)), ("b", 3, (1, 1))])
+@pytest.mark.parametrize("order", [0, -5])
+def test_tensor_grid_refuses_an_order_below_one(family, dim, kappa, order):
+    # an axis grid read order -5 as 4 (zd2), the angle grid failed inside
+    # jacobi_rule (b)
+    ctx = DunklContext.create(family, dim, kappa)
+    message = f"a tensor grid needs order >= 1, not {order}"
+    with pytest.raises(ValueError, match=message):
+        grid_size(ctx, order)
+    with pytest.raises(ValueError, match=message):
+        SphereMeasure(ctx, "tensor", orders=order).quad_points()
+
+
 def test_grid_size_refuses_before_building():
     # 2 * 80^4 points on Z_2^5 at order 80; nothing is allocated to say so
     with pytest.raises(ValueError, match="a d = 5 tensor grid of order 80 has 81920000 "

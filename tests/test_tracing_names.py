@@ -1,11 +1,13 @@
 """The benchmark's tracer patches the names in perfbench/tracing.py's TRACED
 by attribute lookup, so a renamed or deleted name breaks every traced run.
 The file is loaded by path; nothing under perfbench/ is imported as a
-package."""
+package.  The package's own export list is held to the same rule."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import dunklsphere
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -25,3 +27,10 @@ def test_every_traced_name_resolves_on_the_package():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
+
+
+def test_every_exported_name_resolves_once():
+    names = dunklsphere.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(dunklsphere, name), name
