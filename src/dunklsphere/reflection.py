@@ -339,13 +339,15 @@ class MultiplicityFunction:
 def validate_multiplicity(rs: RootSystem, kappa) -> MultiplicityFunction:
     """Build a MultiplicityFunction from per-orbit values.
 
-    kappa may be a single scalar (applied to every orbit) or a sequence with
-    one value per orbit, in root_orbits order, so it is constant on orbits
-    by construction.  Values must be nonnegative.
+    kappa may be a single scalar (applied to every orbit) or a list or tuple
+    with one value per orbit, in root_orbits order, so it is constant on
+    orbits by construction.  Values must be nonnegative.
     """
     orbits = root_orbits(rs)
     if isinstance(kappa, (int, float, str, Fraction)):
         kappa = [kappa] * len(orbits)
+    if not isinstance(kappa, (list, tuple)):
+        raise InvalidMultiplicityError(f"cannot interpret multiplicity {kappa!r}")
     values = [_as_kappa_scalar(v) for v in kappa]
     if len(values) != len(orbits):
         raise InvalidMultiplicityError(

@@ -2,7 +2,9 @@
 one process per pass.  Here every ``verdicts``, ``funk-hecke`` and
 ``density`` CLI op runs twice in one process, with every lru_cache of the
 package cleared before each run, and must print the same bytes to stdout and
-stderr and exit with the same code both times.  This also guards the
+stderr and exit with the same code both times.  An op that expects no exit
+code must print a report on stdout and exit with a code that comes with a
+report; one that expects a code must exit with it and a message on stderr.  This also guards the
 read-only arrays that jacobi_rule, _nu_rule and _series_coefficients hand
 out from their caches.  perfbench/workloads.py is loaded by path; nothing
 under perfbench/ is imported as a package."""
@@ -15,6 +17,9 @@ import pytest
 
 from dunklsphere import cli
 
+# exit codes that come with a report on stdout: the verdicts and the threshold
+REPORT_EXITS = (cli.EXIT_OK, cli.EXIT_NOT_FUNDAMENTAL, cli.EXIT_INDETERMINATE,
+                cli.EXIT_THRESHOLD)
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -44,7 +49,11 @@ def _runs_twice(capsys, workload, seed):
             code = cli.main(op["argv"])
             run.append((op["id"], code, *capsys.readouterr()))
         runs.append(run)
-    assert all(out or err for _, _, out, err in runs[0])
+    for op, (_, code, out, err) in zip(ops, runs[0]):
+        if op["expect_exit"] is None:
+            assert out and code in REPORT_EXITS, op["id"]
+        else:
+            assert code == op["expect_exit"] and err, op["id"]
     assert runs[0] == runs[1]
 
 

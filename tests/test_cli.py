@@ -170,6 +170,17 @@ def test_config_kappa_must_be_finite(tmp_path, capsys, text, shown):
     assert out == "" and f"multiplicity must be a finite number, not {shown}" in err
 
 
+@pytest.mark.parametrize("kappa", ['{"1": 5, "2": 7}', '{"1": 5}'])
+def test_config_kappa_mapping_is_refused(tmp_path, capsys, kappa):
+    # a config kappa is one value or a list; a mapping is no per-orbit list
+    path = tmp_path / "cfg.json"
+    path.write_text('{"g": "exp", "kappa": %s}' % kappa)
+    code, out, err = run_cli(["coeffs", "--family", "b", "-d", "2",
+                              "--config", str(path)], capsys)
+    assert code == EXIT_CONFIG
+    assert out == "" and "cannot interpret multiplicity {" in err
+
+
 @pytest.mark.parametrize("g, spelled", [("sum 1e+3*exp", "sum 1000*exp"),
                                         ("sum 1*poly 1,+2", "sum 1*poly 1,2")])
 def test_sum_with_a_signed_number_matches_its_spelled_out_form(capsys, g, spelled):

@@ -336,13 +336,17 @@ def test_multiplicity_forms():
     assert k_frac.orbit_values == (Fraction(1, 2), Fraction(3, 2))
 
 
-def test_multiplicity_mapping_is_not_a_form():
-    # values come as one scalar or one per orbit in root_orbits order; a
-    # root-keyed mapping iterates as its keys, which are not numbers
+@pytest.mark.parametrize("make", [
+    lambda rs: {rs.positive[0]: 1, rs.positive[2]: 2},
+    lambda rs: {"1": 5, "2": 7},    # keys that read as numbers
+    lambda rs: {1, 2},
+], ids=["root-keys", "number-keys", "set"])
+def test_multiplicity_mapping_is_not_a_form(make):
+    # values come as one scalar or a list or tuple with one per orbit, in
+    # root_orbits order; no other container is read as a per-orbit list
     rs = builtin_root_system("b", 2)
-    with pytest.raises(InvalidMultiplicityError,
-                       match=r"cannot interpret multiplicity value \(Fraction\(1, 1\)"):
-        _mult(rs, {rs.positive[0]: 1, rs.positive[2]: 2})
+    with pytest.raises(InvalidMultiplicityError, match="cannot interpret multiplicity"):
+        _mult(rs, make(rs))
 
 
 def test_multiplicity_negative_rejected():
