@@ -237,12 +237,15 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     lambda_coefficient.  Before anything is built, a context
     without a kernel raises UnsupportedGroupError, and a grid or an
     x_count x Q above the limit of check_size, a polynomial g whose
-    highest nonzero coefficient is past DEGREE_CAP, or no degree or a
-    negative one (_lambda_entries) raises ValueError.  The
-    x_count translate polynomials are evaluated on the grid in one eval_rows
-    call, and the basis elements in blocks of at most _ROW_BLOCK values
-    (one element when Q is larger), so each block shares one table of
-    powers x_i^e per chunk of grid points.
+    highest nonzero coefficient is past DEGREE_CAP, or no degree, a
+    negative one or one that is no integer (_lambda_entries) raises
+    ValueError.  The x_count translate polynomials come from one batch call
+    of translate_as_polynomial before the grid is built, so their
+    comb(deg g + d, d) x x_count coefficients are counted by check_size
+    first; they are evaluated on the grid in one eval_rows call, and the
+    basis elements in blocks of at most _ROW_BLOCK values (one element when
+    Q is larger), so each block shares one table of powers x_i^e per chunk
+    of grid points.
     """
     ctx.kappa_by_axis()
     _check_kernel_rows(x_count, grid_size(ctx, orders))
@@ -253,12 +256,12 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
             raise ValueError(f"polynomial g of degree {degree} exceeds the degree cap "
                              f"{DEGREE_CAP} of its translate polynomials")
     entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
+    xs = _default_x_points(ctx.dim, x_count, seed)
+    translates = None if coeffs is None else translate_as_polynomial(ctx, g, xs)
     measure = SphereMeasure(ctx, "tensor", orders=orders)
     pts, wts = measure.quad_points()
-    xs = _default_x_points(ctx.dim, x_count, seed)
     rows = {"quadrature": kernel_translate_batch(ctx, g, xs, pts, quad_order)}
-    if coeffs is not None:
-        translates = [translate_as_polynomial(ctx, g, x) for x in xs]
+    if translates is not None:
         rows["translate"] = eval_rows(translates, pts)
     for weighted in rows.values():
         weighted *= wts

@@ -15,6 +15,7 @@ callables.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass, field, fields
@@ -822,10 +823,13 @@ def _lambda_entries(g: Function1D, lam, degrees, eps: float = DEFAULT_EPS,
     _closed_form call at precision digits when g has a closed form
     (norm_g1 and rule_size None), else one _quadrature_pair up to the
     largest degree, classified against eps * max(1, ||g||_1).  No degree,
-    a negative one, an eps that is negative or not finite, or a precision
-    below MIN_PRECISION digits raises ValueError."""
+    a negative one, one that is no integer (not numbers.Integral: 1.5,
+    Fraction(3, 2) and 2.0 alike), an eps that is negative or not finite,
+    or a precision below MIN_PRECISION digits raises ValueError."""
     if not degrees or min(degrees) < 0:
         raise ValueError(f"degrees must be nonempty and >= 0, not {list(degrees)}")
+    if not all(isinstance(n, numbers.Integral) for n in degrees):
+        raise ValueError(f"degrees must be integers, not {list(degrees)}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be a finite number >= 0, not {eps!r}")
     if precision < MIN_PRECISION:

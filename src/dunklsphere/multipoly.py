@@ -505,10 +505,14 @@ def eval_rows(polys: Sequence[MultiPoly], points):
     """Evaluate polynomials on one (N, d) float array; returns a (P, N) array.
 
     Points are taken in row chunks of at most EVAL_CHUNK_ROWS.  Within a
-    chunk each power x_i^e is computed once and shared by every term of
-    every polynomial; each polynomial still sums its own terms in its own
-    order, so row p is bit-identical to evaluating polys[p] alone.  The
-    result is complex when any polynomial has a complex coefficient.
+    chunk the powers x_i^e, up to the largest exponent any term takes, are
+    built once by running products x_i^(e-1) * x_i and shared by every term
+    of every polynomial.  A term c x^alpha is formed in one buffer as the
+    power of its first variable times c, multiplied in place by the others
+    in axis order, and added to its row; a constant term is added as it is.
+    Each polynomial sums its own terms in its own order, so row p is
+    bit-identical to evaluating polys[p] alone.  The result is complex when
+    any polynomial has a complex coefficient.
     """
     import numpy as np
 
@@ -519,20 +523,30 @@ def eval_rows(polys: Sequence[MultiPoly], points):
     row_types = [complex if p._is_complex() else float for p in polys]
     out = np.zeros((len(polys), pts.shape[0]),
                    dtype=complex if complex in row_types else float)
+    top = [max((e[i] for p in polys for e in p.terms), default=0)
+           for i in range(pts.shape[1])]
+    bufs = {t: np.empty(min(EVAL_CHUNK_ROWS, pts.shape[0]), dtype=t) for t in set(row_types)}
     for lo in range(0, pts.shape[0], EVAL_CHUNK_ROWS):
         chunk = pts[lo:lo + EVAL_CHUNK_ROWS]
-        powers = {}
+        n = chunk.shape[0]
+        # powers[i][e - 1] = x_i^e; x_i itself stays a column view, since a
+        # contiguous copy per axis costs more in fresh pages than it saves
+        powers = [[chunk[:, i]] for i in range(len(top))]
+        for pw, t in zip(powers, top):
+            while len(pw) < t:
+                pw.append(pw[-1] * pw[0])
         for poly, dtype, row in zip(polys, row_types, out):
-            acc = row[lo:lo + EVAL_CHUNK_ROWS]
+            acc, buf = row[lo:lo + n], bufs[dtype][:n]
             for exps, c in poly.terms.items():
                 coeff = c if isinstance(c, complex) else float(c)
-                v = np.full(chunk.shape[0], coeff, dtype=dtype)
-                for i, e in enumerate(exps):
-                    if e:
-                        if (i, e) not in powers:
-                            powers[i, e] = chunk[:, i] ** e
-                        v *= powers[i, e]
-                acc += v
+                factors = [powers[i][e - 1] for i, e in enumerate(exps) if e]
+                if not factors:
+                    acc += coeff
+                    continue
+                np.multiply(factors[0], coeff, out=buf)
+                for f in factors[1:]:
+                    buf *= f
+                acc += buf
     return out
 
 

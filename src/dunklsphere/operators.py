@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, exp, gcd, lcm
+from math import comb, exp, factorial, gcd, lcm
 
 import numpy as np
 
@@ -673,20 +673,58 @@ def kernel_translate_batch(ctx: DunklContext, g: Function1D, x,
     return out if x.ndim == 2 else out[0]
 
 
-def translate_as_polynomial(ctx: DunklContext, g: Function1D, x) -> MultiPoly:
-    """For polynomial g: K(x, .) = V_kappa[g(<x, .>)] as a float polynomial in y.
+def translate_as_polynomial(ctx: DunklContext, g: Function1D, x):
+    """For polynomial g: K(x, .) = V_kappa[g(<x, .>)] as float polynomials in y.
 
-    This is the exact route (up to round-off in the coefficients): expand
-    g(<x, y>) in y by one Horner pass over g.coefficients, then apply the
-    monomial scaling of the intertwining operator.  Cross-checks the
-    quadrature route in the tests.
+    x is one centre of shape (d,), giving one MultiPoly, or J centres of
+    shape (J, d), giving a tuple of J; other shapes raise ValueError.  By
+    the multinomial theorem g(<x, y>) = sum_alpha g_|alpha| (|alpha|! /
+    alpha!) x^alpha y^alpha, and V_kappa scales y^alpha by prod_i
+    b_{kappa_i}(alpha_i) over the context's per-axis kappas (kappa_by_axis,
+    which raises UnsupportedGroupError elsewhere), so the coefficient of
+    y^alpha is
+
+        g_|alpha| (|alpha|! / alpha!) prod_i b_{kappa_i}(alpha_i) x^alpha .
+
+    The factor beside x^alpha is built once per call, as float(g_|alpha|)
+    times the exact rational rest rounded once, for every alpha with
+    |alpha| <= deg g and g_|alpha| != 0 (ascending degree, then the order of
+    monomials_of_degree, which is the order of each polynomial's terms).
+    Each coefficient is that factor times x_1^(alpha_1), x_2^(alpha_2), ...
+    in axis order, the powers by running products, for all centres in one
+    numpy pass.  The comb(deg g + d, d) coefficients of each centre are
+    counted by check_size before any is built.  Cross-checks the quadrature
+    route of kernel_translate_batch.
     """
     coeffs = g.coefficients
     if coeffs is None:
         raise ValueError("translate_as_polynomial needs polynomial g")
-    d = ctx.dim
-    form = MultiPoly.linear_form([float(c) for c in np.asarray(x, dtype=float)], FLOAT)
-    poly = MultiPoly.zero(d, FLOAT)
-    for c in reversed(coeffs):
-        poly = poly * form + MultiPoly.constant(d, float(c), FLOAT)
-    return intertwine(ctx, poly)
+    kappas = ctx.kappa_by_axis()
+    d, x = ctx.dim, np.asarray(x, dtype=float)
+    if not (x.ndim in (1, 2) and x.shape[-1] == d):
+        raise ValueError(f"translate centres need ctx.dim = {d} coordinates, "
+                         f"not shape {x.shape}")
+    xs = np.atleast_2d(x)
+    degree = max((n for n, c in enumerate(coeffs) if c), default=-1)
+    size = comb(degree + d, d) * len(xs)
+    check_size(size, f"{len(xs)} translate polynomials of a degree-{degree} g in {d} "
+               f"variables have {size} coefficients",
+               "lower the degree of g or the number of centres")
+    # b_{kappa_i}(m) / m! per axis and exponent
+    scaled = [[_b_factor(k, m) / factorial(m) for m in range(degree + 1)] for k in kappas]
+    exps, factors = [], []
+    for n in range(degree + 1):
+        if coeffs[n]:
+            for e in monomials_of_degree(d, n):
+                num, den = factorial(n), 1
+                for table, m in zip(scaled, e):
+                    num, den = num * table[m].numerator, den * table[m].denominator
+                exps.append(e)
+                factors.append(float(coeffs[n]) * (num / den))   # int / int rounds once
+    index = np.array(exps, dtype=int).reshape(len(exps), d)
+    values = np.array(factors)[:, None]                       # (terms, centres)
+    for i in range(d):
+        values = values * _powers(xs[:, i], max(degree, 0))[index[:, i]]
+    polys = tuple(MultiPoly._trusted(d, {e: c for e, c in zip(exps, col) if c}, FLOAT)
+                  for col in values.T.tolist())
+    return polys if x.ndim == 2 else polys[0]

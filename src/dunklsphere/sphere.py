@@ -281,6 +281,8 @@ class SphereMeasure:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if backend == "monte_carlo" and seed is None:
             raise ValueError("monte_carlo backend requires an explicit seed")
+        if int(mc_samples) < 1:
+            raise ValueError(f"mc_samples must be >= 1, not {mc_samples!r}")
         self.ctx = ctx
         self.backend = backend
         self.orders = int(orders)

@@ -355,6 +355,20 @@ def test_funk_hecke_degree_past_the_cap_exits_at_once(capsys, monkeypatch):
     assert "degree 69 exceeds the degree cap 64" in err
 
 
+def test_funk_hecke_translate_too_large_exits_at_once(capsys, monkeypatch):
+    # six translates of a degree-60 g in d = 5 have comb(65, 5) = 8,259,888
+    # coefficients each; counted before the grid or any row is built, and
+    # the grid of order 4 is far below its own limit
+    def built(*args, **kwargs):
+        raise RuntimeError("the sphere grid was built")
+    monkeypatch.setattr(SphereMeasure, "quad_points", built)
+    code, out, err = run_cli(
+        ["funk-hecke", "--g", "poly " + ",".join(["1"] * 61), "-d", "5", "--kappa", "0",
+         "--orders", "4"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert "6 translate polynomials of a degree-60 g in 5 variables have 49559328" in err
+
+
 def _cli_under_address_cap(*argv):
     """The CLI on argv in a child process whose address space is capped at
     1.5 GiB."""

@@ -569,6 +569,15 @@ def test_route_selector_refuses_missing_degrees_and_bad_eps(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("n", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+@pytest.mark.parametrize("g", ["poly 1,2", "exp", "step 1/3"])
+def test_route_selector_refuses_non_integral_degrees(g, n):
+    # poly 1,2 gave a structural zero at 1.5; exp and step raised TypeError
+    with pytest.raises(ValueError) as err:
+        lambda_coefficient(parse_function(g), n, 2)
+    assert str(err.value) == f"degrees must be integers, not {[n]}"
+
+
 @pytest.mark.parametrize("precision", [5, 0])
 def test_profile_refuses_precision_below_six_digits(precision):
     # no closed form clears its bound 10^(5 - precision) sum|terms| there

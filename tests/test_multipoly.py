@@ -283,14 +283,18 @@ def test_reflection_difference_divisible(p):
 
 
 def _eval_term_by_term(p, pts):
-    """Reference evaluation: no chunks, and each term takes its own powers."""
+    """Reference evaluation: no chunks, and each term takes its own powers,
+    x^e being the running product ((x * x) * x) ... of e factors."""
     dtype = complex if any(isinstance(c, complex) for c in p.terms.values()) else float
     ref = np.zeros(pts.shape[0], dtype=dtype)
     for exps, c in p.terms.items():
         v = np.full(pts.shape[0], c if isinstance(c, complex) else float(c), dtype=dtype)
         for i, e in enumerate(exps):
             if e:
-                v = v * pts[:, i] ** e
+                power = pts[:, i]
+                for _ in range(e - 1):
+                    power = power * pts[:, i]
+                v = v * power
         ref += v
     return ref
 
@@ -340,6 +344,34 @@ def test_eval_rows_match_per_term_reference():
     for row, p in ((rows[0], even), (rows[2], odd)):
         assert row.real.tobytes() == _eval_term_by_term(p, pts).tobytes()
         assert not row.imag.any()
+
+
+def test_eval_rows_within_a_stated_bound_of_exact_values():
+    # Truth: each polynomial summed in Fractions at the float points taken
+    # as exact rationals.  A term c x^alpha takes at most |alpha| + 1
+    # roundings (float(c), alpha_i - 1 running products per power and one
+    # product per factor), and its row adds T terms to a zero start with
+    # T - 1 more, so |computed - exact| <= gamma_(D + T) sum_t |c_t x^alpha_t|
+    # with D the largest |alpha| and gamma_k = k u / (1 - k u), u = 2^-53
+    # (Higham, Accuracy and Stability, Lemma 3.1 and Section 4.2).
+    def degrees(*ns):
+        return enumerate(e for n in ns for e in monomials_of_degree(3, n))
+
+    polys = [MultiPoly(3, {e: (-1.5) ** k / (k + 1) for k, e in degrees(0, 2, 4, 6)}, FLOAT),
+             MultiPoly(3, {e: Fraction((-3) ** k, 7 * k + 2) for k, e in degrees(1, 3, 5, 7)},
+                       EXACT),
+             MultiPoly(3, {(0, 0, 12): Fraction(1, 3), (5, 4, 3): -2.5, (0, 0, 0): 0.1},
+                       FLOAT)]
+    pts = np.random.default_rng(9).uniform(-1.2, 1.2, size=(50, 3))
+    rows = eval_rows(polys, pts)
+    for p, row in zip(polys, rows):
+        k = p.degree() + len(p.terms)
+        gamma = Fraction(k, 2 ** 53 - k)
+        for x, got in zip(pts, row):
+            x = [Fraction(v) for v in x]
+            terms = [Fraction(c) * math.prod(xi ** e for xi, e in zip(x, exps))
+                     for exps, c in p.terms.items()]
+            assert abs(Fraction(got) - sum(terms)) <= gamma * sum(map(abs, terms))
 
 
 def test_eval_rows_zero_empty_and_mismatch():

@@ -487,6 +487,57 @@ def test_kernel_gegenbauer_generator_routes_agree():
     assert np.max(np.abs(a - b)) <= 1e-10
 
 
+def _stereographic(t):
+    """The inverse stereographic image of t in Q^(d-1): a rational point of
+    the unit sphere in Q^d."""
+    s = sum(c * c for c in t)
+    return [2 * c / (s + 1) for c in t] + [(s - 1) / (s + 1)]
+
+
+@pytest.mark.parametrize("kappa", [(Fraction(1, 2), 1, 2), 0], ids=["half-1-2", "zero"])
+def test_translate_polynomial_matches_exact_expansion(kappa):
+    # Truth: g(<x, y>) expanded by Horner in exact arithmetic, then the exact
+    # intertwine, at the float centres taken as exact rationals (the
+    # rational sphere points round to them).  The code forms the coefficient
+    # of y^alpha as float(g_n) * (num / den) * prod_i x_i^alpha_i, with
+    # n = |alpha|, num / den = (n! / alpha!) prod_i b(alpha_i) as one
+    # correctly rounded int division and x_i^m by m - 1 running products:
+    # at most 3 roundings before the powers and alpha_i for the factor x_i^
+    # alpha_i (x^0 = 1 is exact), so K = |alpha| + 3 roundings of relative
+    # size u = 2^-53 each, and the relative error is at most
+    # gamma_K = K u / (1 - K u) (Higham, Accuracy and Stability, Lemma 3.1).
+    ctx = DunklContext.create("zd2", 3, kappa)
+    g = Function1D.polynomial([Fraction(c) for c in
+                               ("3", "-1/2", "0", "2/3", "1", "0", "-5/7", "1/3", "2", "-1/9")])
+    ts = [(Fraction(1, 3), Fraction(-2, 5)), (Fraction(7, 4), Fraction(1, 6)),
+          (Fraction(0), Fraction(-3, 2)), (Fraction(0), Fraction(0))]
+    xs = np.array([[float(c) for c in _stereographic(t)] for t in ts])
+    got = translate_as_polynomial(ctx, g, xs)
+    assert len(got) == len(ts)
+    for x, poly in zip(xs, got):
+        form = MultiPoly.linear_form([Fraction(c) for c in x], EXACT)
+        truth = MultiPoly.zero(3, EXACT)
+        for c in reversed(g.coefficients):
+            truth = truth * form + MultiPoly.constant(3, c, EXACT)
+        truth = intertwine(ctx, truth)
+        assert poly.mode == FLOAT and set(poly.terms) == set(truth.terms)
+        for e, want in truth.terms.items():
+            k = sum(e) + 3
+            assert abs(Fraction(poly.terms[e]) - want) <= Fraction(k, 2 ** 53 - k) * abs(want)
+        # the one-centre form is the batch's row
+        assert translate_as_polynomial(ctx, g, x) == poly
+
+
+def test_translate_polynomial_refuses_bad_centres():
+    ctx = DunklContext.create("zd2", 3, (1, 1, 1))
+    g = Function1D.polynomial([1, 2, 3])
+    for x in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError, match="ctx.dim = 3 coordinates"):
+            translate_as_polynomial(ctx, g, x)
+    with pytest.raises(ValueError, match="needs polynomial g"):
+        translate_as_polynomial(ctx, Function1D.exponential(), np.zeros(3))
+
+
 def _unit_rows(rng, n, d):
     z = rng.standard_normal((n, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)

@@ -522,6 +522,15 @@ def test_monte_carlo_requires_seed():
         SphereMeasure(ctx, "monte_carlo")
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_monte_carlo_refuses_a_sample_count_below_one(count):
+    # integrate_mc divided by zero samples: ZeroDivisionError, not a message
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    with pytest.raises(ValueError) as err:
+        SphereMeasure(ctx, "monte_carlo", mc_samples=count, seed=1)
+    assert str(err.value) == f"mc_samples must be >= 1, not {count}"
+
+
 def test_exact_backend_rejects_callables():
     ctx = DunklContext.create("zd2", 2, (1, 1))
     m = SphereMeasure(ctx, "exact")
