@@ -351,7 +351,8 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     raises UnsupportedGroupError, a ridge that is negative or not finite
     raises ValueError, and the largest set's J x J Gram matrix, the grid and
     that set's J x Q kernel rows are counted in that order and raise
-    ValueError above the limit of check_size.
+    ValueError above the limit of check_size; then harmonic_basis refuses a
+    bad m_degree, before the grid.
     """
     ctx.kappa_by_axis()
     if ridge is not None and not (math.isfinite(ridge) and ridge >= 0):
@@ -361,13 +362,12 @@ def density_demo(ctx: DunklContext, g: Function1D, m_degree: int,
     check_size(most * most, f"a density node set of {most} nodes builds a {most} x "
                f"{most} Gram matrix", "lower the node count")
     _check_kernel_rows(most, grid_size(ctx, orders))
+    y = harmonic_basis(ctx, m_degree).elements[0].to_float()
     pts, wts = SphereMeasure(ctx, "tensor", orders=orders).quad_points()
     if (wts < 0).any():
         raise ValueError("the density grid has a negative weight")
     root_w = np.sqrt(wts)
 
-    basis = harmonic_basis(ctx, m_degree)
-    y = basis.elements[0].to_float()
     target = root_w * y.eval_many(pts)
     norm = float(np.linalg.norm(target))                # || Y ||_{L2(sigma)}
     y, target = y.scale(1.0 / norm), target / norm

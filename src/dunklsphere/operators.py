@@ -14,6 +14,7 @@ exercised by the test suite rather than assumed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -255,6 +256,17 @@ def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
     return _restored(f, out, den * (scale or 1))
 
 
+def _laplacian_terms(terms: dict, dim: int, scale, roots: tuple, mode: str) -> dict:
+    """scale * Delta_kappa of a term dict, (scale, roots) from _laplacian_data;
+    the kernel of dunkl_laplacian and of harmonic_basis's Laplacian matrix."""
+    out: dict = {}
+    for i in range(dim):
+        _add_terms(out, _derivative_terms(_derivative_terms(terms, i), i), scale)
+    for support, v, weight in roots:
+        _add_factored(out, terms, support, _bracket, v, mode, weight)
+    return out
+
+
 def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
     """Sum of squared Dunkl operators; degree drops by exactly two.
 
@@ -269,23 +281,20 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
     the bracket is c x^(alpha off S) times the bracket of x_S^(alpha_S) in
     the |S| variables of S.  That factor depends on v_S and alpha_S only: it
     is cached per root shape and exponent pattern (_bracket) in a bounded
-    cache that every context shares, and kappa(v) enters as its weight.
-    Exact mode clears f's denominators once, so with integer roots all is
-    integer arithmetic up to one final division per coefficient; other
-    rational roots carry Fractions through the same steps.  In float mode
-    the Laplacian of a monomial is bit-for-bit that of dividing it as a
-    whole, and a multi-term result is the sum of the per-term brackets,
-    which may differ from the whole-polynomial division in the last bits.
+    cache that every context shares, and kappa(v) enters as its weight.  The
+    sum runs in _laplacian_terms, the kernel harmonic_basis shares.  Exact
+    mode clears f's denominators once, so with integer roots all is integer
+    arithmetic up to one final division per coefficient; other rational
+    roots carry Fractions through the same steps.  In float mode the
+    Laplacian of a monomial is bit-for-bit that of dividing it as a whole,
+    and a multi-term result is the sum of the per-term brackets, which may
+    differ from the whole-polynomial division in the last bits.
     """
     _check_poly(ctx, f)
     scale, roots = ctx._laplacian_data(f.mode)
     terms, den = _cleared(f)
-    out: dict = {}
-    for i in range(f.dim):
-        _add_terms(out, _derivative_terms(_derivative_terms(terms, i), i), scale)
-    for support, v, weight in roots:
-        _add_factored(out, terms, support, _bracket, v, f.mode, weight)
-    return _restored(f, out, den * (scale or 1))
+    return _restored(f, _laplacian_terms(terms, f.dim, scale, roots, f.mode),
+                     den * (scale or 1))
 
 
 def harmonic_space_dimension(d: int, n: int) -> int:
@@ -301,9 +310,9 @@ def harmonic_space_dimension(d: int, n: int) -> int:
 class HarmonicBasis:
     """Nullspace basis of the Dunkl Laplacian on homogeneous degree n.
 
-    Elements are ordered deterministically (graded-lex monomials, first free
-    column first); they are not orthogonalized.  Their Gram matrix under
-    sigma_kappa is SphereMeasure.gram(basis).
+    Exact elements: one per free column of the RREF (graded-lex monomials,
+    first free column first); float (i2) ones: SVD nullspace vectors,
+    orthonormal in coefficients.  Gram matrix: SphereMeasure.gram(basis).
     """
 
     degree: int
@@ -319,38 +328,36 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
-def _eliminate(row: dict, prow: dict, c: int) -> dict:
-    """row with column c cleared by an integer combination with the pivot
-    row prow, divided by its content."""
-    a = row.get(c)
-    if a is None:
+def _eliminate(row: dict, prows: dict) -> dict:
+    """row with each column c of prows cleared by one integer combination
+    with the rows prows[c], divided by its content; each of those rows must
+    be 0 at the others' columns."""
+    hits = [(prow, row[c] // (g := gcd(row[c], prow[c])), prow[c] // g)
+            for c, prow in prows.items() if c in row]
+    if not hits:
         return row
-    p = prow[c]
-    g = gcd(p, a)
-    mp, ma = p // g, a // g
-    out = {j: mp * x for j, x in row.items()}
-    for j, y in prow.items():
-        s = out.get(j, 0) - ma * y
-        if s:
-            out[j] = s
-        else:
-            out.pop(j, None)
+    m = lcm(*(p for _, _, p in hits))
+    out = {j: m * x for j, x in row.items()}
+    for prow, a, p in hits:
+        _add_terms(out, prow, -(m // p) * a)
     return _primitive(out) if out else out
 
 
-def _nullspace_exact(rows: list[dict], ncols: int) -> list[list[Fraction]]:
-    """Nullspace of a rational matrix given as sparse rows {column: value}.
+def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
+    """Nullspace of a rational matrix given as sparse rows {column: int or
+    Fraction}: per free column of the reduced row echelon form (RREF), one
+    sparse vector {column: Fraction} in column order, minus the RREF entry
+    at each pivot column where it is nonzero and 1 at the free column.
 
-    One vector per free column of the reduced row echelon form: 1 there, 0 at
-    the other free columns and minus the RREF entry at each pivot column.
-    Elimination is fraction-free: rows are scaled to integers, combined with
-    integer multipliers and divided by their content, and the pivots are
-    divided out only at the end.  The RREF is unique, so the result is the
-    one rational Gauss-Jordan elimination gives.
+    Elimination is fraction-free (integer rows and multipliers, each row
+    divided by its content).  A forward pass clears each pivot's column
+    from the unused rows only; one back-substitution pass then clears each
+    pivot row, from the last up, by the later, reduced ones.  The RREF is
+    unique, so the result is that of rational Gauss-Jordan elimination.
     """
     work = []
     for row in rows:
-        row = {c: Fraction(x) for c, x in row.items() if x != 0}
+        row = {c: x for c, x in row.items() if x != 0}
         if row:
             den = lcm(*(x.denominator for x in row.values()))
             work.append(_primitive({c: x.numerator * (den // x.denominator)
@@ -363,26 +370,20 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[list[Fraction]]:
         if not cands:
             continue
         prow = work.pop(min(cands, key=lambda k: (len(work[k]), abs(work[k][c]))))
-        work = [r for r in (_eliminate(r, prow, c) for r in work) if r]
-        pivots = [(pc, _eliminate(r, prow, c)) for pc, r in pivots]
+        work = [r for r in (_eliminate(r, {c: prow}) if c in r else r for r in work) if r]
         pivots.append((c, prow))
-    pivot_cols = {pc for pc, _ in pivots}
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc, prow in pivots:
-            if fc in prow:
-                vec[pc] = Fraction(-prow[fc], prow[pc])
-        basis.append(vec)
-    return basis
+    reduced: dict[int, dict] = {}              # pivot column: RREF row, last first
+    for c, prow in reversed(pivots):
+        reduced[c] = _eliminate(prow, reduced)
+    vecs = {fc: {} for fc in range(ncols) if fc not in reduced}
+    for pc, prow in reversed(reduced.items()):  # its other columns are free and > pc
+        for fc, x in prow.items():
+            if fc != pc:
+                vecs[fc][pc] = Fraction(-x, prow[pc])
+    return [vec | {fc: Fraction(1)} for fc, vec in vecs.items()]
 
 
 def _nullspace_float(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    if a.shape[0] == 0:
-        return [row for row in np.eye(a.shape[1])]
     _, s, vh = np.linalg.svd(a)
     rank = int((s > tol * s[0]).sum()) if s.size else 0
     return [vh[k] for k in range(rank, a.shape[1])]
@@ -391,38 +392,35 @@ def _nullspace_float(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
 def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
-    Exact contexts take the exact nullspace by fraction-free elimination;
-    float ones (i2) find the numerical nullspace with a rank tolerance of
-    1e-10.
+    Column alpha of the Laplacian matrix is scale * Delta_kappa x^alpha from
+    _laplacian_terms, the kernel of dunkl_laplacian (scale leaves the
+    nullspace as it is).  Exact contexts take its nullspace by fraction-free
+    elimination (_nullspace_exact), float ones (i2) by SVD with a rank
+    tolerance of 1e-10.  A degree that is negative or no integer raises
+    ValueError.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"degree must be an integer >= 0, not {n!r}")
     mode = EXACT if ctx.exact else FLOAT
-    one = Fraction(1) if mode == EXACT else 1.0
+    scale, roots = ctx._laplacian_data(mode)
     d = ctx.dim
     source = monomials_of_degree(d, n)
     tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
     rows: list[dict] = [{} for _ in tindex]
     for col, exps in enumerate(source):
-        lap = dunkl_laplacian(ctx, MultiPoly._trusted(d, {exps: one}, mode))
-        for e, c in lap.terms.items():
+        for e, c in _laplacian_terms({exps: _unit(mode)}, d, scale, roots, mode).items():
             rows[tindex[e]][col] = c
     if mode == EXACT:
         vecs = _nullspace_exact(rows, len(source))
-        elems = tuple(
-            MultiPoly._trusted(d, {source[c]: vec[c] for c in range(len(source))
-                                   if vec[c] != 0}, EXACT)
-            for vec in vecs)
     else:
         a = np.zeros((len(rows), len(source)))
         for r, row in enumerate(rows):
             for c, x in row.items():
                 a[r, c] = x
-        vecs = _nullspace_float(a)
-        elems = tuple(
-            MultiPoly._trusted(d, {source[c]: float(vec[c]) for c in range(len(source))
-                                   if abs(vec[c]) > 0}, FLOAT)
-            for vec in vecs)
+        vecs = [{c: float(x) for c, x in enumerate(vec) if abs(x) > 0}
+                for vec in _nullspace_float(a)]
+    elems = tuple(MultiPoly._trusted(d, {source[c]: x for c, x in vec.items()}, mode)
+                  for vec in vecs)
     expected = harmonic_space_dimension(d, n)
     if len(elems) != expected:
         raise ArithmeticError(

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from dunklsphere import (
     parse_function,
     union_fundamental,
 )
-from dunklsphere import fundamentality, gegenbauer
+from dunklsphere import fundamentality, gegenbauer, sphere
 
 CTX = DunklContext.create("zd2", 2, (1, 1))
 
@@ -376,6 +377,19 @@ def test_density_refuses_a_bad_ridge_before_building(ridge, nothing_built):
     with pytest.raises(ValueError) as err:
         density_demo(CTX, parse_function("exp"), 1, (6, 12), ridge=ridge)
     assert str(err.value) == f"ridge must be a finite number >= 0, not {ridge!r}"
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, Fraction(3, 2)])
+def test_density_refuses_a_non_integral_degree_before_the_grid(m, monkeypatch):
+    def built(*args, **kwargs):
+        raise RuntimeError("the sphere grid was built")
+    monkeypatch.setattr(sphere, "_tensor_grid", built)
+    g = parse_function("exp")
+    with pytest.raises(RuntimeError):          # degree 1 gets as far as the grid
+        density_demo(CTX, g, 1, [4])
+    with pytest.raises(ValueError) as err:
+        density_demo(CTX, g, m, [4])
+    assert str(err.value) == f"degree must be an integer >= 0, not {m!r}"
 
 
 def test_density_report_csv():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -354,37 +355,65 @@ def test_harmonic_basis_matches_the_definition_route(family, d, kappa, n):
         lap = _laplacian_by_definition(ctx, MultiPoly.monomial(d, exps))
         for e, c in lap.terms.items():
             rows[tindex[e]][col] = c
-    want = [MultiPoly(d, dict(zip(source, vec))).to_text()
+    want = [MultiPoly(d, {source[c]: x for c, x in vec.items()}).to_text()
             for vec in _nullspace_exact(rows, len(source))]
     assert [p.to_text() for p in harmonic_basis(ctx, n).elements] == want
 
 
-def _random_sparse_rows(rng, nrows, ncols):
+def _random_sparse_rows(rng, nrows, ncols, per_row=3, zero_col=None):
     rows = [[Fraction(0)] * ncols for _ in range(nrows)]
     for row in rows:
-        for c in rng.sample(range(ncols), rng.randint(0, min(3, ncols))):
-            row[c] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        for c in rng.sample(range(ncols), rng.randint(0, min(per_row, ncols))):
+            if c != zero_col:
+                row[c] = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
     if nrows >= 3:   # rank deficient: a row combining two others
         rows[-1] = [a - Fraction(2, 3) * b for a, b in zip(rows[0], rows[1])]
+    if nrows >= 8:   # and one combining three
+        rows[-2] = [a + 3 * b - Fraction(1, 2) * c for a, b, c in zip(*rows[2:5])]
     return rows
 
 
-@pytest.mark.parametrize("seed", range(12))
+def _dense(vec, ncols):
+    """A sparse nullspace vector of _nullspace_exact as a dense list, after
+    checking its form: columns ascending, no zero entry."""
+    assert list(vec) == sorted(vec) and all(vec.values())
+    return [vec.get(c, Fraction(0)) for c in range(ncols)]
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_nullspace_exact_matches_sympy(seed):
     rng = random.Random(seed)
-    nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
-    rows = _random_sparse_rows(rng, nrows, ncols)
+    if seed < 12:
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 8)
+        rows = _random_sparse_rows(rng, nrows, ncols)
+    else:
+        # larger, with a zero column among the first three (so the pivot
+        # columns are no prefix) and two dependent rows: the back-substitution
+        # pass has many later pivots to clear
+        nrows, ncols = rng.randint(8, 12), rng.randint(12, 20)
+        rows = _random_sparse_rows(rng, nrows, ncols, per_row=5, zero_col=rng.randrange(3))
+        _, pivots = sympy.Matrix(rows).rref()
+        assert pivots != tuple(range(len(pivots))) and len(pivots) < nrows
     got = _nullspace_exact([dict(enumerate(r)) for r in rows], ncols)
     want = sympy.Matrix(rows).nullspace()
     assert len(got) == len(want)
     for vec, ref in zip(got, want):
-        assert vec == [Fraction(int(x.p), int(x.q)) for x in ref]
+        assert _dense(vec, ncols) == [Fraction(int(x.p), int(x.q)) for x in ref]
 
 
 def test_nullspace_exact_zero_and_empty_rows():
-    assert _nullspace_exact([], 2) == [[1, 0], [0, 1]]
-    assert _nullspace_exact([{}, {0: Fraction(0)}], 2) == [[1, 0], [0, 1]]
-    assert _nullspace_exact([{1: Fraction(3, 2)}], 3) == [[1, 0, 0], [0, 0, 1]]
+    def dense(rows, ncols):
+        return [_dense(vec, ncols) for vec in _nullspace_exact(rows, ncols)]
+    assert dense([], 2) == [[1, 0], [0, 1]]
+    assert dense([{}, {0: Fraction(0)}], 2) == [[1, 0], [0, 1]]
+    assert dense([{1: Fraction(3, 2)}], 3) == [[1, 0, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, Fraction(3, 2), -1])
+def test_harmonic_basis_refuses_a_degree_that_is_no_natural_number(n):
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    with pytest.raises(ValueError, match=re.escape(f"not {n!r}")):
+        harmonic_basis(ctx, n)
 
 
 def test_harmonic_basis_degree_one_and_zero():
