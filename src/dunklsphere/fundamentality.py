@@ -33,7 +33,7 @@ from .gegenbauer import (
     lambda_coefficient,
     lp_norm_segment,
 )
-from .multipoly import DEGREE_CAP, eval_rows
+from .multipoly import eval_rows
 from .operators import (
     DunklContext,
     _check_kernel_rows,
@@ -234,27 +234,20 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     wts * K(x, .) of both routes are built once for all degrees, one
     (x_count, Q) matrix per route, and the coefficients Lambda_n(g) of all
     degrees come from one call of the route selector behind
-    lambda_coefficient.  Before anything is built, a context
-    without a kernel raises UnsupportedGroupError, and a grid or an
-    x_count x Q above the limit of check_size, a polynomial g whose
-    highest nonzero coefficient is past DEGREE_CAP, or no degree, a
-    negative one or one that is no integer (_lambda_entries) raises
-    ValueError.  The x_count translate polynomials come from one batch call
-    of translate_as_polynomial before the grid is built, so their
-    comb(deg g + d, d) x x_count coefficients are counted by check_size
-    first; they are evaluated on the grid in one eval_rows call, and the
-    basis elements in blocks of at most _ROW_BLOCK values (one element when
-    Q is larger), so each block shares one table of powers x_i^e per chunk
-    of grid points.
+    lambda_coefficient.  Before anything is built, a context without a
+    kernel raises UnsupportedGroupError, and a grid or an x_count x Q above
+    the limit of check_size, or no degree, a negative one or one that is no
+    integer (_lambda_entries) raises ValueError.  The x_count translate
+    polynomials come from one batch call of translate_as_polynomial before
+    the grid is built, so their comb(deg g + d, d) x x_count coefficients
+    are counted by check_size first; they are evaluated on the grid in one
+    eval_rows call, and the basis elements in blocks of at most _ROW_BLOCK
+    values (one element when Q is larger), so each block shares one table
+    of powers x_i^e per chunk of grid points.
     """
     ctx.kappa_by_axis()
     _check_kernel_rows(x_count, grid_size(ctx, orders))
     coeffs = g.coefficients
-    if coeffs is not None:
-        degree = max((i for i, c in enumerate(coeffs) if c), default=0)
-        if degree > DEGREE_CAP:
-            raise ValueError(f"polynomial g of degree {degree} exceeds the degree cap "
-                             f"{DEGREE_CAP} of its translate polynomials")
     entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
     xs = _default_x_points(ctx.dim, x_count, seed)
     translates = None if coeffs is None else translate_as_polynomial(ctx, g, xs)

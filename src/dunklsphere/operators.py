@@ -22,7 +22,7 @@ from math import comb, exp, factorial, gcd, lcm
 
 import numpy as np
 
-from .gegenbauer import Function1D, check_size, jacobi_rule
+from .gegenbauer import Function1D, check_size, jacobi_rule, pochhammer
 from .multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, EXACT, FLOAT, LinearImages, MultiPoly,
                         _add_terms, _derivative_terms, _divide_terms, monomials_of_degree)
 from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
@@ -167,14 +167,9 @@ def _restored(f: MultiPoly, out: dict, den) -> MultiPoly:
 
 # Each root's part of the operators on one monomial, in the variables of the
 # root's support, cached for every context; mode is in each key, since
-# 1 == 1.0 == Fraction(1) hash alike.
-
-def _unit(mode: str):
-    return 1 if mode == EXACT else 1.0
-
-
-def _tol(mode: str):
-    return None if mode == EXACT else DIVIDE_TOL
+# 1 == 1.0 == Fraction(1) hash alike.  Per mode: unit, division tolerance.
+_UNIT = {EXACT: 1, FLOAT: 1.0}
+_TOL = {EXACT: None, FLOAT: DIVIDE_TOL}
 
 
 @lru_cache(maxsize=256)
@@ -189,7 +184,7 @@ def _root_shape(v: tuple, mode: str) -> tuple:
         s_v = [[_integral(x) for x in row] for row in s_v]
         vv = _integral(vv)
     pivot = max(range(len(v)), key=lambda i: abs(v[i]))
-    return LinearImages(s_v, _unit(mode)), pivot, vv
+    return LinearImages(s_v, _UNIT[mode]), pivot, vv
 
 
 @lru_cache(maxsize=4096)
@@ -197,9 +192,9 @@ def _quotient(v: tuple, alpha: tuple, mode: str) -> tuple:
     """(x^alpha - x^alpha o s_v) / <v, x> as (exponents, coefficient) pairs,
     for a root v with no zero coordinate."""
     images, pivot, _ = _root_shape(v, mode)
-    mono = {alpha: _unit(mode)}
+    mono = {alpha: _UNIT[mode]}
     diff = _add_terms(dict(mono), images.compose(mono), -1)
-    return tuple(_divide_terms(diff, v, pivot, _tol(mode)).items()) if diff else ()
+    return tuple(_divide_terms(diff, v, pivot, _TOL[mode]).items()) if diff else ()
 
 
 @lru_cache(maxsize=4096)
@@ -212,26 +207,12 @@ def _bracket(v: tuple, alpha: tuple, mode: str) -> tuple:
     division.
     """
     _, pivot, vv = _root_shape(v, mode)
-    mono = {alpha: _unit(mode)}
+    mono = {alpha: _UNIT[mode]}
     num: dict = {}
     for i, vi in enumerate(v):
         _add_terms(num, _derivative_terms(mono, i), 2 * vi)
     _add_terms(num, dict(_quotient(v, alpha, mode)), -vv)
-    return tuple(_divide_terms(num, v, pivot, _tol(mode)).items()) if num else ()
-
-
-def _add_factored(out: dict, terms: dict, support: tuple, part, v: tuple, mode: str,
-                  weight) -> None:
-    """out += weight * sum over the terms c x^alpha of c x^(alpha off S)
-    part(v, alpha_S, mode), part giving pairs (exponents on S, coefficient)."""
-    for exps, c in terms.items():
-        placed = {}
-        for sub, b in part(v, tuple(exps[j] for j in support), mode):
-            e = list(exps)
-            for j, k in zip(support, sub):
-                e[j] = k
-            placed[tuple(e)] = b
-        _add_terms(out, placed, weight * c)
+    return tuple(_divide_terms(num, v, pivot, _TOL[mode]).items()) if num else ()
 
 
 def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
@@ -240,8 +221,8 @@ def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
     Each root v with v_i != 0 adds kappa(v) v_i (f - f o s_v) / <v, x>,
     taken term by term as dunkl_laplacian takes its bracket: the quotient of
     x_S^(alpha_S) over v's support S is cached per root shape and exponent
-    pattern (_quotient), and kappa(v) v_i is its weight.  In float mode a
-    multi-term result is the sum of the per-term quotients.
+    pattern (_quotient), and each of its terms is placed in the result with
+    the factor kappa(v) v_i c, so a float result sums per-term quotients.
     """
     _check_poly(ctx, f)
     if not 0 <= i < f.dim:
@@ -251,20 +232,44 @@ def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
     out = _add_terms({}, _derivative_terms(terms, i), scale)
     for support, v, weight in roots:
         if i in support:
-            _add_factored(out, terms, support, _quotient, v, f.mode,
-                          weight * v[support.index(i)])
+            weight = weight * v[support.index(i)]
+            for exps, c in terms.items():
+                factor, e = weight * c, list(exps)
+                for sub, b in _quotient(v, tuple([exps[j] for j in support]), f.mode):
+                    for j, k in zip(support, sub):
+                        e[j] = k
+                    key = tuple(e)
+                    out[key] = s = out.get(key, 0) + b * factor
+                    if s == 0:
+                        del out[key]
     return _restored(f, out, den * (scale or 1))
 
 
-def _laplacian_terms(terms: dict, dim: int, scale, roots: tuple, mode: str) -> dict:
-    """scale * Delta_kappa of a term dict, (scale, roots) from _laplacian_data;
-    the kernel of dunkl_laplacian and of harmonic_basis's Laplacian matrix."""
-    out: dict = {}
-    for i in range(dim):
-        _add_terms(out, _derivative_terms(_derivative_terms(terms, i), i), scale)
-    for support, v, weight in roots:
-        _add_factored(out, terms, support, _bracket, v, mode, weight)
-    return out
+def _laplacian_matrix(monomials, scale, roots: tuple, mode: str) -> dict:
+    """scale * Delta_kappa of each monomial x^alpha in a sequence, (scale,
+    roots) from _laplacian_data, as one sparse matrix {target exponents: {k:
+    entry}}, k being alpha's index.  Column k takes the classical part, then
+    root by root b * weight for each _bracket pair, placed on the root's
+    support, and drops an entry whose running sum is 0: every entry is the
+    sum, in the same order, that the term dict of Delta_kappa x^alpha holds.
+    """
+    unit = scale or 1.0
+    matrix: dict = {}
+    for k, exps in enumerate(monomials):
+        for i, a in enumerate(exps):
+            if a > 1:
+                target = exps[:i] + (a - 2,) + exps[i + 1:]
+                matrix.setdefault(target, {})[k] = unit * a * (a - 1)
+        for support, v, weight in roots:
+            e = list(exps)
+            for sub, b in _bracket(v, tuple([exps[j] for j in support]), mode):
+                for j, m in zip(support, sub):
+                    e[j] = m
+                row = matrix.setdefault(tuple(e), {})
+                row[k] = s = row.get(k, 0) + b * weight
+                if s == 0:
+                    del row[k]
+    return matrix
 
 
 def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
@@ -277,24 +282,23 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
         Delta_kappa f = Delta f + sum over positive roots v of kappa(v) *
             [2 <grad f, v> <v, x> - |v|^2 (f - f o s_v)] / <v, x>^2 .
 
-    s_v fixes the coordinates outside v's support S, so on a term c x^alpha
-    the bracket is c x^(alpha off S) times the bracket of x_S^(alpha_S) in
-    the |S| variables of S.  That factor depends on v_S and alpha_S only: it
-    is cached per root shape and exponent pattern (_bracket) in a bounded
-    cache that every context shares, and kappa(v) enters as its weight.  The
-    sum runs in _laplacian_terms, the kernel harmonic_basis shares.  Exact
-    mode clears f's denominators once, so with integer roots all is integer
-    arithmetic up to one final division per coefficient; other rational
-    roots carry Fractions through the same steps.  In float mode the
-    Laplacian of a monomial is bit-for-bit that of dividing it as a whole,
-    and a multi-term result is the sum of the per-term brackets, which may
-    differ from the whole-polynomial division in the last bits.
+    s_v fixes the coordinates outside v's support S, so the bracket of
+    x^alpha is x^(alpha off S) times that of x_S^(alpha_S), cached per root
+    shape and exponent pattern (_bracket) for every context; kappa(v) enters
+    as its weight.  The kernel harmonic_basis shares, _laplacian_matrix,
+    gives one column per monomial of f, and each coefficient is a row times
+    f's coefficients, cleared of denominators in exact mode (all integer
+    arithmetic with integer roots, up to one final division).  In float mode
+    a monomial of coefficient 1 gets the bits of dividing it as a whole;
+    other results may differ from that in the last bits.
     """
     _check_poly(ctx, f)
     scale, roots = ctx._laplacian_data(f.mode)
     terms, den = _cleared(f)
-    return _restored(f, _laplacian_terms(terms, f.dim, scale, roots, f.mode),
-                     den * (scale or 1))
+    coeffs = tuple(terms.values())
+    out = {e: sum(x * coeffs[k] for k, x in row.items())
+           for e, row in _laplacian_matrix(terms, scale, roots, f.mode).items()}
+    return _restored(f, {e: c for e, c in out.items() if c}, den * (scale or 1))
 
 
 def harmonic_space_dimension(d: int, n: int) -> int:
@@ -328,14 +332,25 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {c: x // g for c, x in row.items()}
 
 
+def _clear_column(row: dict, prow: dict, c: int) -> dict:
+    """(prow[c] / g) row - (row[c] / g) prow, g = gcd(row[c], prow[c]), with
+    zeros dropped in the same pass, divided by its content."""
+    g = gcd(row[c], prow[c])
+    p, a = prow[c] // g, row[c] // g
+    out = {j: p * x for j, x in row.items()}
+    for j, y in prow.items():
+        out[j] = s = out.get(j, 0) - a * y
+        if s == 0:
+            del out[j]
+    return _primitive(out) if out else out
+
+
 def _eliminate(row: dict, prows: dict) -> dict:
     """row with each column c of prows cleared by one integer combination
     with the rows prows[c], divided by its content; each of those rows must
     be 0 at the others' columns."""
     hits = [(prow, row[c] // (g := gcd(row[c], prow[c])), prow[c] // g)
             for c, prow in prows.items() if c in row]
-    if not hits:
-        return row
     m = lcm(*(p for _, _, p in hits))
     out = {j: m * x for j, x in row.items()}
     for prow, a, p in hits:
@@ -349,11 +364,12 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
     sparse vector {column: Fraction} in column order, minus the RREF entry
     at each pivot column where it is nonzero and 1 at the free column.
 
-    Elimination is fraction-free (integer rows and multipliers, each row
-    divided by its content).  A forward pass clears each pivot's column
-    from the unused rows only; one back-substitution pass then clears each
-    pivot row, from the last up, by the later, reduced ones.  The RREF is
-    unique, so the result is that of rational Gauss-Jordan elimination.
+    Elimination is fraction-free: integer rows, each divided by its content
+    and known up to sign.  A forward pass clears each pivot's column from
+    the unused rows by the one pivot row (_clear_column); one back-
+    substitution pass then clears each pivot row, from the last up, by all
+    the later, reduced ones at once (_eliminate).  The RREF is unique, so
+    the result is that of rational Gauss-Jordan elimination.
     """
     work = []
     for row in rows:
@@ -364,13 +380,11 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
                                     for c, x in row.items()}))
     pivots: list[tuple[int, dict]] = []
     for c in range(ncols):
-        if not work:
-            break
         cands = [k for k, row in enumerate(work) if c in row]
         if not cands:
             continue
         prow = work.pop(min(cands, key=lambda k: (len(work[k]), abs(work[k][c]))))
-        work = [r for r in (_eliminate(r, {c: prow}) if c in r else r for r in work) if r]
+        work = [r for r in (_clear_column(r, prow, c) if c in r else r for r in work) if r]
         pivots.append((c, prow))
     reduced: dict[int, dict] = {}              # pivot column: RREF row, last first
     for c, prow in reversed(pivots):
@@ -383,21 +397,18 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
     return [vec | {fc: Fraction(1)} for fc, vec in vecs.items()]
 
 
-def _nullspace_float(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    _, s, vh = np.linalg.svd(a)
-    rank = int((s > tol * s[0]).sum()) if s.size else 0
-    return [vh[k] for k in range(rank, a.shape[1])]
+RANK_TOL = 1e-10     # singular values up to RANK_TOL * the largest count as 0
 
 
 def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
-    Column alpha of the Laplacian matrix is scale * Delta_kappa x^alpha from
-    _laplacian_terms, the kernel of dunkl_laplacian (scale leaves the
-    nullspace as it is).  Exact contexts take its nullspace by fraction-free
-    elimination (_nullspace_exact), float ones (i2) by SVD with a rank
-    tolerance of 1e-10.  A degree that is negative or no integer raises
-    ValueError.
+    The matrix of scale * Delta_kappa on the degree-n monomials comes from
+    one call of _laplacian_matrix, the kernel of dunkl_laplacian (scale
+    leaves the nullspace as it is).  Exact contexts take its nullspace by
+    fraction-free elimination (_nullspace_exact), float ones (i2) by SVD
+    with the relative rank tolerance RANK_TOL.  A degree that is negative
+    or no integer raises ValueError.
     """
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"degree must be an integer >= 0, not {n!r}")
@@ -405,20 +416,18 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     scale, roots = ctx._laplacian_data(mode)
     d = ctx.dim
     source = monomials_of_degree(d, n)
-    tindex = {e: k for k, e in enumerate(monomials_of_degree(d, n - 2))}
-    rows: list[dict] = [{} for _ in tindex]
-    for col, exps in enumerate(source):
-        for e, c in _laplacian_terms({exps: _unit(mode)}, d, scale, roots, mode).items():
-            rows[tindex[e]][col] = c
+    matrix = _laplacian_matrix(source, scale, roots, mode)
+    rows = [matrix.get(e, {}) for e in monomials_of_degree(d, n - 2)]
     if mode == EXACT:
         vecs = _nullspace_exact(rows, len(source))
     else:
         a = np.zeros((len(rows), len(source)))
         for r, row in enumerate(rows):
-            for c, x in row.items():
-                a[r, c] = x
-        vecs = [{c: float(x) for c, x in enumerate(vec) if abs(x) > 0}
-                for vec in _nullspace_float(a)]
+            a[r, list(row)] = list(row.values())
+        _, s, vh = np.linalg.svd(a)
+        rank = int((s > RANK_TOL * s[0]).sum()) if s.size else 0
+        vecs = [{c: float(x) for c, x in enumerate(vh[k]) if abs(x) > 0}
+                for k in range(rank, len(source))]
     elems = tuple(MultiPoly._trusted(d, {source[c]: x for c, x in vec.items()}, mode)
                   for vec in vecs)
     expected = harmonic_space_dimension(d, n)
@@ -440,8 +449,6 @@ def _b_factor(kappa: Fraction, m: int) -> Fraction:
     b(2k)   = (1/2)_k     / (kappa + 1/2)_k
     b(2k+1) = (1/2)_{k+1} / (kappa + 1/2)_{k+1}
     """
-    from .gegenbauer import pochhammer
-
     half = Fraction(1, 2)
     k = m // 2 + (m % 2)
     return pochhammer(half, k) / pochhammer(kappa + half, k)

@@ -342,17 +342,20 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
     assert "81920000" in err
 
 
-def test_funk_hecke_degree_past_the_cap_exits_at_once(capsys, monkeypatch):
-    # the translate polynomials of a degree-69 g would pass DEGREE_CAP (64):
-    # refused before the sphere grid is built
-    def built(*args, **kwargs):
-        raise RuntimeError("the sphere grid was built")
-    monkeypatch.setattr(SphereMeasure, "quad_points", built)
+def test_funk_hecke_degree_past_64_reports_both_routes(capsys):
+    # no degree cap: check_size counts the translate coefficients of a
+    # degree-69 g (refusals stay in test_funk_hecke_translate_too_large_exits_at_once),
+    # and its routes agree on every degree
     code, out, err = run_cli(
-        ["funk-hecke", "--g", "poly " + ",".join(["1"] * 70), "-d", "3", "--kappa", "0",
-         "--degrees", "0", "--orders", "8"], capsys)
-    assert code == EXIT_CONFIG and out == ""
-    assert "degree 69 exceeds the degree cap 64" in err
+        ["funk-hecke", "--g", "poly " + ",".join(["1"] * 70), "-d", "2", "--kappa", "1,1",
+         "--degrees", "0,1", "--orders", "8"], capsys)
+    assert code == EXIT_THRESHOLD and err == ""
+    rows = json.loads(out)["rows"]
+    assert [r["n"] for r in rows] == [0, 1]
+    for r in rows:
+        routes = r["residual_by_route"]
+        assert set(routes) == {"quadrature", "translate"}
+        assert abs(routes["quadrature"] - routes["translate"]) <= 1e-15
 
 
 def test_funk_hecke_translate_too_large_exits_at_once(capsys, monkeypatch):

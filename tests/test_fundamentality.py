@@ -24,6 +24,7 @@ from dunklsphere import (
     operator_norm_check,
     UnsupportedGroupError,
     parse_function,
+    translate_as_polynomial,
     union_fundamental,
 )
 from dunklsphere import fundamentality, gegenbauer, sphere
@@ -299,15 +300,18 @@ def test_funk_hecke_refuses_bad_degrees_before_building(degrees, shown, nothing_
 
 def test_funk_hecke_degree_cap_counts_nonzero_coefficients():
     # the leading coefficients of this sum cancel: degree 69 on paper, 64 in
-    # fact, which the translate polynomials reach and do not pass
+    # fact, which is the degree of its translate polynomials
     ones, tail = ",".join(["1"] * 70), ",".join(["0"] * 65 + ["-1"] * 5)
     fn = parse_function(f"sum 1*poly {ones} + 1*poly {tail}")
     assert fn.poly_degree == 69
     ctx = DunklContext.create("zd2", 2, (1, 1))
+    assert translate_as_polynomial(ctx, fn, (0.6, 0.8)).degree() == 64
     (rep,) = funk_hecke_table(ctx, fn, (0,), orders=8, x_count=2, quad_order=8)
     assert set(rep.residual_by_route) == {"quadrature", "translate"}
-    with pytest.raises(ValueError, match="degree 65 exceeds the degree cap 64"):
-        funk_hecke_table(ctx, parse_function("poly " + ",".join(["1"] * 66)), (0,))
+    # no cap past that: a degree-65 g takes both routes too
+    (rep,) = funk_hecke_table(ctx, parse_function("poly " + ",".join(["1"] * 66)), (0,),
+                              orders=8, x_count=2, quad_order=8)
+    assert set(rep.residual_by_route) == {"quadrature", "translate"}
 
 
 def test_funk_hecke_csv():

@@ -327,6 +327,39 @@ def test_harmonic_basis_float_mode():
         assert np.max(np.abs(residual.eval_many(pts))) <= 1e-9
 
 
+# one root whose support has all three coordinates, rational and as floats
+TRIPLE = RootSystem(3, ((1, 1, 1), (-1, -1, -1)), ((1, 1, 1),), "custom")
+TRIPLE_FLOAT = RootSystem(3, ((1.0, 0.5, 0.25), (-1.0, -0.5, -0.25)), ((1.0, 0.5, 0.25),),
+                          "custom", exact=False)
+
+
+def test_three_coordinate_root_exact():
+    ctx = DunklContext.from_root_system(TRIPLE, Fraction(1, 2))
+    for n in range(5):
+        basis = harmonic_basis(ctx, n)
+        assert len(basis) == 2 * n + 1
+        for el in basis.elements:
+            assert _laplacian_by_definition(ctx, el).is_zero()
+    rng = random.Random("triple")
+    for _ in range(6):
+        f = _random_poly(rng, 3)
+        assert dunkl_laplacian(ctx, f) == _laplacian_by_definition(ctx, f)
+
+
+def test_three_coordinate_root_float():
+    ctx = DunklContext.from_root_system(TRIPLE_FLOAT, 1)
+    pts = np.random.default_rng(3).standard_normal((20, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for n in range(5):
+        basis = harmonic_basis(ctx, n)
+        assert len(basis) == 2 * n + 1
+        for el in basis.elements:
+            assert el.mode == FLOAT
+            bound = 1e-12 * sum(abs(c) for c in el.terms.values())
+            residual = _laplacian_by_definition(ctx, el).eval_many(pts)
+            assert np.abs(residual).max() <= bound
+
+
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_harmonic_basis_dihedral_even_order(m):
     # the float root at angle pi/2 is (6e-17, 1): divisions must pivot on
