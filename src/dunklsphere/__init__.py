@@ -16,7 +16,6 @@ from .multipoly import (
 )
 from .reflection import (
     FAMILIES,
-    DunklConstants,
     GroupOrderCapError,
     InvalidMultiplicityError,
     MultiplicityFunction,
@@ -24,7 +23,6 @@ from .reflection import (
     RootSystem,
     UnsupportedGroupError,
     builtin_root_system,
-    constants,
     generate_group,
     reflection_matrix,
     root_orbits,
@@ -98,8 +96,8 @@ __all__ = [
     "DegreeCapError", "ModeError", "NonDivisibleError",
     "FAMILIES", "RootSystem", "builtin_root_system",
     "reflection_matrix", "ReflectionGroup", "generate_group", "root_orbits",
-    "MultiplicityFunction", "validate_multiplicity", "DunklConstants",
-    "constants", "weight_values", "weight_as_polynomial",
+    "MultiplicityFunction", "validate_multiplicity",
+    "weight_values", "weight_as_polynomial",
     "GroupOrderCapError", "UnsupportedGroupError", "InvalidMultiplicityError",
     "DunklContext", "dunkl_apply", "dunkl_laplacian",
     "harmonic_space_dimension", "harmonic_basis", "HarmonicBasis",

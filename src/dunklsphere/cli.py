@@ -55,11 +55,7 @@ from .gegenbauer import (
     parse_function,
 )
 from .operators import DunklContext
-from .reflection import (
-    FAMILIES,
-    InvalidMultiplicityError,
-    UnsupportedGroupError,
-)
+from .reflection import FAMILIES, UnsupportedGroupError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -441,7 +437,7 @@ def main(argv=None) -> int:
     except _LinAlgError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except (InvalidMultiplicityError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, TypeError) as exc:

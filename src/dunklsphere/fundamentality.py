@@ -36,6 +36,7 @@ from .gegenbauer import (
 from .multipoly import eval_rows
 from .operators import (
     DunklContext,
+    _check_basis_size,
     _check_kernel_rows,
     harmonic_basis,
     kernel_translate_batch,
@@ -237,7 +238,8 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     lambda_coefficient.  Before anything is built, a context without a
     kernel raises UnsupportedGroupError, and a grid or an x_count x Q above
     the limit of check_size, or no degree, a negative one or one that is no
-    integer (_lambda_entries) raises ValueError.  The x_count translate
+    integer (_lambda_entries), or a largest degree whose harmonic basis is
+    above that limit raises ValueError.  The x_count translate
     polynomials come from one batch call of translate_as_polynomial before
     the grid is built, so their comb(deg g + d, d) x x_count coefficients
     are counted by check_size first; they are evaluated on the grid in one
@@ -249,6 +251,7 @@ def funk_hecke_table(ctx: DunklContext, g: Function1D, degrees,
     _check_kernel_rows(x_count, grid_size(ctx, orders))
     coeffs = g.coefficients
     entries, _, _ = _lambda_entries(g, ctx.lambda_kappa, tuple(degrees))
+    _check_basis_size(ctx.dim, max(degrees))
     xs = _default_x_points(ctx.dim, x_count, seed)
     translates = None if coeffs is None else translate_as_polynomial(ctx, g, xs)
     measure = SphereMeasure(ctx, "tensor", orders=orders)

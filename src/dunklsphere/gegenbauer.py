@@ -824,8 +824,11 @@ def _lambda_entries(g: Function1D, lam, degrees, eps: float = DEFAULT_EPS,
     (norm_g1 and rule_size None), else one _quadrature_pair up to the
     largest degree, classified against eps * max(1, ||g||_1).  No degree,
     a negative one, one that is no integer (not numbers.Integral: 1.5,
-    Fraction(3, 2) and 2.0 alike), an eps that is negative or not finite,
-    or a precision below MIN_PRECISION digits raises ValueError."""
+    Fraction(3, 2) and 2.0 alike), a lambda that is not > 0 (NaN too), an
+    eps that is negative or not finite, or a precision below MIN_PRECISION
+    digits raises ValueError."""
+    if not lam > 0:
+        raise ValueError(f"lambda must be > 0, not {lam}")
     if not degrees or min(degrees) < 0:
         raise ValueError(f"degrees must be nonempty and >= 0, not {list(degrees)}")
     if not all(isinstance(n, numbers.Integral) for n in degrees):

@@ -213,7 +213,7 @@ class LinearImages:
 class MultiPoly:
     """Immutable sparse polynomial.  Do not mutate ``terms`` after creation."""
 
-    __slots__ = ("dim", "mode", "terms", "_hash")
+    __slots__ = ("dim", "mode", "terms")
 
     def __init__(self, dim: int, terms: Mapping[tuple, object] | None = None,
                  mode: str = EXACT):
@@ -230,16 +230,10 @@ class MultiPoly:
                     raise ValueError(f"exponents must be nonnegative ints, got {exps}")
                 c = _coerce_scalar(c, mode)
                 if c != 0:
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c == 0:
-                        clean.pop(exps, None)
-                    else:
-                        clean[exps] = c
+                    clean[exps] = c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _trusted(cls, dim: int, terms: dict, mode: str) -> "MultiPoly":
@@ -251,7 +245,6 @@ class MultiPoly:
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "mode", mode)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     def __setattr__(self, name, value):
@@ -486,13 +479,6 @@ class MultiPoly:
             return NotImplemented
         return (self.dim == other.dim and self.mode == other.mode
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.mode, frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __str__(self):
         return self.to_text()

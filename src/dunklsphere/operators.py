@@ -25,18 +25,20 @@ import numpy as np
 from .gegenbauer import Function1D, check_size, jacobi_rule, pochhammer
 from .multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, EXACT, FLOAT, LinearImages, MultiPoly,
                         _add_terms, _derivative_terms, _divide_terms, monomials_of_degree)
-from .reflection import (DunklConstants, MultiplicityFunction, RootSystem,
-                         UnsupportedGroupError, _integral, builtin_root_system,
-                         constants, reflection_matrix, validate_multiplicity)
+from .reflection import (MultiplicityFunction, RootSystem, UnsupportedGroupError,
+                         _integral, builtin_root_system, reflection_matrix,
+                         validate_multiplicity)
 
 
 @dataclass(frozen=True)
 class DunklContext:
-    """A root system with a validated multiplicity and its constants."""
+    """A root system with a validated multiplicity, gamma_kappa = the sum of
+    kappa over the positive roots, and lambda_kappa = gamma_kappa + (d - 2)/2."""
 
     root_system: RootSystem
     kappa: MultiplicityFunction
-    const: DunklConstants
+    gamma_kappa: Fraction
+    lambda_kappa: Fraction
     _laplacian_by_mode: dict = field(default_factory=dict, init=False, repr=False,
                                      compare=False)
 
@@ -48,20 +50,19 @@ class DunklContext:
 
     @classmethod
     def from_root_system(cls, rs: RootSystem, kappa) -> "DunklContext":
+        """The context of rs at kappa; lambda_kappa must be positive."""
         mult = validate_multiplicity(rs, kappa)
-        return cls(rs, mult, constants(rs, mult))
+        gamma = sum((mult.value(v) for v in rs.positive), Fraction(0))
+        lam = gamma + Fraction(rs.dim - 2, 2)
+        if lam <= 0:
+            raise ValueError(
+                f"lambda = gamma + (d-2)/2 = {lam} must be positive "
+                f"(d = {rs.dim}, gamma = {gamma})")
+        return cls(rs, mult, gamma, lam)
 
     @property
     def dim(self) -> int:
         return self.root_system.dim
-
-    @property
-    def gamma_kappa(self) -> Fraction:
-        return self.const.gamma
-
-    @property
-    def lambda_kappa(self) -> Fraction:
-        return self.const.lam
 
     @property
     def kappa_is_zero(self) -> bool:
@@ -102,8 +103,8 @@ class DunklContext:
             "dimension": rs.dim,
             "order": len(rs.positive) if rs.family == "i2" else None,
             "kappa": [str(v) for v in self.kappa.orbit_values],
-            "gamma": str(self.const.gamma),
-            "lambda": str(self.const.lam),
+            "gamma": str(self.gamma_kappa),
+            "lambda": str(self.lambda_kappa),
         }
 
     def _laplacian_data(self, mode: str) -> tuple:
@@ -400,6 +401,14 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
 RANK_TOL = 1e-10     # singular values up to RANK_TOL * the largest count as 0
 
 
+def _check_basis_size(d: int, n: int) -> None:
+    """Refuse the C(n+d-3, d-1) x C(n+d-1, d-1) Laplacian matrix of the
+    degree-n harmonic basis (check_size) before it is built."""
+    rows, cols = comb(n + d - 3, d - 1) if n > 1 else 0, comb(n + d - 1, d - 1)
+    check_size(rows * cols, f"the harmonic basis of degree {n} in d = {d} takes a "
+               f"{rows} x {cols} Laplacian matrix", "lower the degree")
+
+
 def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
@@ -408,10 +417,12 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     leaves the nullspace as it is).  Exact contexts take its nullspace by
     fraction-free elimination (_nullspace_exact), float ones (i2) by SVD
     with the relative rank tolerance RANK_TOL.  A degree that is negative
-    or no integer raises ValueError.
+    or no integer, or whose matrix is above the limit of check_size, raises
+    ValueError.
     """
     if not isinstance(n, numbers.Integral) or n < 0:
         raise ValueError(f"degree must be an integer >= 0, not {n!r}")
+    _check_basis_size(ctx.dim, n)
     mode = EXACT if ctx.exact else FLOAT
     scale, roots = ctx._laplacian_data(mode)
     d = ctx.dim

@@ -363,23 +363,6 @@ def validate_multiplicity(rs: RootSystem, kappa) -> MultiplicityFunction:
     return MultiplicityFunction(tuple(values), lookup)
 
 
-@dataclass(frozen=True)
-class DunklConstants:
-    gamma: Fraction      # sum of kappa over the positive subsystem
-    lam: Fraction        # gamma + (d - 2) / 2
-
-
-def constants(rs: RootSystem, kappa: MultiplicityFunction) -> DunklConstants:
-    """gamma_kappa and lambda_kappa; lambda_kappa must be positive."""
-    gamma = sum((kappa.value(v) for v in rs.positive), Fraction(0))
-    lam = gamma + Fraction(rs.dim - 2, 2)
-    if lam <= 0:
-        raise ValueError(
-            f"lambda = gamma + (d-2)/2 = {lam} must be positive "
-            f"(d = {rs.dim}, gamma = {gamma})")
-    return DunklConstants(gamma, lam)
-
-
 def weight_values(rs: RootSystem, kappa: MultiplicityFunction, points):
     """Vectorized w over an (N, d) float array."""
     import numpy as np

@@ -315,8 +315,9 @@ class SphereMeasure:
     # -- integration -------------------------------------------------------
 
     def integrate(self, f):
-        """int f d sigma_kappa.  Exact backend requires polynomial input and
-        returns a Fraction for exact-mode polynomials."""
+        """int f d sigma_kappa, the one method that picks a route by backend.
+        Exact backend requires polynomial input and returns a Fraction for
+        exact-mode polynomials."""
         if self.backend == "exact":
             if not isinstance(f, MultiPoly):
                 raise TypeError("exact backend integrates polynomials only")
@@ -330,7 +331,8 @@ class SphereMeasure:
         return est
 
     def integrate_mc(self, f):
-        """(estimate, standard error) by importance-weighted uniform sampling."""
+        """(estimate, standard error) by importance-weighted uniform sampling;
+        the estimate is complex when f takes complex values."""
         if self.seed is None:
             raise ValueError("Monte Carlo integration requires a seed")
         rng = np.random.default_rng(self.seed)
@@ -347,24 +349,19 @@ class SphereMeasure:
             z /= np.linalg.norm(z, axis=1, keepdims=True)
             vals = np.asarray(fn(z)) * weight_values(self.ctx.root_system,
                                                      self.ctx.kappa, z)
-            total += float(np.sum(vals))
+            total += complex(np.sum(vals)) if np.iscomplexobj(vals) else float(np.sum(vals))
             total_sq += float(np.sum(np.abs(vals) ** 2))
             n_done += take
         mean = total / n_done
-        var = max(0.0, total_sq / n_done - mean ** 2)
+        var = max(0.0, total_sq / n_done - abs(mean) ** 2)
         stderr = scale * math.sqrt(var / n_done)
         return scale * mean, stderr
 
     def sigma_mass(self):
-        """sigma(S^{d-1}); 1 up to backend error (tensor: the grid's mass defect)."""
-        one = MultiPoly.constant(self.ctx.dim, 1,
-                                 EXACT if self.ctx.exact else FLOAT)
-        if self.backend == "exact":
-            return self.integrate(one)
-        if self.backend == "tensor":
-            _, wts = self.quad_points()
-            return float(wts.sum())
-        return self.integrate(lambda p: np.ones(p.shape[0]))
+        """sigma(S^{d-1}): integrate of the constant 1, so 1 up to backend
+        error (tensor: the grid's mass defect)."""
+        return self.integrate(MultiPoly.constant(self.ctx.dim, 1,
+                                                 EXACT if self.ctx.exact else FLOAT))
 
     # -- inner products and norms -------------------------------------------
 
@@ -375,39 +372,24 @@ class SphereMeasure:
             if pf.mode != ph.mode:
                 pf, ph = pf.to_float(), ph.to_float()
             return self.integrate(pf * ph.conjugate())
-        if self.backend == "exact":
-            raise TypeError("exact backend integrates polynomials only")
         ff, fh = _point_fn(f), _point_fn(h)
         return self.integrate(
             lambda pts: np.asarray(ff(pts)) * np.conjugate(np.asarray(fh(pts))))
 
     def lp_norm(self, f, p) -> float:
-        """|| f ||_{kappa, p} on the sphere, for 1 <= p < infinity (check_p).
-        Exact backend handles even integer p for polynomials; anything else
-        falls back to the tensor grid of the same order.  Monte Carlo
-        integrates |f|^p by integrate_mc under the measure's seed, so it
-        needs no grid."""
+        """|| f ||_{kappa, p} on the sphere, for 1 <= p < infinity (check_p):
+        integrate of |f|^p.  The exact backend integrates an even integer p
+        of a polynomial exactly, and hands every other p to the tensor grid
+        of the same order.  Monte Carlo needs no grid."""
         check_p(p)
-        if self.backend == "exact" and isinstance(f, MultiPoly) \
-                and float(p) == int(p) and int(p) % 2 == 0:
-            k = int(p) // 2
-            prod = f * f.conjugate()
-            acc = prod
-            for _ in range(k - 1):
-                acc = acc * prod
-            val = self.integrate(acc)
-            return float(val.real) ** (1.0 / float(p))
+        if self.backend == "exact":
+            if isinstance(f, MultiPoly) and float(p) == int(p) and int(p) % 2 == 0:
+                val = self.integrate((f * f.conjugate()).power(int(p) // 2))
+                return float(val.real) ** (1.0 / float(p))
+            return SphereMeasure(self.ctx, "tensor", orders=self.orders).lp_norm(f, p)
         fn = _point_fn(f)
-
-        def power(pts):
-            return np.abs(np.asarray(fn(pts))) ** float(p)
-
-        if self.backend == "monte_carlo":
-            total, _ = self.integrate_mc(power)
-        else:
-            pts, wts = self.quad_points()
-            total = float(wts @ power(pts))
-        return total ** (1.0 / float(p))
+        return self.integrate(
+            lambda pts: np.abs(np.asarray(fn(pts))) ** float(p)) ** (1.0 / float(p))
 
     def gram(self, elements) -> tuple:
         """Pairwise inner-product matrix as a tuple of row tuples."""

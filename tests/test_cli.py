@@ -308,6 +308,29 @@ def test_fundamental_indeterminate_exit(capsys):
         "FUNDAMENTAL_UP_TO_N", "NOT_FUNDAMENTAL", "INDETERMINATE")
 
 
+_CANCELLING = ["fundamental", "--g", "sum 1*exp + -1*exp", "--kappa", "1,1", "-N", "3",
+               "--epsilon", "0"]
+
+
+def test_fundamental_indeterminate_at_every_degree(capsys):
+    # exp - exp is 0 in its closed form, which eps 0 cannot call zero
+    code, out, _ = run_cli(_CANCELLING, capsys)
+    doc = json.loads(out)
+    assert code == EXIT_INDETERMINATE
+    assert (doc["verdict"], doc["indeterminate_degrees"]) == ("INDETERMINATE", [0, 1, 2, 3])
+    assert doc["zero_witnesses"] == []
+
+
+def test_union_indeterminate_where_no_member_is_nonzero(capsys):
+    # cosh is nonzero at the even degrees and structurally zero at the odd
+    # ones, so the union stays indeterminate at 1 and 3 with no zero witness
+    code, out, _ = run_cli(_CANCELLING + ["--g", "cosh"], capsys)
+    doc = json.loads(out)
+    assert code == EXIT_INDETERMINATE and doc["kind"] == "union_fundamentality"
+    assert (doc["verdict"], doc["indeterminate_degrees"]) == ("INDETERMINATE", [1, 3])
+    assert doc["zero_witnesses"] == []
+
+
 # ---------------------------------------------------------------------------
 # funk-hecke
 # ---------------------------------------------------------------------------
@@ -398,6 +421,18 @@ def test_funk_hecke_sphere_rule_too_large_exits_at_once():
                                   "--orders", "100000", "--degrees", "0")
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "50000 x 50000 Jacobi matrix" in proc.stderr and "MiB" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [("funk-hecke", "--degrees", "400"), ("density", "-m", "400")],
+                         ids=["funk-hecke", "density"])
+def test_harmonic_basis_too_large_exits_at_once(argv):
+    # the degree-400 basis on S^3 takes a 10666600 x 10827401 Laplacian
+    # matrix; it raised MemoryError after the grid was built
+    proc = _cli_under_address_cap(argv[0], "--g", "exp", "-d", "4", "--kappa", "0",
+                                  "--orders", "4", *argv[1:])
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert ("harmonic basis of degree 400 in d = 4 takes a 10666600 x 10827401 "
+            "Laplacian matrix") in proc.stderr
 
 
 def test_funk_hecke_kernel_grid_too_large_exits_at_once():

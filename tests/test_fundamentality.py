@@ -283,11 +283,18 @@ def test_funk_hecke_shared_powers_match_per_polynomial_evaluation(dim, kappa, g,
      "eps must be a finite number >= 0, not -1e-12"),
     (lambda g: union_fundamental(CTX, [g], eps=math.inf),
      "eps must be a finite number >= 0, not inf"),
-], ids=["n_max-3", "union-n_max-1", "eps-neg", "union-eps-inf"])
+    (lambda g: union_fundamental(CTX, []), "need at least one generator"),
+], ids=["n_max-3", "union-n_max-1", "eps-neg", "union-eps-inf", "union-empty"])
 def test_verdicts_refuse_missing_degrees_and_bad_eps(call, message):
     with pytest.raises(ValueError) as err:
         call(parse_function("exp"))
     assert str(err.value) == message
+
+
+def test_funk_hecke_refuses_a_basis_too_large_before_building(nothing_built):
+    with pytest.raises(ValueError, match="harmonic basis of degree 400 in d = 4 takes"):
+        funk_hecke_table(DunklContext.create("zd2", 4, 0), parse_function("exp"),
+                         (2, 400), orders=4)
 
 
 @pytest.mark.parametrize("degrees,shown", [((), "[]"), ((2, -1), "[2, -1]")],

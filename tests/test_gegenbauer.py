@@ -569,6 +569,19 @@ def test_route_selector_refuses_missing_degrees_and_bad_eps(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("lam,shown", [(0, "0"), (Fraction(-1, 2), "-1/2"), (-3.0, "-3.0"),
+                                       (math.nan, "nan")], ids=["0", "-1/2", "-3", "nan"])
+@pytest.mark.parametrize("g", ["poly 1,2,3", "step 1/3", "exp", "cos 2", "user"])
+def test_route_selector_refuses_lambda_not_positive(g, lam, shown):
+    # at lambda 0 poly and step divided by zero and exp and cos 2 returned
+    # numbers for C_n^0(1) = 0; below 0 mpmath hit a gamma function pole
+    fn = Function1D.from_callable(np.exp) if g == "user" else parse_function(g)
+    for call in (lambda: coefficient_profile(fn, lam, 3), lambda: lambda_coefficient(fn, 2, lam)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"lambda must be > 0, not {shown}"
+
+
 @pytest.mark.parametrize("n", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
 @pytest.mark.parametrize("g", ["poly 1,2", "exp", "step 1/3"])
 def test_route_selector_refuses_non_integral_degrees(g, n):

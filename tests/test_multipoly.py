@@ -69,6 +69,14 @@ def test_immutability():
         p.dim = 5
 
 
+def test_equality_without_hashing():
+    # equal term dicts compare equal; polynomials are not hashable
+    p = MultiPoly(2, {(1, 0): 1, (0, 2): Fraction(1, 2)})
+    assert p == MultiPoly(2, {(0, 2): Fraction(1, 2), (1, 0): 1}) != p.to_float()
+    with pytest.raises(TypeError):
+        hash(p)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------

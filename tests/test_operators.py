@@ -449,6 +449,22 @@ def test_harmonic_basis_refuses_a_degree_that_is_no_natural_number(n):
         harmonic_basis(ctx, n)
 
 
+def test_harmonic_basis_counts_its_laplacian_matrix_first(monkeypatch):
+    # on the circle the matrix is (n - 1) x (n + 1): 4095 x 4097 is one
+    # entry under the limit of check_size, 4096 x 4098 is above it
+    operators._check_basis_size(2, 4096)
+    with pytest.raises(ValueError, match="degree 4097 in d = 2 takes a 4096 x 4098 "):
+        harmonic_basis(DunklContext.create("i2", kappa=1, order=5), 4097)
+    counted = []
+    monkeypatch.setattr(operators, "check_size", lambda count, *rest: counted.append(count))
+    for d in (1, 2, 3, 4):
+        ctx = DunklContext.create("zd2", d, 1)
+        for n in range(6):
+            harmonic_basis(ctx, n)
+            assert counted.pop() == (len(monomials_of_degree(d, n - 2))
+                                     * len(monomials_of_degree(d, n)))
+
+
 def test_harmonic_basis_degree_one_and_zero():
     ctx = DunklContext.create("zd2", 3, (1, 1, 1))
     assert len(harmonic_basis(ctx, 0).elements) == 1

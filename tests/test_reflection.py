@@ -14,7 +14,6 @@ from dunklsphere import (
     RootSystem,
     UnsupportedGroupError,
     builtin_root_system,
-    constants,
     generate_group,
     harmonic_basis,
     harmonic_space_dimension,
@@ -369,38 +368,30 @@ def test_multiplicity_value_lookup():
 
 
 # ---------------------------------------------------------------------------
-# constants
+# gamma_kappa and lambda_kappa
 # ---------------------------------------------------------------------------
 
 def test_constants_zd2():
-    rs = builtin_root_system("zd2", 2)
-    kappa = _mult(rs, [1, 2])
-    c = constants(rs, kappa)
-    assert c.gamma == 3
-    assert c.lam == 3       # gamma + (d - 2)/2 with d = 2
-    assert isinstance(c.lam, Fraction)
+    ctx = DunklContext.create("zd2", 2, [1, 2])
+    assert ctx.gamma_kappa == 3
+    assert ctx.lambda_kappa == 3       # gamma + (d - 2)/2 with d = 2
+    assert isinstance(ctx.lambda_kappa, Fraction)
 
 
 def test_constants_kappa_zero_d3():
-    rs = builtin_root_system("zd2", 3)
-    kappa = _mult(rs, 0)
-    c = constants(rs, kappa)
-    assert c.lam == Fraction(1, 2)
+    assert DunklContext.create("zd2", 3, 0).lambda_kappa == Fraction(1, 2)
 
 
 def test_lambda_positive_required():
-    rs = builtin_root_system("zd2", 2)
-    kappa = _mult(rs, 0)
-    with pytest.raises(ValueError):
-        constants(rs, kappa)
+    with pytest.raises(ValueError) as err:
+        DunklContext.create("zd2", 2, 0)
+    assert str(err.value) == ("lambda = gamma + (d-2)/2 = 0 must be positive "
+                              "(d = 2, gamma = 0)")
 
 
 def test_b2_gamma_counts_orbit_sizes():
-    rs = builtin_root_system("b", 2)
-    kappa = _mult(rs, [1, 2])
-    c = constants(rs, kappa)
     # two axis roots with kappa 1, two diagonal roots with kappa 2
-    assert c.gamma == 2 * 1 + 2 * 2
+    assert DunklContext.create("b", 2, [1, 2]).gamma_kappa == 2 * 1 + 2 * 2
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +399,8 @@ def test_b2_gamma_counts_orbit_sizes():
 # ---------------------------------------------------------------------------
 
 def test_weight_homogeneity():
-    rs = builtin_root_system("zd2", 2)
-    kappa = _mult(rs, [1, 2])
-    gamma = float(constants(rs, kappa).gamma)
+    ctx = DunklContext.create("zd2", 2, [1, 2])
+    rs, kappa, gamma = ctx.root_system, ctx.kappa, float(ctx.gamma_kappa)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(2)
     for t in (0.5, 2.0, 3.7):

@@ -591,6 +591,35 @@ def test_inner_product_conjugates_second_argument():
     assert abs(got - (1 + 1j) * (-1j)) <= 1e-12
 
 
+@pytest.mark.parametrize("backend,opts", [("tensor", {"orders": 40}),
+                                          ("monte_carlo", {"mc_samples": 20000, "seed": 5})])
+def test_inner_product_of_callables_is_integrate_of_f_times_conj_h(backend, opts):
+    ctx = DunklContext.create("zd2", 3, (1, Fraction(1, 2), 2))
+    m = SphereMeasure(ctx, backend, **opts)
+    p = MultiPoly(3, {(2, 0, 0): 1 + 2j, (0, 1, 1): 3, (0, 0, 0): -0.5}, FLOAT)
+    q = MultiPoly(3, {(0, 2, 0): 2j, (0, 1, 1): 1, (0, 0, 2): 1}, FLOAT)
+
+    def f_conj_h(pts):
+        return p.eval_many(pts) * np.conjugate(q.eval_many(pts))
+
+    want = m.integrate(f_conj_h)
+    assert m.inner_product(p.eval_many, q.eval_many) == want
+    assert m.inner_product(p, q.eval_many) == want
+    # per-axis Jacobi rules give the polynomial inner product to round-off;
+    # the imaginary part of the truth is far above either bound
+    truth = exact_sigma_integral(ctx, p * q.conjugate())
+    bound = 1e-12 if backend == "tensor" else 4.0 * m.integrate_mc(f_conj_h)[1]
+    assert abs(want - truth) <= bound and abs(truth.imag) > 10 * bound
+
+
+def test_exact_inner_product_of_a_callable_is_refused_by_integrate():
+    ctx = DunklContext.create("zd2", 2, (1, 1))
+    one = MultiPoly.constant(2, 1, EXACT)
+    with pytest.raises(TypeError, match="^exact backend integrates polynomials only$") as err:
+        SphereMeasure(ctx, "exact").inner_product(one, one.eval_many)
+    assert err.traceback[-1].name == "integrate"
+
+
 # ---------------------------------------------------------------------------
 # node sets
 # ---------------------------------------------------------------------------
