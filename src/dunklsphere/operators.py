@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, exp, factorial, gcd, lcm
+from operator import itemgetter
 
 import numpy as np
 
@@ -82,6 +83,43 @@ class DunklContext:
             return tuple(self.kappa.value(tuple(int(i == j) for j in range(d)))
                          for i in range(d))
         return (Fraction(0),) * d if self.kappa_is_zero else None
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        """Blocks of coordinates past the first (0-based 1..d-1) of an exact
+        context, each of two or more: i and j share a block when swapping
+        them maps every root of nonzero kappa onto a root of the same kappa.
+        The permutations that do so form a group, so this is an equivalence
+        and each block is compared with its first coordinate only; permuting
+        coordinates within blocks fixes x_1 and commutes with Delta_kappa
+        (harmonic_basis).  Computed once, on the integer roots of
+        _laplacian_data, each held with both signs; float contexts have none."""
+        d = self.dim
+        if not self.exact or d < 3:
+            return ()
+        roots, lines = [], {}
+        for support, v, weight in self._laplacian_data(EXACT)[1]:
+            u = [0] * d
+            for j, c in zip(support, v):
+                u[j] = c
+            roots.append((tuple(u), weight))
+            lines[tuple(u)] = lines[tuple(-c for c in u)] = weight
+
+        def swaps(i, j):
+            order = list(range(d))
+            order[i], order[j] = j, i
+            swap = itemgetter(*order)
+            return all(lines.get(swap(u)) == weight for u, weight in roots)
+
+        blocks: list[list] = []
+        for i in range(1, d):
+            for b in blocks:
+                if swaps(b[0], i):
+                    b.append(i)
+                    break
+            else:
+                blocks.append([i])
+        return tuple(tuple(b) for b in blocks if len(b) > 1)
 
     def kappa_by_axis(self) -> tuple:
         """axis_kappas, the one test of kernel support: the orbit of each
@@ -316,8 +354,10 @@ class HarmonicBasis:
     """Nullspace basis of the Dunkl Laplacian on homogeneous degree n.
 
     Exact elements: one per free column of the RREF (graded-lex monomials,
-    first free column first); float (i2) ones: SVD nullspace vectors,
-    orthonormal in coefficients.  Gram matrix: SphereMeasure.gram(basis).
+    first free column first, terms in column order, the same bytes whether
+    solved for or permuted from another: harmonic_basis); float (i2) ones:
+    SVD nullspace vectors, orthonormal in coefficients.  Gram matrix:
+    SphereMeasure.gram(basis).
     """
 
     degree: int
@@ -398,6 +438,47 @@ def _nullspace_exact(rows: list[dict], ncols: int) -> list[dict]:
     return [vec | {fc: Fraction(1)} for fc, vec in vecs.items()]
 
 
+def _exact_basis(source: list, targets: list, blocks: tuple, scale, roots) -> list:
+    """The nullspace of scale * Delta_kappa from the degree-n monomials
+    source to the degree-(n-2) targets: per free column, in order, its
+    (exponents, Fraction) pairs in column order.
+
+    The pivot columns are the first len(targets), the monomials with
+    alpha_1 >= 2.  A permutation within the blocks fixes x_1 and commutes
+    with Delta_kappa, so it maps pivot columns onto pivot columns and the
+    vector of a free monomial f onto that of the permuted f.  So beside the
+    pivot columns only one free monomial per orbit is solved for, the one
+    whose exponents do not increase within any block; every other f takes
+    its representative's terms with exponents permuted and re-sorted (f,
+    with alpha_1 < 2, sorts last), which the unique RREF makes the same
+    Fractions.  Should a pivot column come out free, the full matrix is
+    solved instead.
+    """
+    def solve(columns):
+        matrix = _laplacian_matrix(columns, scale, roots, EXACT)
+        rows = [matrix.get(e, {}) for e in targets]
+        return [[(columns[c], x) for c, x in vec.items()]
+                for vec in _nullspace_exact(rows, len(columns))]
+
+    if not blocks:
+        return solve(source)
+    free = []
+    for f in source[len(targets):]:
+        rep, move = list(f), list(range(len(f)))
+        for b in blocks:
+            for j, k in zip(b, sorted(b, key=f.__getitem__, reverse=True)):
+                rep[j], move[k] = f[k], j        # f[k] = rep[j]
+        free.append((f, tuple(rep), itemgetter(*move)))
+    reps = [f for f, rep, _ in free if f == rep]
+    vecs = solve(source[:len(targets)] + reps)
+    if [vec[-1][0] for vec in vecs] != reps:
+        return solve(source)
+    by_rep = dict(zip(reps, vecs))
+    return [by_rep[rep] if f == rep else sorted(((move(e), x) for e, x in by_rep[rep]),
+                                                 reverse=True)
+            for f, rep, move in free]
+
+
 RANK_TOL = 1e-10     # singular values up to RANK_TOL * the largest count as 0
 
 
@@ -413,9 +494,12 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     """Basis of homogeneous degree-n polynomials killed by the Dunkl Laplacian.
 
     The matrix of scale * Delta_kappa on the degree-n monomials comes from
-    one call of _laplacian_matrix, the kernel of dunkl_laplacian (scale
-    leaves the nullspace as it is).  Exact contexts take its nullspace by
-    fraction-free elimination (_nullspace_exact), float ones (i2) by SVD
+    _laplacian_matrix, the kernel of dunkl_laplacian (scale leaves the
+    nullspace as it is).  Exact contexts take its nullspace by fraction-free
+    elimination (_nullspace_exact) on the pivot columns and one free
+    monomial per orbit of the permutations within the context's _blocks,
+    and permute the rest from those, the same bytes as the full matrix
+    gives (_exact_basis).  Float ones (i2) take the SVD of the full matrix
     with the relative rank tolerance RANK_TOL.  A degree that is negative
     or no integer, or whose matrix is above the limit of check_size, raises
     ValueError.
@@ -426,21 +510,20 @@ def harmonic_basis(ctx: DunklContext, n: int) -> HarmonicBasis:
     mode = EXACT if ctx.exact else FLOAT
     scale, roots = ctx._laplacian_data(mode)
     d = ctx.dim
-    source = monomials_of_degree(d, n)
-    matrix = _laplacian_matrix(source, scale, roots, mode)
-    rows = [matrix.get(e, {}) for e in monomials_of_degree(d, n - 2)]
+    source, targets = monomials_of_degree(d, n), monomials_of_degree(d, n - 2)
     if mode == EXACT:
-        vecs = _nullspace_exact(rows, len(source))
+        vecs = _exact_basis(source, targets, ctx._blocks if n > 1 else (), scale, roots)
     else:
-        a = np.zeros((len(rows), len(source)))
-        for r, row in enumerate(rows):
+        matrix = _laplacian_matrix(source, scale, roots, mode)
+        a = np.zeros((len(targets), len(source)))
+        for r, e in enumerate(targets):
+            row = matrix.get(e, {})
             a[r, list(row)] = list(row.values())
         _, s, vh = np.linalg.svd(a)
         rank = int((s > RANK_TOL * s[0]).sum()) if s.size else 0
-        vecs = [{c: float(x) for c, x in enumerate(vh[k]) if abs(x) > 0}
+        vecs = [[(source[c], float(x)) for c, x in enumerate(vh[k]) if abs(x) > 0]
                 for k in range(rank, len(source))]
-    elems = tuple(MultiPoly._trusted(d, {source[c]: x for c, x in vec.items()}, mode)
-                  for vec in vecs)
+    elems = tuple(MultiPoly._trusted(d, dict(vec), mode) for vec in vecs)
     expected = harmonic_space_dimension(d, n)
     if len(elems) != expected:
         raise ArithmeticError(

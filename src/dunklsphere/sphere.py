@@ -290,6 +290,7 @@ class SphereMeasure:
         self.seed = seed
         self._grid = None
         self._a_kappa = None
+        self._tensor = None            # the exact backend's tensor measure, for lp_norm
 
     # -- shared pieces -----------------------------------------------------
 
@@ -379,14 +380,17 @@ class SphereMeasure:
     def lp_norm(self, f, p) -> float:
         """|| f ||_{kappa, p} on the sphere, for 1 <= p < infinity (check_p):
         integrate of |f|^p.  The exact backend integrates an even integer p
-        of a polynomial exactly, and hands every other p to the tensor grid
-        of the same order.  Monte Carlo needs no grid."""
+        of a polynomial exactly, and hands every other p to one tensor
+        measure of the same order, built on first use and kept.  Monte
+        Carlo needs no grid."""
         check_p(p)
         if self.backend == "exact":
             if isinstance(f, MultiPoly) and float(p) == int(p) and int(p) % 2 == 0:
                 val = self.integrate((f * f.conjugate()).power(int(p) // 2))
                 return float(val.real) ** (1.0 / float(p))
-            return SphereMeasure(self.ctx, "tensor", orders=self.orders).lp_norm(f, p)
+            if self._tensor is None:
+                self._tensor = SphereMeasure(self.ctx, "tensor", orders=self.orders)
+            return self._tensor.lp_norm(f, p)
         fn = _point_fn(f)
         return self.integrate(
             lambda pts: np.abs(np.asarray(fn(pts))) ** float(p)) ** (1.0 / float(p))

@@ -1,7 +1,9 @@
 """harmonic_basis against an independent route, on the benchmark's own
 traffic: every ``harmonics`` op of perfbench/workloads.py (loaded by path, as
-tests/test_benchmark_ops.py does) at seeds 1, 41 and 99, and the rational root
-system {+-(1, 2)}, whose Laplacian rows carry Fractions.
+tests/test_benchmark_ops.py does) at seeds 1, 41 and 99; the rational root
+system {+-(1, 2)}, whose Laplacian rows carry Fractions; and A5, B4, D5 and a
+Z_2^4 whose coordinate block {2, 4} is not contiguous, whose exact bases
+harmonic_basis builds from one free monomial per permutation orbit.
 
 The oracle builds the Laplacian matrix one monomial at a time through the
 public dunkl_laplacian (a MultiPoly per column, rows in Fractions) and takes
@@ -133,4 +135,17 @@ def test_harmonic_ops_match_the_gauss_jordan_oracle(seed):
 def test_rational_root_system_matches_the_gauss_jordan_oracle(kappa):
     ctx = DunklContext.from_root_system(CUSTOM, kappa)
     for n in range(8):
+        assert repr(_got(ctx, n)) == repr(_oracle(ctx, n)), n
+
+
+@pytest.mark.parametrize("family,dim,kappa,top", [
+    ("a", 5, 1, 6),
+    ("zd2", 4, [Fraction(1, 2), 1, Fraction(1, 2), 1], 6),    # block {2, 4}, not contiguous
+    ("b", 4, [Fraction(1, 2), 1], 5),
+    ("d", 5, Fraction(1, 3), 5)])
+def test_symmetric_contexts_match_the_gauss_jordan_oracle(family, dim, kappa, top):
+    # contexts whose bases harmonic_basis builds one free monomial per orbit of
+    # coordinate permutations that fix x_1
+    ctx = DunklContext.create(family, dim, kappa)
+    for n in range(top + 1):
         assert repr(_got(ctx, n)) == repr(_oracle(ctx, n)), n

@@ -472,6 +472,83 @@ def test_harmonic_basis_degree_one_and_zero():
 
 
 # ---------------------------------------------------------------------------
+# orbit route of exact harmonic bases
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,d,kappa,blocks", [
+    ("a", 4, 1, ((1, 2, 3),)), ("b", 3, (1, 2), ((1, 2),)),
+    ("zd2", 4, (1, 2, 1, 2), ((1, 3),)), ("zd2", 3, ("1/2", 1, 2), ()),
+    ("d", 5, "1/3", ((1, 2, 3, 4),)), ("custom", 2, 1, ())])
+def test_blocks_join_coordinates_whose_swap_keeps_roots_and_kappa(family, d, kappa, blocks):
+    assert _context(family, d, kappa)._blocks == blocks
+
+
+def test_float_context_has_no_blocks():
+    assert DunklContext.create("i2", kappa=1, order=5)._blocks == ()
+    assert DunklContext.create("i2", kappa=(1, 2), order=4)._blocks == ()
+
+
+def _terms(basis):
+    return repr([(p.mode, list(p.terms.items())) for p in basis.elements])
+
+
+def _without_blocks(ctx):
+    """ctx with its cached _blocks emptied, so harmonic_basis solves the full
+    matrix."""
+    ctx.__dict__["_blocks"] = ()
+    return ctx
+
+
+@pytest.mark.parametrize("family,d,kappa,top", [
+    ("a", 4, 1, 7), ("b", 4, ("1/2", 1), 5), ("d", 5, "1/3", 5),
+    ("zd2", 4, ("1/2", 1, "1/2", 1), 6), ("b", 3, (0, 1), 6)])
+def test_orbit_route_equals_the_full_matrix(family, d, kappa, top):
+    ctx, full = _context(family, d, kappa), _without_blocks(_context(family, d, kappa))
+    assert ctx._blocks
+    for n in range(top + 1):
+        assert _terms(harmonic_basis(ctx, n)) == _terms(harmonic_basis(full, n)), n
+
+
+def _spy(monkeypatch, name, change=None):
+    """Record the number of monomials or columns of each call of operators.name,
+    passing its result through change(args, result) if given."""
+    calls, inner = [], getattr(operators, name)
+
+    def spy(*args):
+        calls.append(len(args[0]) if name == "_laplacian_matrix" else args[1])
+        out = inner(*args)
+        return change(args, out) if change else out
+
+    monkeypatch.setattr(operators, name, spy)
+    return calls
+
+
+def test_orbit_route_solves_one_column_per_orbit(monkeypatch):
+    # A4 at degree 6: 35 pivot columns (alpha_1 >= 2) and 12 of the 49 free
+    # monomials non-increasing in x_2, x_3, x_4, out of 84 monomials
+    calls = _spy(monkeypatch, "_nullspace_exact")
+    basis = harmonic_basis(DunklContext.create("a", 4, 1), 6)
+    assert calls == [47] and len(basis) == 49
+
+
+def test_orbit_route_falls_back_when_a_pivot_column_comes_out_free(monkeypatch):
+    ctx = DunklContext.create("a", 4, 1)
+    want = _terms(harmonic_basis(_without_blocks(DunklContext.create("a", 4, 1)), 6))
+
+    def copy_column(args, matrix):          # column 0 := column 1 in the reduced matrix
+        if len(args[0]) < 84:
+            for row in matrix.values():
+                row.pop(0, None)
+                if 1 in row:
+                    row[0] = row[1]
+        return matrix
+
+    calls = _spy(monkeypatch, "_laplacian_matrix", copy_column)
+    assert _terms(harmonic_basis(ctx, 6)) == want
+    assert calls == [47, 84]
+
+
+# ---------------------------------------------------------------------------
 # intertwining operator
 # ---------------------------------------------------------------------------
 

@@ -570,6 +570,19 @@ def test_lp_norm_odd_p_falls_back():
     assert abs(val - 1.0) <= 1e-12
 
 
+def test_exact_lp_norm_builds_its_tensor_grid_once(monkeypatch):
+    ctx = DunklContext.create("b", 3, (1, 2))
+    p = MultiPoly(3, {(1, 0, 0): Fraction(1), (0, 1, 1): Fraction(-2, 3)})
+    fn = lambda pts: pts[:, 0] - 2 * pts[:, 1] ** 3      # noqa: E731
+    want = SphereMeasure(ctx, "tensor", orders=40)
+    want = [want.lp_norm(p, 3), want.lp_norm(fn, 1.5)]
+    grid, built = sphere._tensor_grid, []
+    monkeypatch.setattr(sphere, "_tensor_grid", lambda *args: built.append(args) or grid(*args))
+    m = SphereMeasure(ctx, "exact", orders=40)
+    assert [m.lp_norm(p, 3), m.lp_norm(fn, 1.5)] == want
+    assert len(built) == 1
+
+
 def test_gram_is_symmetric_and_diagonal_positive():
     ctx = DunklContext.create("zd2", 2, (1, 2))
     m = SphereMeasure(ctx, "exact")
