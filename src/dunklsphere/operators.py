@@ -25,7 +25,8 @@ import numpy as np
 
 from .gegenbauer import Function1D, check_size, jacobi_rule, pochhammer
 from .multipoly import (DIVIDE_TOL, EVAL_CHUNK_ROWS, EXACT, FLOAT, LinearImages, MultiPoly,
-                        _add_terms, _derivative_terms, _divide_terms, monomials_of_degree)
+                        NonDivisibleError, _add_terms, _derivative_terms, _divide_terms,
+                        monomials_of_degree)
 from .reflection import (MultiplicityFunction, RootSystem, UnsupportedGroupError,
                          _integral, builtin_root_system, reflection_matrix,
                          validate_multiplicity)
@@ -211,29 +212,131 @@ _UNIT = {EXACT: 1, FLOAT: 1.0}
 _TOL = {EXACT: None, FLOAT: DIVIDE_TOL}
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=4096)
 def _root_shape(v: tuple, mode: str) -> tuple:
-    """(images, pivot, |v|^2) for a root v with no zero coordinate: the
+    """(images, pivot, |v|^2, pair) for a root v with no zero coordinate: the
     images of the variables under s_v (LinearImages, which keeps their
-    powers) and the first coordinate of largest |v_i|, by which every
-    quotient by <v, x> is taken."""
+    powers), the first coordinate of largest |v_i|, by which every quotient
+    by <v, x> is taken, and on two coordinates the list route's images with
+    a dict of their powers (_pair_power), else None."""
     s_v = reflection_matrix(v)
     vv = sum(c * c for c in v)
     if mode == EXACT:
         s_v = [[_integral(x) for x in row] for row in s_v]
         vv = _integral(vv)
     pivot = max(range(len(v)), key=lambda i: abs(v[i]))
-    return LinearImages(s_v, _UNIT[mode]), pivot, vv
+    pair = ([{1 - j: x for j, x in enumerate(row) if x != 0} for row in s_v], {}
+            ) if len(v) == 2 else None
+    return LinearImages(s_v, _UNIT[mode]), pivot, vv, pair
+
+
+# The list route of a root on two coordinates, where every polynomial is
+# homogeneous in two variables: dicts keyed and lists indexed by the first
+# exponent (0 where a term dict holds no term), and the scalar operations of
+# the term-dict kernels in the same order, so the same floats and Fractions.
+
+def _pair_mul(a: dict, b: dict) -> dict:
+    """_mul_terms on dicts keyed by the first exponent."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def _pair_power(pair: tuple, i: int, k: int, unit) -> dict:
+    """y_i ** k by the binary powering of _power_terms, kept in pair."""
+    images, powers = pair
+    if (i, k) not in powers:
+        got, base, e = {0: unit}, images[i], k
+        while e:
+            got = _pair_mul(got, base) if e & 1 else got
+            e >>= 1
+            base = _pair_mul(base, base) if e else base
+        powers[i, k] = got
+    return powers[i, k]
+
+
+def _pair_divide(terms: list, v: tuple, pivot: int, tol) -> list:
+    """_divide_terms on a list: each pivot exponent holds one term, from the
+    top down; the remainder is refused as there."""
+    n, vp, (v0, v1) = len(terms) - 1, v[pivot], v
+    rem, quot = list(terms), [0] * n
+    # t x^q <v, x> takes t v0 off term q + 1 and t v1 off term q, the pivot
+    # term being q + 1 - pivot: each term is reduced as the next, read, then
+    # reduced as the pivot, so a 0 left here (the dict drops it) is not read
+    for q in range(n - 1, -1, -1) if pivot == 0 else range(n):
+        c = rem[q + 1 - pivot]
+        if c != 0:
+            quot[q] = t = c if vp == 1 else c / vp
+            rem[q + 1] -= t * v0
+            rem[q] -= t * v1
+    if any(rem):
+        if tol is None:
+            raise NonDivisibleError("polynomial is not divisible by the form")
+        worst = max(map(abs, rem))
+        if worst > tol * max(1.0, max(map(abs, terms))):
+            raise NonDivisibleError(
+                f"remainder {worst:.3e} exceeds tolerance {tol:.3e} (scaled)")
+    return quot
+
+
+def _pair_quotient(v: tuple, alpha: tuple, mode: str) -> list:
+    """_dict_quotient on the list route.  x^alpha o s_v is y_0^a0 y_1^a1 summed
+    as _mul_terms sums {0: unit} y_0^a0 y_1^a1; no later step reads its order."""
+    _, pivot, _, pair = _root_shape(v, mode)
+    unit, (a0, a1) = _UNIT[mode], alpha
+    p0 = _pair_power(pair, 0, a0, unit) if a0 else {0: unit}
+    p1 = _pair_power(pair, 1, a1, unit) if a1 else {0: unit}
+    image = [0] * (a0 + a1 + 1)
+    for e1, c1 in p0.items():
+        for e2, c2 in p1.items():
+            image[e1 + e2] = (image[e1 + e2] + c1 * c2) or 0
+    diff = [c * -1 for c in image]
+    diff[a0] = (unit + diff[a0]) or 0
+    return _pair_divide(diff, v, pivot, _TOL[mode])
+
+
+def _pair_items(values: list, pivot: int) -> tuple:
+    """A list's terms as (exponents, coefficient) pairs in the term dict's
+    order: descending exponent of the pivot coordinate."""
+    n = len(values) - 1
+    order = range(n, -1, -1) if pivot == 0 else range(n + 1)
+    return tuple(((a, n - a), values[a]) for a in order if values[a] != 0)
+
+
+def _dict_quotient(v: tuple, alpha: tuple, mode: str) -> dict:
+    """_quotient on the dict route, as a term dict."""
+    images, pivot, _, _ = _root_shape(v, mode)
+    mono = {alpha: _UNIT[mode]}
+    diff = _add_terms(dict(mono), images.compose(mono), -1)
+    return _divide_terms(diff, v, pivot, _TOL[mode]) if diff else {}
+
+
+def _dict_bracket(v: tuple, alpha: tuple, mode: str) -> dict:
+    """_bracket on the dict route, as a term dict."""
+    _, pivot, vv, _ = _root_shape(v, mode)
+    mono = {alpha: _UNIT[mode]}
+    num: dict = {}
+    for i, vi in enumerate(v):
+        _add_terms(num, _derivative_terms(mono, i), 2 * vi)
+    _add_terms(num, _dict_quotient(v, alpha, mode), -vv)
+    return _divide_terms(num, v, pivot, _TOL[mode]) if num else {}
 
 
 @lru_cache(maxsize=4096)
 def _quotient(v: tuple, alpha: tuple, mode: str) -> tuple:
     """(x^alpha - x^alpha o s_v) / <v, x> as (exponents, coefficient) pairs,
-    for a root v with no zero coordinate."""
-    images, pivot, _ = _root_shape(v, mode)
-    mono = {alpha: _UNIT[mode]}
-    diff = _add_terms(dict(mono), images.compose(mono), -1)
-    return tuple(_divide_terms(diff, v, pivot, _TOL[mode]).items()) if diff else ()
+    for a root v with no zero coordinate.  A root on two coordinates takes
+    the list route (_pair_quotient), every other the dict route."""
+    if len(v) == 2:
+        return _pair_items(_pair_quotient(v, alpha, mode), _root_shape(v, mode)[1])
+    return tuple(_dict_quotient(v, alpha, mode).items())
 
 
 @lru_cache(maxsize=4096)
@@ -242,16 +345,23 @@ def _bracket(v: tuple, alpha: tuple, mode: str) -> tuple:
     as (exponents, coefficient) pairs, for a root v with no zero coordinate.
 
     The numerator is divisible by <v, x>^2, so this is (2 <grad x^alpha, v> -
-    |v|^2 q) / <v, x> with q = _quotient(v, alpha, mode): one more exact
-    division.
+    |v|^2 q) / <v, x> with q the quotient of _quotient: one more exact
+    division.  A root on two coordinates takes the list route, every other
+    the dict route (_dict_bracket).
     """
-    _, pivot, vv = _root_shape(v, mode)
-    mono = {alpha: _UNIT[mode]}
-    num: dict = {}
-    for i, vi in enumerate(v):
-        _add_terms(num, _derivative_terms(mono, i), 2 * vi)
-    _add_terms(num, dict(_quotient(v, alpha, mode)), -vv)
-    return tuple(_divide_terms(num, v, pivot, _TOL[mode]).items()) if num else ()
+    if len(v) != 2:
+        return tuple(_dict_bracket(v, alpha, mode).items())
+    _, pivot, vv, _ = _root_shape(v, mode)
+    unit, (a0, a1) = _UNIT[mode], alpha
+    num = [0] * (a0 + a1)
+    if a0:
+        num[a0 - 1] = unit * a0 * (2 * v[0])
+    if a1:
+        num[a0] = unit * a1 * (2 * v[1])
+    for a, c in enumerate(_pair_quotient(v, alpha, mode)):
+        if c:
+            num[a] = (num[a] + c * -vv) or 0
+    return _pair_items(_pair_divide(num, v, pivot, _TOL[mode]), pivot)
 
 
 def dunkl_apply(ctx: DunklContext, i: int, f: MultiPoly) -> MultiPoly:
@@ -291,6 +401,9 @@ def _laplacian_matrix(monomials, scale, roots: tuple, mode: str) -> dict:
     root by root b * weight for each _bracket pair, placed on the root's
     support, and drops an entry whose running sum is 0: every entry is the
     sum, in the same order, that the term dict of Delta_kappa x^alpha holds.
+    Brackets on two coordinates come from _bracket's list route, the others
+    from its dict route, by the same operations in the same order; a root-
+    major loop gives the same bases but changes dunkl_laplacian's sums.
     """
     unit = scale or 1.0
     matrix: dict = {}
@@ -324,10 +437,12 @@ def dunkl_laplacian(ctx: DunklContext, f: MultiPoly) -> MultiPoly:
     s_v fixes the coordinates outside v's support S, so the bracket of
     x^alpha is x^(alpha off S) times that of x_S^(alpha_S), cached per root
     shape and exponent pattern (_bracket) for every context; kappa(v) enters
-    as its weight.  The kernel harmonic_basis shares, _laplacian_matrix,
-    gives one column per monomial of f, and each coefficient is a row times
-    f's coefficients, cleared of denominators in exact mode (all integer
-    arithmetic with integer roots, up to one final division).  In float mode
+    as its weight (two-coordinate roots take _bracket's list route, others
+    its dict route, by the same operations in the same order).  The kernel
+    harmonic_basis shares, _laplacian_matrix, gives one column per monomial
+    of f, and each coefficient is a row times f's coefficients, cleared of
+    denominators in exact mode (all integer arithmetic with integer roots,
+    up to one final division).  In float mode
     a monomial of coefficient 1 gets the bits of dividing it as a whole;
     other results may differ from that in the last bits.
     """

@@ -13,12 +13,13 @@ roots are integral, so the rational families build no Fraction there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .gegenbauer import parse_fraction
+from .gegenbauer import check_size, parse_fraction
 from .multipoly import EXACT, FLOAT, MultiPoly
 
 #: Generic direction whose inner products pick the positive subsystem:
@@ -153,6 +154,13 @@ def _positive_filter(roots, dim):
     return tuple(pos)
 
 
+def _check_image_table(positive: int) -> None:
+    """Refuse root_orbits' |R+| x |R| table of reflection images (check_size)."""
+    size = 2 * positive * positive
+    check_size(size, f"{positive} positive roots take a {positive} x {2 * positive} table "
+               f"of reflection images, {size} entries", "lower the order or the dimension")
+
+
 def builtin_root_system(family: str, dimension: int | None = None,
                         order: int | None = None) -> RootSystem:
     """Construct one of the built-in families.
@@ -162,7 +170,8 @@ def builtin_root_system(family: str, dimension: int | None = None,
                b: d >= 2; d: d >= 3).  i2 ignores it (always 2).
     order:     m >= 3 for i2(m) only.
     An unknown family raises UnsupportedGroupError; a dimension or order
-    outside these ranges names no group and raises a plain ValueError.
+    that is no integer, outside these ranges or past _check_image_table
+    names no group and raises a plain ValueError before any root is built.
     """
     fam = family.lower()
     if fam not in FAMILIES:
@@ -175,30 +184,25 @@ def builtin_root_system(family: str, dimension: int | None = None,
         return tuple(-x for x in v)
 
     if fam == "i2":
-        if order is None or order < 3:
-            raise ValueError("i2 requires order m >= 3")
+        if not isinstance(order, numbers.Integral) or order < 3:
+            raise ValueError(f"i2 requires an integer order m >= 3, not {order!r}")
+        _check_image_table(order)
         roots = tuple(
             (math.cos(k * math.pi / order), math.sin(k * math.pi / order))
             for k in range(2 * order))
         return RootSystem(2, roots, _positive_filter(roots, 2), "i2", exact=False)
 
-    d = dimension
-    if d is None:
-        raise ValueError(f"family {fam!r} requires a dimension")
+    d, least = dimension, {"zd2": 1, "a": 2, "b": 2, "d": 3}[fam]
+    if not isinstance(d, numbers.Integral) or d < least:
+        raise ValueError(f"{fam} requires an integer dimension d >= {least}, not {d!r}")
+    _check_image_table({"zd2": d, "a": d * (d - 1) // 2, "b": d * d, "d": d * (d - 1)}[fam])
 
     if fam == "zd2":
-        if d < 1:
-            raise ValueError("zd2 requires d >= 1")
         pos = tuple(e(i, d) for i in range(d))
     elif fam == "a":
-        if d < 2:
-            raise ValueError("a requires ambient dimension d >= 2")
         pos = tuple(tuple(a - b for a, b in zip(e(i, d), e(j, d)))
                     for i in range(d) for j in range(d) if i < j)
     else:  # fam in ("b", "d"): e_i -+ e_j, and for b the axes e_i first
-        least = 2 if fam == "b" else 3
-        if d < least:
-            raise ValueError(f"{fam} requires d >= {least}")
         axes = [e(i, d) for i in range(d)]
         pos = tuple(axes) if fam == "b" else ()
         pos += tuple(tuple(a + sign * b for a, b in zip(axes[i], axes[j]))
@@ -258,8 +262,9 @@ def root_orbits(rs: RootSystem) -> list[list]:
     reflections generate G, so the group itself is never built.  Orbits are
     ordered by, and start with, the first positive root (in the family's
     canonical enumeration order) they contain, which fixes the meaning of
-    per-orbit multiplicity sequences.
+    per-orbit multiplicity sequences.  _check_image_table counts the rows first.
     """
+    _check_image_table(len(rs.positive))
     steps = _reflection_steps(rs)
     # roots keyed by their int coordinates, so that lookups compare ints;
     # images of exact roots are exact, so they key as they are

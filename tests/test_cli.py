@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dunklsphere import DunklContext, SphereMeasure, funk_hecke_residual, parse_function
+from dunklsphere import reflection
 from dunklsphere.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -363,6 +364,23 @@ def test_funk_hecke_grid_too_large_exits_at_once(capsys):
          "--orders", "80"], capsys)
     assert code == EXIT_CONFIG
     assert "81920000" in err
+
+
+@pytest.mark.parametrize("argv, table", [
+    (["--family", "i2", "--order", "20000"], "20000 x 40000 table of reflection images"),
+    (["--family", "zd2", "-d", "2897"], "2897 x 5794 table of reflection images"),
+], ids=["i2-20000", "zd2-2897"])
+def test_root_table_too_large_exits_at_once(argv, table, capsys, monkeypatch):
+    # 2 m^2 reflection images for I2(20000) are 6.1 GiB; the zd2 roots alone
+    # are 8.4 million Fractions: both are counted before any root system is
+    # built (m >= 2897 and d >= 2897 pass 2^24 images)
+    def built(*args, **kwargs):
+        raise RuntimeError("a root system was built")
+    monkeypatch.setattr(reflection, "RootSystem", built)
+    code, out, err = run_cli(["coeffs", *argv, "--kappa", "1", "--g", "exp", "-N", "2"],
+                             capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert table in err and "MiB" in err
 
 
 def test_funk_hecke_degree_past_64_reports_both_routes(capsys):

@@ -217,6 +217,15 @@ def _clear_shape_caches():
         cache.cache_clear()
 
 
+def test_one_root_shape_cache_holds_a_whole_context():
+    # 300 positive roots of I2(300): one root-shape entry per root, held
+    # for every bracket of the basis
+    ctx = DunklContext.create("i2", kappa=1, order=300)
+    _clear_shape_caches()
+    harmonic_basis(ctx, 4)
+    assert _root_shape.cache_info().misses == 300
+
+
 def test_laplacian_of_every_monomial_matches_the_definition():
     # contexts that share root shapes ((1, -1) for a4 and d4, (1,) for b3 and
     # zd2) but not kappa take turns, degree by degree, from empty caches: a
@@ -279,9 +288,13 @@ def _laplacian_whole_polynomial(ctx, f):
     return out
 
 
-@pytest.mark.parametrize("m", [5, 4])
-def test_float_laplacian_matches_the_whole_polynomial_route(m):
-    ctx = DunklContext.create("i2", kappa=1, order=m)
+@pytest.mark.parametrize("m, kappa", [(5, 1), (4, 1), (3, 1), (6, 1), (12, 1),
+                                      (8, (1, Fraction(5, 2)))],
+                         ids=["5", "4", "3", "6", "12", "8-1,5/2"])
+def test_float_laplacian_matches_the_whole_polynomial_route(m, kappa):
+    # each I2(m) has two-coordinate roots that pivot on either coordinate,
+    # and at even m the root (6e-17, 1), whose first coordinate is rounding
+    ctx = DunklContext.create("i2", kappa=kappa, order=m)
     for n in range(9):
         for exps in monomials_of_degree(2, n):
             f = MultiPoly.monomial(2, exps, 1, FLOAT)

@@ -101,14 +101,22 @@ def test_i2_requires_order():
 
 @pytest.mark.parametrize("family, dim, order", [
     ("i2", 2, None), ("i2", 2, 2), ("a", 1, None), ("b", 1, None), ("d", 2, None),
-    ("zd2", 0, None), ("zd2", None, None),
+    ("zd2", 0, None), ("zd2", None, None), ("i2", 2, 3.5), ("a", 3.0, None),
 ])
 def test_parameters_that_name_no_group_are_configuration_errors(family, dim, order):
-    # a known family outside its range is a plain ValueError, not an
-    # unsupported group
+    # a known family outside its range, or at a dimension or order that is no
+    # integer, is a plain ValueError, not an unsupported group
     with pytest.raises(ValueError) as info:
         builtin_root_system(family, dim, order=order)
     assert not isinstance(info.value, UnsupportedGroupError)
+
+
+def test_custom_root_table_is_counted_before_it_is_built():
+    # 2897 positive roots of a custom system: 16,785,218 reflection images
+    pos = tuple((1, k) for k in range(2897))
+    rs = RootSystem(2, pos + tuple((-1, -k) for _, k in pos), pos, "custom")
+    with pytest.raises(ValueError, match="2897 x 5794 table of reflection images"):
+        root_orbits(rs)
 
 
 def test_missing_negatives_rejected_at_construction():
